@@ -10,7 +10,6 @@ from .config import DEFAULTS, Tolerances
 from .errors import AssumptionError, ConvergenceError, WoldLabError
 from .measures import (
     CircleMeasure,
-    FourierTable,
     conjugate,
     fourier_coefficient,
     fourier_table,

@@ -9,8 +9,10 @@ Config schema::
 
 Each task runs one operation against one instance and is judged against
 its tolerance.  The report lists residuals, verdicts and wall times per
-task; exit code 0 means every task passed, 2 means some tolerance failed,
-1 means the config (or an instance) was invalid.
+task.  A task that raises is recorded as failed, with ``error`` set to
+"<exception type>: <message>", and the run goes on.  Exit code 0 means
+every task passed, 2 means some task failed its tolerance or raised, 1
+means the config (or an instance) was invalid.
 """
 
 from __future__ import annotations
@@ -222,8 +224,8 @@ def run(config_path: str, output_path: str, caps_scale: int = 1, seed=None,
             entry["result"] = detail
             entry["score"] = _flatten_value(score)
             entry["passed"] = bool(score <= tol)
-        except (WoldLabError, ConfigError, ValueError) as exc:
-            entry["error"] = str(exc)
+        except Exception as exc:  # one failing task must not abort the run
+            entry["error"] = f"{type(exc).__name__}: {exc}"
             entry["passed"] = False
         entry["wall_time_s"] = time.perf_counter() - t0
         return entry

@@ -22,6 +22,7 @@ from .measures import CircleMeasure, fourier_coefficient
 from .operators import (
     OperatorModel,
     Subspace,
+    _whitened_projector,
     adjoint,
     apply_to_subspace,
     defect_operator,
@@ -29,6 +30,7 @@ from .operators import (
     joint_core,
     left_inverse,
     operator_norm,
+    orthocomplement,
     orthonormal_columns,
     range_complement_projection,
     restrict_operator,
@@ -47,14 +49,44 @@ def _as_flat(x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# range iterations
+# orbit closure and the stable range
 # ---------------------------------------------------------------------------
 
-def _iterate_ranges(T: OperatorModel, start: Subspace, max_iter: int,
-                    tols: Tolerances) -> Subspace:
-    """Iterate S <- T(S) until the dimension is stable for 2 steps."""
-    dims = [start.dim]
-    S = start
+def span_orbit(ops, S: Subspace, tols: Tolerances = DEFAULTS) -> Subspace:
+    """Smallest subspace that contains S and is invariant under ``ops``.
+
+    ``ops`` is one operator or a list of them.  Each pass applies every
+    operator to the directions the last pass added and keeps the
+    rank-revealed part not yet spanned.  The loop ends when a pass adds
+    nothing or the basis fills the space, so it needs no iteration cap.
+    Every shift block of a Wold decomposition is such an orbit of a
+    wandering subspace, e.g. H1 = [ker T*]_T.
+    """
+    ops = [ops] if isinstance(ops, OperatorModel) else list(ops)
+    amb = S.ambient
+    basis = frontier = S.basis
+    while frontier.shape[1] and basis.shape[1] < amb.dim_total:
+        images = np.hstack([op.matrix @ frontier for op in ops])
+        images = images - basis @ (basis.conj().T @ (amb.gram @ images))
+        frontier = orthonormal_columns(amb, images, tols)
+        basis = np.hstack([basis, frontier])
+    return Subspace.from_columns(amb, basis, tols)
+
+
+def stable_range(T: OperatorModel, max_iter: int = None, tols: Tolerances = DEFAULTS) -> Subspace:
+    """The intersection of the ranges of all powers of T.
+
+    The ranges of a 2-isometry are nested, so the intersection is reached
+    as soon as the dimension stays the same for two steps.  One SVD per
+    step, so no decomposition builds a block with it; it is the reference
+    check for analyticity (:func:`extract_measure`, the norm identities)
+    and for the ``kernel_intersection_identity`` of :func:`wold_pair`.
+    """
+    if not T.is_square:
+        raise ValueError("stable_range needs a square operator")
+    max_iter = T.dom.dim_total + 2 if max_iter is None else max_iter
+    S = Subspace.full(T.dom)
+    dims = [S.dim]
     for _ in range(max_iter):
         S = apply_to_subspace(T, S, tols)
         dims.append(S.dim)
@@ -64,58 +96,6 @@ def _iterate_ranges(T: OperatorModel, start: Subspace, max_iter: int,
         f"range iteration did not stabilize in {max_iter} steps "
         f"(last dims {dims[-2]}, {dims[-1]})"
     )
-
-
-def stable_range(T: OperatorModel, max_iter: int = None, tols: Tolerances = DEFAULTS) -> Subspace:
-    """The intersection of the ranges of all powers of T.
-
-    The ranges of a 2-isometry are nested, so the intersection is reached
-    as soon as the dimension stops dropping; the unitary part of T lives
-    exactly on this subspace.
-    """
-    if not T.is_square:
-        raise ValueError("stable_range needs a square operator")
-    max_iter = T.dom.dim_total + 2 if max_iter is None else max_iter
-    return _iterate_ranges(T, Subspace.full(T.dom), max_iter, tols)
-
-
-def span_orbit(T: OperatorModel, S: Subspace, max_iter: int = None,
-               tols: Tolerances = DEFAULTS) -> Subspace:
-    """Closure of S under T: the span of T^n(S) for all n >= 0."""
-    max_iter = T.dom.dim_total + 2 if max_iter is None else max_iter
-    basis = S.basis
-    frontier = S.basis
-    amb = T.dom
-    for _ in range(max_iter):
-        if frontier.shape[1] == 0:
-            break
-        frontier = T.matrix @ frontier
-        if basis.shape[1]:
-            frontier = frontier - basis @ (basis.conj().T @ (amb.gram @ frontier))
-        frontier = orthonormal_columns(amb, frontier, tols)
-        if frontier.shape[1] == 0:
-            break
-        basis = np.hstack([basis, frontier])
-        if basis.shape[1] >= amb.dim_total:
-            break
-    return Subspace.from_columns(amb, basis, tols)
-
-
-def _joint_span_closure(ops, S: Subspace, tols: Tolerances = DEFAULTS) -> Subspace:
-    """Smallest subspace containing S invariant under every op in ops."""
-    amb = S.ambient
-    basis = S.basis
-    frontier = S.basis
-    for _ in range(amb.dim_total + 2):
-        if frontier.shape[1] == 0 or basis.shape[1] >= amb.dim_total:
-            break
-        images = np.hstack([op.matrix @ frontier for op in ops])
-        if basis.shape[1]:
-            images = images - basis @ (basis.conj().T @ (amb.gram @ images))
-        frontier = orthonormal_columns(amb, images, tols)
-        if frontier.shape[1]:
-            basis = np.hstack([basis, frontier])
-    return Subspace.from_columns(amb, basis, tols)
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +218,13 @@ def extract_measure(T: OperatorModel, compress_to: Subspace = None,
 # norm identities
 # ---------------------------------------------------------------------------
 
+# The series below run over iterates y = L^k x of a left inverse L of an
+# expansive T, so ||L||_G <= 1 and the terms only shrink.  A sum stops once
+# ||y||_G <= _EPS * ||x||_G: the terms left out are then of order
+# _EPS^2 ||x||_G^2, far below the rounding of ||x||_G^2 itself.
+_EPS = np.finfo(float).eps
+
+
 def _require_analytic_two_isometry(T: OperatorModel, tols: Tolerances) -> None:
     if two_isometry_defect(T, tols=tols) > tols.two_isometry:
         raise AssumptionError("operator is not a 2-isometry within tolerance")
@@ -250,7 +237,8 @@ def check_norm_identity(T: OperatorModel, x, tols: Tolerances = DEFAULTS) -> flo
 
     Defect terms are evaluated through the exact pairing
     <(T*T - I) y, y> = ||T y||^2 - ||y||^2, so no square root enters.  The
-    sums terminate because L lowers the total degree.
+    sums terminate because L lowers the total degree; they stop early once
+    the iterate L^k x is negligible (see ``_EPS``).
     """
     _require_analytic_two_isometry(T, tols)
     x = _as_flat(x)
@@ -259,10 +247,11 @@ def check_norm_identity(T: OperatorModel, x, tols: Tolerances = DEFAULTS) -> flo
     L = left_inverse(T, tols=tols)
     Pm, _ = range_complement_projection(T, tols)
     total = float((np.conj(x) @ (G @ x)).real)
+    negligible = _EPS**2 * total
     acc = 0.0
     y = x.copy()
     for k in range(T.dom.dim_total + 1):
-        if np.linalg.norm(y) < 1e-300:
+        if float((np.conj(y) @ (G @ y)).real) <= negligible:
             break
         py = Pm @ y
         acc += float((np.conj(py) @ (G @ py)).real)
@@ -302,14 +291,15 @@ def check_two_variable_identity(T1: OperatorModel, T2: OperatorModel, x,
         return float((np.conj(vec) @ (mat @ vec)).real)
 
     total = sq(x)
+    negligible = _EPS**2 * total
     acc = 0.0
     ym = x.copy()
     for m in range(T1.dom.dim_total + 1):
-        if np.linalg.norm(ym) < 1e-300:
+        if sq(ym) <= negligible:
             break
         y = ym.copy()
         for n in range(T2.dom.dim_total + 1):
-            if np.linalg.norm(y) < 1e-300:
+            if sq(y) <= negligible:
                 break
             acc += sq(P @ y)
             if m >= 1:
@@ -356,23 +346,22 @@ def _orthogonality(A: Subspace, B: Subspace) -> float:
 def _completeness(blocks, amb) -> float:
     if not blocks:
         return 1.0
-    total = sum(_whiten_proj(S) for S in blocks)
+    total = sum(_whitened_projector(S) for S in blocks)
     return float(np.linalg.norm(total - np.eye(amb.dim_total), 2))
-
-
-def _whiten_proj(S: Subspace) -> np.ndarray:
-    Bw = S.ambient.whiten(S.basis)
-    return Bw @ Bw.conj().T
 
 
 def wold_single(T: OperatorModel, tols: Tolerances = DEFAULTS,
                 extract: bool = True) -> SingleWold:
     """Split a 2-isometry into unitary and analytic parts and classify.
 
-    H0 is the stable range, H1 the closure of the wandering subspace under
-    T.  Verifies orthogonality, completeness, invariance of both blocks,
-    unitarity on H0 and the wandering property, then extracts the
-    classifying measure of the analytic part.
+    By the Wold-type theorem H = H0 ⊕ [E]_T with E = ker T* the wandering
+    subspace, so the shift block H1 is the orbit of E (:func:`span_orbit`)
+    and the unitary block H0 is its Gram complement.  Orthogonality and
+    completeness hold by construction and are still reported.  H0 is
+    certified by its invariance and the unitarity of T on it, which
+    together force it into the stable range; H1 by its invariance and the
+    wandering property.  Then the classifying measure of the analytic part
+    is extracted.
     """
     defect = two_isometry_defect(T, tols=tols)
     if defect > tols.two_isometry:
@@ -380,9 +369,9 @@ def wold_single(T: OperatorModel, tols: Tolerances = DEFAULTS,
             f"two-isometry defect {defect:.3e} exceeds tolerance {tols.two_isometry:.1e}"
         )
     amb = T.dom
-    H0 = stable_range(T, tols=tols)
     _, E = wandering_projection(T, tols=tols)
-    H1 = span_orbit(T, E, tols=tols)
+    H1 = span_orbit(T, E, tols)
+    H0 = orthocomplement(H1, tols)
 
     residuals = {"two_isometry_defect": float(defect)}
     residuals["orthogonality"] = _orthogonality(H0, H1)
@@ -397,15 +386,17 @@ def wold_single(T: OperatorModel, tols: Tolerances = DEFAULTS,
     residuals["H0_unitarity"] = (
         unitarity_residual(unitary_part, margin=0, tols=tols) if H0.dim else 0.0
     )
-    # wandering property: <T^n w, w'> = 0 for n >= 1
+    # wandering property: <T^n w, w'> = 0 for n >= 1, until the truncation
+    # has annihilated T^n E (Gram norm at most _EPS times that of E)
     wander = 0.0
     if E.dim:
         cur = E.basis
         for _ in range(amb.dim_total + 1):
             cur = T.matrix @ cur
-            if np.linalg.norm(cur) < 1e-300:
+            Gcur = amb.gram @ cur
+            if np.vdot(cur, Gcur).real <= _EPS**2 * E.dim:
                 break
-            wander = max(wander, float(np.linalg.norm(E.basis.conj().T @ (amb.gram @ cur), 2)))
+            wander = max(wander, float(np.linalg.norm(E.basis.conj().T @ Gcur, 2)))
     residuals["wandering"] = wander
 
     worst = max(residuals["orthogonality"], residuals["completeness"], wander,
@@ -541,12 +532,21 @@ def wold_pair(T1: OperatorModel, T2: OperatorModel, tols: Tolerances = DEFAULTS,
     Recovers the four joint-reducing blocks
 
         H00 (both unitary), H10 (first shifts, second unitary),
-        H01 (second shifts, first unitary), H11 (jointly analytic),
+        H01 (second shifts, first unitary), H11 (jointly analytic).
 
-    verifies orthogonality, completeness, invariance, the required
-    unitarity of restrictions and the kernel-reducing identities, and
-    extracts the classifying measures nu1, nu2 (single-shift blocks) and
-    eta1, eta2 (jointly analytic block, compressed to the joint kernel).
+    The shift blocks are orbits of wandering subspaces (:func:`span_orbit`)
+    and H00 is the Gram complement of their span.  With Ei = ker Ti* and
+    E = E1 ∩ E2, the Wold-type theorem gives E1 = E10 ⊕ [E]_T2, so
+
+        E10 = E1 ∩ ([E]_T2)^perp,  H10 = [E10]_T1,
+        E01 = E2 ∩ ([E]_T1)^perp,  H01 = [E01]_T2,   H11 = [E]_{T1,T2}.
+
+    Verifies orthogonality, completeness, invariance, the required
+    unitarity of restrictions (which with invariance certifies H00) and
+    the kernel-reducing identities, checked against :func:`stable_range`,
+    and extracts the classifying measures nu1, nu2 (single-shift blocks)
+    and eta1, eta2 (jointly analytic block, compressed to the joint
+    kernel).
     """
     amb = T1.dom
     if T2.dom.dim_total != amb.dim_total:
@@ -567,19 +567,17 @@ def wold_pair(T1: OperatorModel, T2: OperatorModel, tols: Tolerances = DEFAULTS,
         "commuting": float(c1), "star_commuting": float(c2),
     }
 
-    # joint stable range: ranges are nested, the diagonal is cofinal
-    T12 = OperatorModel(amb, amb, T1.matrix @ T2.matrix)
-    H00 = _iterate_ranges(T12, Subspace.full(amb), 2 * amb.dim_total + 4, tols)
-
     _, E1 = wandering_projection(T1, tols=tols)
     _, E2 = wandering_projection(T2, tols=tols)
-    E10 = _iterate_ranges(T2, E1, amb.dim_total + 2, tols) if E1.dim else E1
-    E01 = _iterate_ranges(T1, E2, amb.dim_total + 2, tols) if E2.dim else E2
     E = subspace_intersect(E1, E2, tols)
+    E10 = subspace_intersect(E1, orthocomplement(span_orbit(T2, E, tols), tols), tols)
+    E01 = subspace_intersect(E2, orthocomplement(span_orbit(T1, E, tols), tols), tols)
 
-    H10 = span_orbit(T1, E10, tols=tols)
-    H01 = span_orbit(T2, E01, tols=tols)
-    H11 = _joint_span_closure([T1, T2], E, tols)
+    H10 = span_orbit(T1, E10, tols)
+    H01 = span_orbit(T2, E01, tols)
+    H11 = span_orbit([T1, T2], E, tols)
+    shifts = Subspace.from_columns(amb, np.hstack([H10.basis, H01.basis, H11.basis]), tols)
+    H00 = orthocomplement(shifts, tols)
 
     blocks = {"H00": H00, "H10": H10, "H01": H01, "H11": H11}
     names = list(blocks)

@@ -177,17 +177,6 @@ class CircleMeasure:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class FourierTable:
-    """Fourier coefficients mu_hat(n) for |n| <= K, as a dense table."""
-
-    dim: int
-    coeffs: dict
-
-    def __getitem__(self, n: int) -> np.ndarray:
-        return self.coeffs[n]
-
-
 def fourier_coefficient(mu: CircleMeasure, n: int) -> np.ndarray:
     """n-th Fourier coefficient: integral of conj(x)^n against mu.
 
@@ -201,14 +190,14 @@ def fourier_coefficient(mu: CircleMeasure, n: int) -> np.ndarray:
     return out
 
 
-def fourier_table(mu: CircleMeasure, K: int) -> FourierTable:
-    """All coefficients mu_hat(n) for ``|n| <= K``."""
+def fourier_table(mu: CircleMeasure, K: int) -> dict:
+    """All coefficients mu_hat(n) for ``|n| <= K``, keyed by n."""
     coeffs = {}
     for n in range(K + 1):
         c = fourier_coefficient(mu, n)
         coeffs[n] = c
         coeffs[-n] = c.conj().T
-    return FourierTable(dim=mu.dim, coeffs=coeffs)
+    return coeffs
 
 
 def poisson_kernel(z: complex, theta: float) -> float:

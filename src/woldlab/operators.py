@@ -232,10 +232,6 @@ class OperatorModel:
         return Subspace.from_columns(self.dom, self.core_basis(margin), tols)
 
 
-def identity_operator(space: HilbertSpace) -> OperatorModel:
-    return OperatorModel(space, space, np.eye(space.dim_total, dtype=complex))
-
-
 def joint_core(T1: OperatorModel, T2: OperatorModel, margin: int = None,
                tols: Tolerances = DEFAULTS) -> Subspace:
     """Intersection of the two operators' safe cores (as a subspace)."""

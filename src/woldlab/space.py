@@ -31,9 +31,6 @@ from .measures import (
 #   first-variable block pairs a_{m,n} against a_{p,n} with mu1_hat(p - m),
 #   second-variable block pairs a_{m,n} against a_{m,q} with mu2_hat(q - n),
 #   mixed block multiplies mu2_hat(q - n) @ mu1_hat(p - m).
-FOURIER_ARG_VAR1 = "p - m"
-FOURIER_ARG_VAR2 = "q - n"
-MIXED_PRODUCT_ORDER = "mu2_hat @ mu1_hat"
 
 
 @dataclass(frozen=True)

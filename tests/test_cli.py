@@ -82,6 +82,20 @@ def test_malformed_config_exits_one(tmp_path):
     assert run(cfg, str(tmp_path / "r.json")) == 1
 
 
+def test_unexpected_exception_is_reported_and_run_goes_on(tmp_path):
+    mu = scalar_atoms((0.7, 0.9))
+    inst = {"kind": "shift1v", "measures": [mu.to_json_dict()], "caps": [8, 0],
+            "unitary_dims": [], "seed": 0}
+    tasks = [{"op": "two_isometry_defect", "instance": 0, "tol": 1e-8},
+             {"op": "norm_identity", "instance": 0, "params": {"vectors": [1]}}]
+    cfg = write_config(tmp_path / "c.json", [inst], tasks)
+    out = tmp_path / "r.json"
+    assert run(cfg, str(out)) == 2
+    good, bad = json.loads(out.read_text())["tasks"]
+    assert good["passed"] and "error" not in good
+    assert not bad["passed"] and bad["error"].startswith("TypeError: ")
+
+
 def test_report_determinism_modulo_walltime(tmp_path):
     mu = scalar_atoms((0.7, 0.9))
     inst = {"kind": "scrambled", "measures": [mu.to_json_dict()], "caps": [12, 0],

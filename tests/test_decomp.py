@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import woldlab as wl
-from woldlab.operators import joint_core, restrict_operator
+from woldlab.operators import joint_core, range_complement_projection, restrict_operator
 from woldlab.space import EuclideanSpace
 
 from conftest import random_core_vector, scalar_atoms
@@ -52,11 +52,31 @@ def test_wold_single_model_shift_is_analytic():
 
 def test_wold_single_recovers_scrambled_blocks():
     mu = scalar_atoms(*THREE_ATOMS)
-    inst = wl.make_single_wold_instance(3, mu, 16, seed=1, scramble_seed=23)
-    res = wl.wold_single(inst.operators[0])
-    assert (res.H0.dim, res.H1.dim) == inst.truth["dims"]
-    assert res.H0.distance(inst.truth["H0"]) < 1e-8
-    assert res.H1.distance(inst.truth["H1"]) < 1e-8
+    for k in (1, 3):
+        inst = wl.make_single_wold_instance(k, mu, 16, seed=1, scramble_seed=23)
+        T = inst.operators[0]
+        res = wl.wold_single(T)
+        assert (res.H0.dim, res.H1.dim) == inst.truth["dims"]
+        assert res.H0.distance(inst.truth["H0"]) < 1e-8
+        assert res.H1.distance(inst.truth["H1"]) < 1e-8
+        # the Gram complement of the orbit is the stable range
+        assert res.H0.distance(wl.stable_range(T)) < 1e-10
+
+
+@pytest.mark.parametrize("modulus, unitary", [(1 + 1e-5, False), (1.0, True)])
+def test_wold_single_unitary_block_near_the_edge(modulus, unitary):
+    # (lambda) + M_z(mu): at |lambda| = 1 + 1e-5 the 2-isometry defect
+    # (|lambda|^2 - 1)^2 = 4e-10 passes, but T is not unitary on H0
+    sp = EuclideanSpace(1)
+    lam = wl.OperatorModel(sp, sp, np.array([[modulus * np.exp(0.3j)]]))
+    T, _ = wl.scramble(wl.direct_sum([lam, wl.build_shift_1v(scalar_atoms((0.7, 1.0)), 12)]), 5)
+    assert wl.two_isometry_defect(T) < wl.DEFAULTS.two_isometry
+    if unitary:
+        res = wl.wold_single(T)
+        assert (res.H0.dim, res.H1.dim) == (1, 13)
+    else:
+        with pytest.raises(wl.ConvergenceError):
+            wl.wold_single(T)
 
 
 def test_wold_single_rejects_jordan_block():
@@ -64,6 +84,17 @@ def test_wold_single_rejects_jordan_block():
     J = wl.OperatorModel(sp, sp, np.array([[0.0, 0.0], [1.0, 0.0]]))
     with pytest.raises(wl.AssumptionError):
         wl.wold_single(J)
+
+
+def test_span_orbit_of_one_operator_or_a_list():
+    T1, T2 = wl.build_pair_2v(scalar_atoms((0.9, 0.8)), scalar_atoms((4.0, 1.1)), 5, 4)
+    _, E1 = wl.wandering_projection(T1)
+    _, E2 = wl.wandering_projection(T2)
+    E = wl.subspace_intersect(E1, E2)
+    assert wl.span_orbit(T1, E).dim == 6
+    assert wl.span_orbit(T2, E).dim == 5
+    assert wl.span_orbit([T1, T2], E).dim == T1.dom.dim_total
+    assert wl.span_orbit([T1, T2], wl.Subspace.trivial(T1.dom)).dim == 0
 
 
 def test_stable_range_max_iter_exhausted():
@@ -199,6 +230,43 @@ def test_two_variable_identity_shifted_kernel_vector():
     assert wl.check_two_variable_identity(T1, T2, x) < 1e-9
 
 
+def test_two_variable_identity_early_stop_matches_full_sum(rng):
+    # reference: every one of the (dim_total + 1)^2 terms, no early stop
+    mu1, mu2 = wl.random_measure_pair(1, 2, seed=16)
+    T1, T2 = wl.build_pair_2v(mu1, mu2, 8, 8)
+    core = joint_core(T1, T2, 4)
+    x = core.basis @ (rng.standard_normal(core.dim) + 1j * rng.standard_normal(core.dim))
+    G = T1.dom.gram
+    F1 = T1.matrix.conj().T @ G @ T1.matrix - G
+    F2 = T2.matrix.conj().T @ G @ T2.matrix - G
+    F12 = (T2.matrix @ T1.matrix).conj().T @ G @ (T1.matrix @ T2.matrix) \
+        - T1.matrix.conj().T @ G @ T1.matrix - T2.matrix.conj().T @ G @ T2.matrix + G
+    L1 = wl.left_inverse(T1).matrix
+    L2 = wl.left_inverse(T2).matrix
+    P1, _ = range_complement_projection(T1)
+    P2, _ = range_complement_projection(T2)
+
+    def sq(v, M=G):
+        return float((v.conj() @ (M @ v)).real)
+
+    acc = 0.0
+    ym = x
+    for m in range(T1.dom.dim_total + 1):
+        y = ym
+        for n in range(T2.dom.dim_total + 1):
+            acc += sq(P1 @ (P2 @ y))
+            if m >= 1:
+                acc += sq(P2 @ y, F1)
+            if n >= 1:
+                acc += sq(P1 @ y, F2)
+            if m >= 1 and n >= 1:
+                acc += sq(y, F12)
+            y = L2 @ y
+        ym = L1 @ ym
+    full = abs(sq(x) - acc)
+    assert abs(wl.check_two_variable_identity(T1, T2, x) - full) < 1e-14
+
+
 # -- model map V ------------------------------------------------------------------
 
 
@@ -328,6 +396,22 @@ def test_quadruple_json_with_verdicts():
     assert out["block_dims"] == list(inst.truth["dims"])
     assert all(out["verdicts"][k]["equal"] for k in ("nu1", "nu2", "eta1", "eta2"))
     assert "atoms" in out["measures"]["nu1"]
+
+
+def test_wold_pair_unitary_block_is_joint_stable_range():
+    # shaped like the first case of acceptance test 7
+    nu1 = wl.random_atomic_measure(1, 2, seed=7001)
+    nu2 = wl.random_atomic_measure(1, 3, seed=7101)
+    eta1 = wl.random_atomic_measure(1, 2, seed=7201)
+    eta2 = wl.random_atomic_measure(1, 1, seed=7301)
+    inst = wl.make_four_block_instance(3, nu1, 8, nu2, 7, eta1, eta2, (5, 4),
+                                       seed=1, scramble_seed=701)
+    T1, T2 = inst.operators
+    quad = wl.wold_pair(T1, T2)
+    assert quad.block_dims() == inst.truth["dims"]
+    T12 = wl.OperatorModel(T1.dom, T1.dom, T1.matrix @ T2.matrix)
+    assert quad.H00.distance(wl.stable_range(T12)) < 1e-10
+    assert quad.residuals["kernel_intersection_identity"] < 1e-10
 
 
 def test_wold_pair_rejects_non_commuting():
