@@ -32,7 +32,6 @@ from .operators import (
     operator_norm,
     orthocomplement,
     orthonormal_columns,
-    range_complement_projection,
     restrict_operator,
     subspace_intersect,
     two_isometry_defect,
@@ -78,9 +77,9 @@ def stable_range(T: OperatorModel, max_iter: int = None, tols: Tolerances = DEFA
 
     The ranges of a 2-isometry are nested, so the intersection is reached
     as soon as the dimension stays the same for two steps.  One SVD per
-    step, so no decomposition builds a block with it; it is the reference
-    check for analyticity (:func:`extract_measure`, the norm identities)
-    and for the ``kernel_intersection_identity`` of :func:`wold_pair`.
+    step, so nothing builds a block or certifies analyticity with it; it
+    is the reference that tests compare the orbit of ker T* against, and
+    :func:`wold_pair` uses it for its ``kernel_intersection_identity``.
     """
     if not T.is_square:
         raise ValueError("stable_range needs a square operator")
@@ -96,6 +95,24 @@ def stable_range(T: OperatorModel, max_iter: int = None, tols: Tolerances = DEFA
         f"range iteration did not stabilize in {max_iter} steps "
         f"(last dims {dims[-2]}, {dims[-1]})"
     )
+
+
+def _require_analytic_two_isometry(T: OperatorModel, tols: Tolerances) -> tuple:
+    """(P matrix, E) of ker T* for a certified analytic 2-isometry.
+
+    By the Wold-type theorem H = H0 ⊕ [E]_T with E = ker T*, so T is
+    analytic exactly when the orbit of E fills the space.  This is the
+    only analyticity certificate; its projection and wandering subspace
+    are handed on so no consumer computes them again.
+    """
+    if two_isometry_defect(T, tols=tols) > tols.two_isometry:
+        raise AssumptionError("operator is not a 2-isometry within tolerance")
+    P, E = wandering_projection(T, tols=tols)
+    if span_orbit(T, E, tols).dim != T.dom.dim_total:
+        raise AssumptionError(
+            "operator is not analytic: the orbit of ker T* is not the whole space"
+        )
+    return P.matrix, E
 
 
 # ---------------------------------------------------------------------------
@@ -178,18 +195,16 @@ def extract_measure(T: OperatorModel, compress_to: Subspace = None,
                     margin: int = 2, tols: Tolerances = DEFAULTS) -> CircleMeasure:
     """Classifying measure of an analytic 2-isometry.
 
-    The unitary model of the defect-space isometry is diagonalized; each
-    eigenvalue cluster at angle theta contributes an atom (theta, W) with
-    W the compression of (D Pi_theta D) to the wandering subspace (or to
-    ``compress_to`` when given, e.g. the joint kernel for pairs).  Weights
-    are Hermitian PSD by construction.
+    Analyticity is certified by the orbit of the wandering subspace
+    E = ker T* filling the space.  The unitary model of the defect-space
+    isometry is diagonalized; each eigenvalue cluster at angle theta
+    contributes an atom (theta, W) with W the compression of
+    (D Pi_theta D) to E (or to ``compress_to`` when given, e.g. the joint
+    kernel for pairs).  Weights are Hermitian PSD by construction.
     """
-    if two_isometry_defect(T, tols=tols) > tols.two_isometry:
-        raise AssumptionError("operator is not a 2-isometry within tolerance")
-    if stable_range(T, tols=tols).dim != 0:
-        raise AssumptionError("operator is not analytic: stable range is nontrivial")
+    _, E = _require_analytic_two_isometry(T, tols)
     if compress_to is None:
-        _, compress_to = wandering_projection(T, tols=tols)
+        compress_to = E
     e_dim = compress_to.dim
     Ut, Dspace, D, _ = _tilde_pieces(T, margin, tols)
     if Dspace.dim == 0:
@@ -225,27 +240,21 @@ def extract_measure(T: OperatorModel, compress_to: Subspace = None,
 _EPS = np.finfo(float).eps
 
 
-def _require_analytic_two_isometry(T: OperatorModel, tols: Tolerances) -> None:
-    if two_isometry_defect(T, tols=tols) > tols.two_isometry:
-        raise AssumptionError("operator is not a 2-isometry within tolerance")
-    if stable_range(T, tols=tols).dim != 0:
-        raise AssumptionError("operator is not analytic")
-
-
 def check_norm_identity(T: OperatorModel, x, tols: Tolerances = DEFAULTS) -> float:
     """Residual of ||x||^2 = sum_k ||P L^k x||^2 + sum_{k>=1} ||D L^k x||^2.
 
     Defect terms are evaluated through the exact pairing
     <(T*T - I) y, y> = ||T y||^2 - ||y||^2, so no square root enters.  The
     sums terminate because L lowers the total degree; they stop early once
-    the iterate L^k x is negligible (see ``_EPS``).
+    the iterate L^k x is negligible (see ``_EPS``).  T must be a 2-isometry
+    whose orbit of ker T* fills the space; P is the projection onto ker T*
+    that this certificate computes.
     """
-    _require_analytic_two_isometry(T, tols)
+    Pm, _ = _require_analytic_two_isometry(T, tols)
     x = _as_flat(x)
     G = T.dom.gram
     F = T.matrix.conj().T @ G @ T.matrix - G
     L = left_inverse(T, tols=tols)
-    Pm, _ = range_complement_projection(T, tols)
     total = float((np.conj(x) @ (G @ x)).real)
     negligible = _EPS**2 * total
     acc = 0.0
@@ -270,8 +279,8 @@ def check_two_variable_identity(T1: OperatorModel, T2: OperatorModel, x,
     The mixed term uses <D1^2 D2^2 y, y> written through commuting
     products, so every summand is an exact Gram pairing.
     """
-    for T in (T1, T2):
-        _require_analytic_two_isometry(T, tols)
+    P1, _ = _require_analytic_two_isometry(T1, tols)
+    P2, _ = _require_analytic_two_isometry(T2, tols)
     x = _as_flat(x)
     G = T1.dom.gram
     F1 = T1.matrix.conj().T @ G @ T1.matrix - G
@@ -282,8 +291,6 @@ def check_two_variable_identity(T1: OperatorModel, T2: OperatorModel, x,
         - T2.matrix.conj().T @ G @ T2.matrix + G
     L1 = left_inverse(T1, tols=tols).matrix
     L2 = left_inverse(T2, tols=tols).matrix
-    P1, _ = range_complement_projection(T1, tols)
-    P2, _ = range_complement_projection(T2, tols)
     P = P1 @ P2
 
     def sq(vec, mat=None):
@@ -430,11 +437,9 @@ def build_V(T1: OperatorModel, T2: OperatorModel, target: GradedPolySpace,
     pair with the coordinate shifts.  Isometry and intertwining residuals
     over the safe core are recorded in ``info``.
     """
-    for T in (T1, T2):
-        _require_analytic_two_isometry(T, tols)
+    _, E1 = _require_analytic_two_isometry(T1, tols)
+    _, E2 = _require_analytic_two_isometry(T2, tols)
     amb = T1.dom
-    _, E1 = wandering_projection(T1, tols=tols)
-    _, E2 = wandering_projection(T2, tols=tols)
     E = subspace_intersect(E1, E2, tols)
     if target.dim != E.dim:
         raise ValueError(

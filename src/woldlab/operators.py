@@ -207,12 +207,6 @@ class OperatorModel:
                              core_fn=other.core_fn,
                              safe_core_margin=max(self.safe_core_margin, other.safe_core_margin))
 
-    def power(self, n: int) -> "OperatorModel":
-        if not self.is_square:
-            raise ValueError("powers need a square operator")
-        return OperatorModel(self.dom, self.codom, np.linalg.matrix_power(self.matrix, n),
-                             core_fn=self.core_fn, safe_core_margin=self.safe_core_margin)
-
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ x
 
@@ -403,21 +397,21 @@ def defect_operator(T: OperatorModel, margin: int = 1, tols: Tolerances = DEFAUL
     return D, Dspace
 
 
-def restrict_operator(T: OperatorModel, S: Subspace, tols: Tolerances = DEFAULTS,
-                      check_invariance: bool = True) -> OperatorModel:
+def restrict_operator(T: OperatorModel, S: Subspace, tols: Tolerances = DEFAULTS) -> OperatorModel:
     """Compression of T to an invariant subspace, in basis coordinates.
 
     The restricted space carries the identity gram (the basis is
     orthonormal).  The safe core of the restriction is the ambient core
-    intersected with the subspace, rebased.
+    intersected with the subspace, rebased.  How far T(S) leaks out of S
+    is recorded as ``info['invariance_leak']``.
     """
     if S.ambient.dim_total != T.dom.dim_total:
         raise ValueError("subspace does not live in the operator domain")
-    M = S.coords(T.matrix @ S.basis)
+    image = T.matrix @ S.basis
+    M = S.coords(image)
     leak = 0.0
-    if check_invariance and S.dim:
-        image = T.matrix @ S.basis
-        residual = image - S.basis @ S.coords(image)
+    if S.dim:
+        residual = image - S.basis @ M
         leak = float(np.linalg.norm(T.dom.whiten(residual), 2))
     amb_core_fn = T.core_fn
     graded = isinstance(T.dom, GradedPolySpace)

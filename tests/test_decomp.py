@@ -26,10 +26,15 @@ def test_stable_range_truncated_shift_is_trivial():
 
 
 def test_stable_range_of_scrambled_direct_sum():
+    # the reference and the orbit certificate agree: H0 = stable range and
+    # H1 = [ker T*]_T are complementary
     mu = scalar_atoms((1.2, 0.9))
     for k in (1, 3):
         inst = wl.make_single_wold_instance(k, mu, 8, seed=5, scramble_seed=11)
-        assert wl.stable_range(inst.operators[0]).dim == k
+        T = inst.operators[0]
+        _, E = wl.wandering_projection(T)
+        assert wl.stable_range(T).dim == k
+        assert wl.span_orbit(T, E).dim == T.dom.dim_total - k
 
 
 # -- single Wold ---------------------------------------------------------------
@@ -63,13 +68,30 @@ def test_wold_single_recovers_scrambled_blocks():
         assert res.H0.distance(wl.stable_range(T)) < 1e-10
 
 
+def lambda_plus_shift(modulus):
+    """Scrambled (lambda) + M_z(mu) at caps 12 with |lambda| = modulus."""
+    sp = EuclideanSpace(1)
+    lam = wl.OperatorModel(sp, sp, np.array([[modulus * np.exp(0.3j)]]))
+    T, _ = wl.scramble(wl.direct_sum([lam, wl.build_shift_1v(scalar_atoms((0.7, 1.0)), 12)]), 5)
+    return T
+
+
+# Negative controls for the analyticity certificate.  For the unitary,
+# ker T* = 0; the other two have a 13-dimensional orbit of ker T* that
+# misses one direction, and at |lambda| = 1 + 1e-5 the 2-isometry gate
+# passes, so only the orbit certificate rejects it.
+NON_ANALYTIC = [
+    pytest.param(lambda: wl.unitary_operator(wl.random_unitary(4, 3)), id="unitary"),
+    pytest.param(lambda: lambda_plus_shift(1.0), id="unimodular-lambda-plus-shift"),
+    pytest.param(lambda: lambda_plus_shift(1 + 1e-5), id="edge-lambda-plus-shift"),
+]
+
+
 @pytest.mark.parametrize("modulus, unitary", [(1 + 1e-5, False), (1.0, True)])
 def test_wold_single_unitary_block_near_the_edge(modulus, unitary):
     # (lambda) + M_z(mu): at |lambda| = 1 + 1e-5 the 2-isometry defect
     # (|lambda|^2 - 1)^2 = 4e-10 passes, but T is not unitary on H0
-    sp = EuclideanSpace(1)
-    lam = wl.OperatorModel(sp, sp, np.array([[modulus * np.exp(0.3j)]]))
-    T, _ = wl.scramble(wl.direct_sum([lam, wl.build_shift_1v(scalar_atoms((0.7, 1.0)), 12)]), 5)
+    T = lambda_plus_shift(modulus)
     assert wl.two_isometry_defect(T) < wl.DEFAULTS.two_isometry
     if unitary:
         res = wl.wold_single(T)
@@ -146,10 +168,10 @@ def test_extract_isometry_gives_zero_measure():
     assert wl.extract_measure(T).is_zero()
 
 
-def test_extract_rejects_non_analytic():
-    U = wl.unitary_operator(wl.random_unitary(4, 3))
+@pytest.mark.parametrize("make", NON_ANALYTIC)
+def test_extract_rejects_non_analytic(make):
     with pytest.raises(wl.AssumptionError):
-        wl.extract_measure(U)
+        wl.extract_measure(make())
 
 
 def test_extract_matrix_measure_round_trip():
@@ -195,10 +217,11 @@ def test_norm_identity_random_core_vectors(rng):
         assert wl.check_norm_identity(T, x) < 1e-9 * (1 + T.dom.norm(x) ** 2)
 
 
-def test_norm_identity_rejects_unitary():
-    U = wl.unitary_operator(wl.random_unitary(4, 8))
+@pytest.mark.parametrize("make", NON_ANALYTIC)
+def test_norm_identity_rejects_unitary(make):
+    T = make()
     with pytest.raises(wl.AssumptionError):
-        wl.check_norm_identity(U, np.ones(4, dtype=complex))
+        wl.check_norm_identity(T, np.ones(T.dom.dim_total, dtype=complex))
 
 
 def test_two_variable_identity_constant():
@@ -303,6 +326,13 @@ def test_build_V_isometry_and_intertwining():
     assert V.info["isometry"] < 1e-8
     assert V.info["intertwine_1"] < 1e-8
     assert V.info["intertwine_2"] < 1e-8
+
+
+def test_build_V_rejects_pair_with_unitary_summand():
+    T1, T2 = _analytic_pair(caps=6)
+    S1, S2 = wl.direct_sum([(T1, T2), wl.commuting_unitary_pair(3, seed=41)])
+    with pytest.raises(wl.AssumptionError):
+        wl.build_V(S1, S2, T1.dom)
 
 
 def test_build_V_dirichlet_component_cross_check(rng):
