@@ -26,6 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .config import DEFAULTS
 from .decomp import (
     check_norm_identity,
@@ -179,6 +180,7 @@ def load_config(path: str) -> dict:
     return raw
 
 
+@one_blas_thread
 def run(config_path: str, output_path: str, caps_scale: int = 1, seed=None,
         tol_scale: float = 1.0, fmt: str = "json", jobs: int = 1) -> int:
     tols = DEFAULTS.scaled(tol_scale) if tol_scale != 1.0 else DEFAULTS

@@ -16,6 +16,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 import scipy.linalg as sla
 
+from ._blas import one_blas_thread
 from .config import DEFAULTS, Tolerances
 from .errors import AssumptionError, ConvergenceError
 from .measures import CircleMeasure, fourier_coefficient
@@ -51,6 +52,7 @@ def _as_flat(x) -> np.ndarray:
 # orbit closure and the stable range
 # ---------------------------------------------------------------------------
 
+@one_blas_thread
 def span_orbit(ops, S: Subspace, tols: Tolerances = DEFAULTS) -> Subspace:
     """Smallest subspace that contains S and is invariant under ``ops``.
 
@@ -72,6 +74,7 @@ def span_orbit(ops, S: Subspace, tols: Tolerances = DEFAULTS) -> Subspace:
     return Subspace.from_columns(amb, basis, tols)
 
 
+@one_blas_thread
 def stable_range(T: OperatorModel, max_iter: int = None, tols: Tolerances = DEFAULTS) -> Subspace:
     """The intersection of the ranges of all powers of T.
 
@@ -161,6 +164,7 @@ def _tilde_pieces(T: OperatorModel, margin: int, tols: Tolerances):
     return Ut, Dspace, D, residuals
 
 
+@one_blas_thread
 def tilde_isometry(T: OperatorModel, margin: int = 2, tols: Tolerances = DEFAULTS) -> OperatorModel:
     """The unitary extension of D x -> D T x on the defect space.
 
@@ -191,6 +195,7 @@ def _cluster_angles(angles: np.ndarray, tol: float):
     return clusters
 
 
+@one_blas_thread
 def extract_measure(T: OperatorModel, compress_to: Subspace = None,
                     margin: int = 2, tols: Tolerances = DEFAULTS) -> CircleMeasure:
     """Classifying measure of an analytic 2-isometry.
@@ -240,6 +245,7 @@ def extract_measure(T: OperatorModel, compress_to: Subspace = None,
 _EPS = np.finfo(float).eps
 
 
+@one_blas_thread
 def check_norm_identity(T: OperatorModel, x, tols: Tolerances = DEFAULTS) -> float:
     """Residual of ||x||^2 = sum_k ||P L^k x||^2 + sum_{k>=1} ||D L^k x||^2.
 
@@ -270,6 +276,7 @@ def check_norm_identity(T: OperatorModel, x, tols: Tolerances = DEFAULTS) -> flo
     return abs(total - acc)
 
 
+@one_blas_thread
 def check_two_variable_identity(T1: OperatorModel, T2: OperatorModel, x,
                                 tols: Tolerances = DEFAULTS) -> float:
     """Residual of the two-variable expansion of ||x||^2.
@@ -357,6 +364,7 @@ def _completeness(blocks, amb) -> float:
     return float(np.linalg.norm(total - np.eye(amb.dim_total), 2))
 
 
+@one_blas_thread
 def wold_single(T: OperatorModel, tols: Tolerances = DEFAULTS,
                 extract: bool = True) -> SingleWold:
     """Split a 2-isometry into unitary and analytic parts and classify.
@@ -428,6 +436,7 @@ def wold_single(T: OperatorModel, tols: Tolerances = DEFAULTS,
 # model map V
 # ---------------------------------------------------------------------------
 
+@one_blas_thread
 def build_V(T1: OperatorModel, T2: OperatorModel, target: GradedPolySpace,
             tols: Tolerances = DEFAULTS) -> OperatorModel:
     """Coefficient map x -> (P L1^m L2^n x)_{m,n} onto the model space.
@@ -530,6 +539,7 @@ class QuadrupleDecomposition:
         return out
 
 
+@one_blas_thread
 def wold_pair(T1: OperatorModel, T2: OperatorModel, tols: Tolerances = DEFAULTS,
               extract: bool = True) -> QuadrupleDecomposition:
     """Wold-type decomposition of a doubly commuting pair of 2-isometries.
@@ -665,9 +675,9 @@ def wold_pair(T1: OperatorModel, T2: OperatorModel, tols: Tolerances = DEFAULTS,
         if H11.dim:
             R1 = restrictions[("H11", "T1")]
             R2 = restrictions[("H11", "T2")]
-            _, F1 = wandering_projection(R1, tols=tols)
-            _, F2 = wandering_projection(R2, tols=tols)
-            Ejoint = subspace_intersect(F1, F2, tols)
+            # E = E1 ∩ E2 lies in H11 = [E]_{T1,T2}, which reduces both
+            # operators, so E is the joint kernel of the restrictions too
+            Ejoint = Subspace(R1.dom, H11.coords(E.basis))
             measures["eta1"] = extract_measure(R1, compress_to=Ejoint, tols=tols)
             measures["eta2"] = extract_measure(R2, compress_to=Ejoint, tols=tols)
 
@@ -676,6 +686,7 @@ def wold_pair(T1: OperatorModel, T2: OperatorModel, tols: Tolerances = DEFAULTS,
                                   residuals=residuals)
 
 
+@one_blas_thread
 def slocinski(V1: OperatorModel, V2: OperatorModel, tols: Tolerances = DEFAULTS) -> QuadrupleDecomposition:
     """Four-way decomposition of a doubly commuting pair of isometries.
 
@@ -734,6 +745,7 @@ def _trace_battery(ta, tb, tol: float) -> Optional[str]:
     return None
 
 
+@one_blas_thread
 def measures_equal_up_to_unitary(a: CircleMeasure, b: CircleMeasure, K: int = 8,
                                  tols: Tolerances = DEFAULTS) -> MeasureComparison:
     """Decide whether b(sigma) = U^H a(sigma) U for some unitary U.

@@ -402,7 +402,8 @@ def restrict_operator(T: OperatorModel, S: Subspace, tols: Tolerances = DEFAULTS
 
     The restricted space carries the identity gram (the basis is
     orthonormal).  The safe core of the restriction is the ambient core
-    intersected with the subspace, rebased.  How far T(S) leaks out of S
+    intersected with the subspace, rebased, computed once per margin and
+    handed out read-only.  How far T(S) leaks out of S
     is recorded as ``info['invariance_leak']``.
     """
     if S.ambient.dim_total != T.dom.dim_total:
@@ -416,10 +417,14 @@ def restrict_operator(T: OperatorModel, S: Subspace, tols: Tolerances = DEFAULTS
     amb_core_fn = T.core_fn
     graded = isinstance(T.dom, GradedPolySpace)
 
-    def restricted_core(margin, _T=T, _S=S, _tols=tols):
-        amb_core = _T.core_subspace(margin, _tols)
-        inter = subspace_intersect(amb_core, _S, _tols)
-        return _S.coords(inter.basis)
+    cores = {}
+
+    def restricted_core(margin):
+        if margin not in cores:
+            inter = subspace_intersect(T.core_subspace(margin, tols), S, tols)
+            cores[margin] = S.coords(inter.basis)
+            cores[margin].flags.writeable = False  # shared by every caller
+        return cores[margin]
 
     core_fn = restricted_core if (amb_core_fn is not None or graded) else None
     return OperatorModel(S.as_space(), S.as_space(), M, core_fn=core_fn,

@@ -444,6 +444,30 @@ def test_wold_pair_unitary_block_is_joint_stable_range():
     assert quad.residuals["kernel_intersection_identity"] < 1e-10
 
 
+def test_wold_pair_joint_kernel_is_E_in_H11_coordinates():
+    # acceptance-7 shape; the old route intersected ker R1* and ker R2* of
+    # the H11 restrictions
+    nu1 = wl.random_atomic_measure(1, 2, seed=7001)
+    nu2 = wl.random_atomic_measure(1, 3, seed=7101)
+    eta1 = wl.random_atomic_measure(1, 2, seed=7201)
+    eta2 = wl.random_atomic_measure(1, 1, seed=7301)
+    inst = wl.make_four_block_instance(3, nu1, 8, nu2, 7, eta1, eta2, (5, 4),
+                                       seed=1, scramble_seed=701)
+    T1, T2 = inst.operators
+    quad = wl.wold_pair(T1, T2)
+    E = wl.subspace_intersect(wl.wandering_projection(T1)[1], wl.wandering_projection(T2)[1])
+    R1, R2 = quad.restrictions[("H11", "T1")], quad.restrictions[("H11", "T2")]
+    Ejoint = wl.Subspace(R1.dom, quad.H11.coords(E.basis))
+    old = wl.subspace_intersect(wl.wandering_projection(R1)[1], wl.wandering_projection(R2)[1])
+    assert Ejoint.dim == E.dim == old.dim == 1
+    assert Ejoint.distance(old) < 1e-10
+    for name, R in (("eta1", R1), ("eta2", R2)):
+        mu_old = wl.extract_measure(R, compress_to=old)
+        for n in range(-8, 9):
+            diff = wl.fourier_coefficient(quad.measures[name], n) - wl.fourier_coefficient(mu_old, n)
+            assert np.max(np.abs(diff)) < 1e-10, (name, n)
+
+
 def test_wold_pair_rejects_non_commuting():
     S1 = wl.build_shift_1v(scalar_atoms((0.3, 0.8)), 6)
     S2 = wl.build_shift_1v(scalar_atoms((0.3, 0.8)), 6)

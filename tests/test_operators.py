@@ -276,3 +276,17 @@ def test_joint_core_is_coordinate_intersection():
     T1, T2 = wl.build_pair_2v(mu1, mu2, 6, 5)
     core = joint_core(T1, T2, 2)
     assert core.dim == (6 - 2 + 1) * (5 - 2 + 1)
+
+
+@pytest.mark.parametrize("margin", [0, 1, 2, 3])
+def test_restricted_core_is_computed_once_per_margin(margin):
+    inst = wl.make_single_wold_instance(2, scalar_atoms((0.5, 0.8), (2.0, 1.3)), 12, seed=3,
+                                        scramble_seed=5)
+    (T,) = inst.operators
+    S = inst.truth["H1"]
+    R = wl.restrict_operator(T, S)
+    first = R.core_basis(margin)
+    inter = wl.subspace_intersect(T.core_subspace(margin), S)
+    assert np.array_equal(first, S.coords(inter.basis))
+    assert R.core_basis(margin) is first
+    assert not first.flags.writeable
