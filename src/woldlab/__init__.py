@@ -44,16 +44,17 @@ from .operators import (
     wandering_projection,
 )
 from .decomp import (
+    Certificate,
     QuadrupleDecomposition,
     SingleWold,
     build_V,
+    certify,
     check_norm_identity,
     check_two_variable_identity,
     extract_measure,
     measures_equal_up_to_unitary,
     slocinski,
     span_orbit,
-    stable_range,
     tilde_isometry,
     wold_pair,
     wold_single,

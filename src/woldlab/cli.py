@@ -22,7 +22,6 @@ import csv
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from .decomp import (
 from .errors import WoldLabError
 from .instances import Instance, InstanceSpec
 from .measures import fourier_coefficient
-from .operators import doubly_commuting_residual, two_isometry_defect
+from .operators import doubly_commuting_residual, joint_core, two_isometry_defect
 
 
 class ConfigError(Exception):
@@ -100,9 +99,12 @@ def _task_round_trip(inst: Instance, params, tols):
     if len(truth) != 1:
         raise ConfigError("round_trip needs an instance built from exactly one measure")
     cmp = measures_equal_up_to_unitary(truth[0], result.extracted, K=K, tols=tols)
+    # compare after the alignment the comparison found: extracted = U^H truth U
+    U = cmp.unitary if cmp.equal else np.eye(result.extracted.dim)
     err = 0.0
     for n in range(-K, K + 1):
-        diff = fourier_coefficient(truth[0], n) - fourier_coefficient(result.extracted, n)
+        aligned = U.conj().T @ fourier_coefficient(truth[0], n) @ U
+        diff = aligned - fourier_coefficient(result.extracted, n)
         err = max(err, float(np.max(np.abs(diff))) if diff.size else 0.0)
     report = {"measure_match": bool(cmp.equal), "fourier_error": err,
               "dim_H0": result.H0.dim, "detail": cmp.detail}
@@ -135,22 +137,17 @@ def _task_norm_identity(inst: Instance, params, tols):
     margin = int(params.get("margin", 4))
     seed = int(params.get("seed", 0))
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    ops = inst.operators
     if inst.is_pair:
-        T1, T2 = inst.operators
-        from .operators import joint_core
-        core = joint_core(T1, T2, margin, tols)
-        for _ in range(count):
-            c = rng.standard_normal(core.dim) + 1j * rng.standard_normal(core.dim)
-            x = core.basis @ c
-            worst = max(worst, check_two_variable_identity(T1, T2, x, tols=tols))
+        core = joint_core(*ops, margin, tols)
+        check = check_two_variable_identity
     else:
-        T = inst.operators[0]
-        core = T.core_subspace(margin, tols)
-        for _ in range(count):
-            c = rng.standard_normal(core.dim) + 1j * rng.standard_normal(core.dim)
-            x = core.basis @ c
-            worst = max(worst, check_norm_identity(T, x, tols=tols))
+        core = ops[0].core_subspace(margin, tols)
+        check = check_norm_identity
+    worst = 0.0
+    for _ in range(count):
+        c = rng.standard_normal(core.dim) + 1j * rng.standard_normal(core.dim)
+        worst = max(worst, check(*ops, core.basis @ c, tols=tols))
     return {"worst_residual": worst, "vectors": count}, worst
 
 
@@ -182,7 +179,7 @@ def load_config(path: str) -> dict:
 
 @one_blas_thread
 def run(config_path: str, output_path: str, caps_scale: int = 1, seed=None,
-        tol_scale: float = 1.0, fmt: str = "json", jobs: int = 1) -> int:
+        tol_scale: float = 1.0, fmt: str = "json") -> int:
     tols = DEFAULTS.scaled(tol_scale) if tol_scale != 1.0 else DEFAULTS
     try:
         raw = load_config(config_path)
@@ -209,8 +206,7 @@ def run(config_path: str, output_path: str, caps_scale: int = 1, seed=None,
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
-    def run_task(item):
-        i, task = item
+    def run_task(i, task):
         idx = int(task.get("instance", 0))
         tol = float(task.get("tol", tols.decomposition)) * 1.0
         t0 = time.perf_counter()
@@ -232,12 +228,7 @@ def run(config_path: str, output_path: str, caps_scale: int = 1, seed=None,
         entry["wall_time_s"] = time.perf_counter() - t0
         return entry
 
-    items = list(enumerate(tasks))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_task, items))
-    else:
-        results = [run_task(it) for it in items]
+    results = [run_task(i, task) for i, task in enumerate(tasks)]
 
     report = {
         "config": config_path,
@@ -279,11 +270,10 @@ def main(argv=None) -> int:
                       help="override the seed of every instance")
     runp.add_argument("--tol-scale", type=float, default=1.0)
     runp.add_argument("--format", choices=["json", "csv"], default="json")
-    runp.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
     if args.command == "run":
         return run(args.config, args.out, caps_scale=args.caps_scale, seed=args.seed,
-                   tol_scale=args.tol_scale, fmt=args.format, jobs=args.jobs)
+                   tol_scale=args.tol_scale, fmt=args.format)
     return 1
 
 

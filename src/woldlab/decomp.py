@@ -10,7 +10,10 @@ the jointly analytic block.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -25,7 +28,6 @@ from .operators import (
     Subspace,
     _whitened_projector,
     adjoint,
-    apply_to_subspace,
     defect_operator,
     doubly_commuting_residual,
     joint_core,
@@ -49,7 +51,7 @@ def _as_flat(x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# orbit closure and the stable range
+# orbit closure and the certificate of one operator
 # ---------------------------------------------------------------------------
 
 @one_blas_thread
@@ -74,48 +76,76 @@ def span_orbit(ops, S: Subspace, tols: Tolerances = DEFAULTS) -> Subspace:
     return Subspace.from_columns(amb, basis, tols)
 
 
+@dataclass(frozen=True, eq=False)
+class Certificate:
+    """What the pipeline needs of one 2-isometry T, computed once.
+
+    The defect, P (the Gram projection onto E = ker T*) and E are built
+    with the certificate; the orbit [E]_T, the defect form F = T^H G T - G
+    and the left inverse L on first use.  By the Wold-type theorem
+    H = H0 ⊕ [E]_T, T is analytic exactly when the orbit fills the space.
+    T is held weakly, so the memo on T (see :func:`certify`) is freed with
+    it.  An ``inherited`` certificate belongs to a restriction to a block
+    built as an orbit: its E was handed down and its orbit is the block.
+    """
+
+    defect: float
+    P: np.ndarray
+    E: Subspace
+    tols: Tolerances
+    op: weakref.ref
+    inherited: bool = False
+
+    @cached_property
+    def orbit(self) -> Subspace:
+        T = self.op()
+        return Subspace.full(T.dom) if self.inherited else span_orbit(T, self.E, self.tols)
+
+    @cached_property
+    def F(self) -> np.ndarray:
+        T = self.op()
+        G = T.dom.gram
+        F = T.matrix.conj().T @ G @ T.matrix - G
+        F.flags.writeable = False
+        return F
+
+    @cached_property
+    def L(self) -> np.ndarray:
+        return left_inverse(self.op(), tols=self.tols).matrix
+
+    def require_analytic(self) -> "Certificate":
+        if not self.inherited and self.orbit.dim != self.E.ambient.dim_total:
+            raise AssumptionError(
+                "operator is not analytic: the orbit of ker T* is not the whole space"
+            )
+        return self
+
+
 @one_blas_thread
-def stable_range(T: OperatorModel, max_iter: int = None, tols: Tolerances = DEFAULTS) -> Subspace:
-    """The intersection of the ranges of all powers of T.
-
-    The ranges of a 2-isometry are nested, so the intersection is reached
-    as soon as the dimension stays the same for two steps.  One SVD per
-    step, so nothing builds a block or certifies analyticity with it; it
-    is the reference that tests compare the orbit of ker T* against, and
-    :func:`wold_pair` uses it for its ``kernel_intersection_identity``.
-    """
-    if not T.is_square:
-        raise ValueError("stable_range needs a square operator")
-    max_iter = T.dom.dim_total + 2 if max_iter is None else max_iter
-    S = Subspace.full(T.dom)
-    dims = [S.dim]
-    for _ in range(max_iter):
-        S = apply_to_subspace(T, S, tols)
-        dims.append(S.dim)
-        if len(dims) >= 3 and dims[-1] == dims[-2] == dims[-3]:
-            return S
-    raise ConvergenceError(
-        f"range iteration did not stabilize in {max_iter} steps "
-        f"(last dims {dims[-2]}, {dims[-1]})"
-    )
+def certify(T: OperatorModel, tols: Tolerances = DEFAULTS) -> Certificate:
+    """The certificate of T under ``tols``: built on the first request,
+    then read from ``T.certificates``.  Raises ``AssumptionError`` unless T
+    is a 2-isometry within tolerance."""
+    return T.certificates.get(tols) or _certificate(T, tols)
 
 
-def _require_analytic_two_isometry(T: OperatorModel, tols: Tolerances) -> tuple:
-    """(P matrix, E) of ker T* for a certified analytic 2-isometry.
-
-    By the Wold-type theorem H = H0 ⊕ [E]_T with E = ker T*, so T is
-    analytic exactly when the orbit of E fills the space.  This is the
-    only analyticity certificate; its projection and wandering subspace
-    are handed on so no consumer computes them again.
-    """
-    if two_isometry_defect(T, tols=tols) > tols.two_isometry:
-        raise AssumptionError("operator is not a 2-isometry within tolerance")
-    P, E = wandering_projection(T, tols=tols)
-    if span_orbit(T, E, tols).dim != T.dom.dim_total:
+def _certificate(T: OperatorModel, tols: Tolerances, E: Subspace = None) -> Certificate:
+    """Gate the defect of T, then build and memoize its certificate.  E is
+    ker T* when a decomposition hands it down (in T's coordinates), and
+    is computed otherwise."""
+    defect = two_isometry_defect(T, tols=tols)
+    if defect > tols.two_isometry:
         raise AssumptionError(
-            "operator is not analytic: the orbit of ker T* is not the whole space"
+            f"two-isometry defect {defect:.3e} exceeds tolerance {tols.two_isometry:.1e}"
         )
-    return P.matrix, E
+    inherited = E is not None
+    if inherited:
+        P = OperatorModel(T.dom, T.dom, E.projector())
+    else:
+        P, E = wandering_projection(T, tols=tols)
+    cert = T.certificates[tols] = Certificate(float(defect), P.matrix, E, tols, weakref.ref(T),
+                                              inherited)
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -201,13 +231,14 @@ def extract_measure(T: OperatorModel, compress_to: Subspace = None,
     """Classifying measure of an analytic 2-isometry.
 
     Analyticity is certified by the orbit of the wandering subspace
-    E = ker T* filling the space.  The unitary model of the defect-space
-    isometry is diagonalized; each eigenvalue cluster at angle theta
-    contributes an atom (theta, W) with W the compression of
+    E = ker T* filling the space (see :class:`Certificate`; a restriction
+    that a decomposition built inherits it).  The unitary model of the
+    defect-space isometry is diagonalized; each eigenvalue cluster at
+    angle theta contributes an atom (theta, W) with W the compression of
     (D Pi_theta D) to E (or to ``compress_to`` when given, e.g. the joint
     kernel for pairs).  Weights are Hermitian PSD by construction.
     """
-    _, E = _require_analytic_two_isometry(T, tols)
+    E = certify(T, tols).require_analytic().E
     if compress_to is None:
         compress_to = E
     e_dim = compress_to.dim
@@ -253,14 +284,13 @@ def check_norm_identity(T: OperatorModel, x, tols: Tolerances = DEFAULTS) -> flo
     <(T*T - I) y, y> = ||T y||^2 - ||y||^2, so no square root enters.  The
     sums terminate because L lowers the total degree; they stop early once
     the iterate L^k x is negligible (see ``_EPS``).  T must be a 2-isometry
-    whose orbit of ker T* fills the space; P is the projection onto ker T*
-    that this certificate computes.
+    whose orbit of ker T* fills the space; P, F and L are read from its
+    :class:`Certificate`.
     """
-    Pm, _ = _require_analytic_two_isometry(T, tols)
+    cert = certify(T, tols).require_analytic()
+    Pm, F, L = cert.P, cert.F, cert.L
     x = _as_flat(x)
     G = T.dom.gram
-    F = T.matrix.conj().T @ G @ T.matrix - G
-    L = left_inverse(T, tols=tols)
     total = float((np.conj(x) @ (G @ x)).real)
     negligible = _EPS**2 * total
     acc = 0.0
@@ -272,7 +302,7 @@ def check_norm_identity(T: OperatorModel, x, tols: Tolerances = DEFAULTS) -> flo
         acc += float((np.conj(py) @ (G @ py)).real)
         if k >= 1:
             acc += float((np.conj(y) @ (F @ y)).real)
-        y = L.matrix @ y
+        y = L @ y
     return abs(total - acc)
 
 
@@ -284,20 +314,19 @@ def check_two_variable_identity(T1: OperatorModel, T2: OperatorModel, x,
     Four families of terms: joint-kernel projections, single defects
     against the complementary kernel projection, and the mixed defect.
     The mixed term uses <D1^2 D2^2 y, y> written through commuting
-    products, so every summand is an exact Gram pairing.
+    products, so every summand is an exact Gram pairing.  P, F and L of
+    each operator are read from its :class:`Certificate`.
     """
-    P1, _ = _require_analytic_two_isometry(T1, tols)
-    P2, _ = _require_analytic_two_isometry(T2, tols)
+    c1 = certify(T1, tols).require_analytic()
+    c2 = certify(T2, tols).require_analytic()
+    P1, F1, L1 = c1.P, c1.F, c1.L
+    P2, F2, L2 = c2.P, c2.F, c2.L
     x = _as_flat(x)
     G = T1.dom.gram
-    F1 = T1.matrix.conj().T @ G @ T1.matrix - G
-    F2 = T2.matrix.conj().T @ G @ T2.matrix - G
     T12 = T1.matrix @ T2.matrix
     T21 = T2.matrix @ T1.matrix
     F12 = T21.conj().T @ G @ T12 - T1.matrix.conj().T @ G @ T1.matrix \
         - T2.matrix.conj().T @ G @ T2.matrix + G
-    L1 = left_inverse(T1, tols=tols).matrix
-    L2 = left_inverse(T2, tols=tols).matrix
     P = P1 @ P2
 
     def sq(vec, mat=None):
@@ -375,20 +404,16 @@ def wold_single(T: OperatorModel, tols: Tolerances = DEFAULTS,
     completeness hold by construction and are still reported.  H0 is
     certified by its invariance and the unitarity of T on it, which
     together force it into the stable range; H1 by its invariance and the
-    wandering property.  Then the classifying measure of the analytic part
-    is extracted.
+    wandering property.  E and H1 are read from the :class:`Certificate`
+    of T.  Then the classifying measure of the analytic part is extracted;
+    the analytic part inherits E, so it is not certified again.
     """
-    defect = two_isometry_defect(T, tols=tols)
-    if defect > tols.two_isometry:
-        raise AssumptionError(
-            f"two-isometry defect {defect:.3e} exceeds tolerance {tols.two_isometry:.1e}"
-        )
+    cert = certify(T, tols)
     amb = T.dom
-    _, E = wandering_projection(T, tols=tols)
-    H1 = span_orbit(T, E, tols)
+    E, H1 = cert.E, cert.orbit
     H0 = orthocomplement(H1, tols)
 
-    residuals = {"two_isometry_defect": float(defect)}
+    residuals = {"two_isometry_defect": cert.defect}
     residuals["orthogonality"] = _orthogonality(H0, H1)
     residuals["completeness"] = _completeness([H0, H1], amb)
     dims_ok = H0.dim + H1.dim == amb.dim_total
@@ -424,6 +449,7 @@ def wold_single(T: OperatorModel, tols: Tolerances = DEFAULTS,
         )
 
     if extract and H1.dim:
+        _certificate(analytic_part, tols, Subspace(analytic_part.dom, H1.coords(E.basis)))
         extracted = extract_measure(analytic_part, tols=tols)
     else:
         extracted = CircleMeasure.zero(E.dim)
@@ -446,16 +472,15 @@ def build_V(T1: OperatorModel, T2: OperatorModel, target: GradedPolySpace,
     pair with the coordinate shifts.  Isometry and intertwining residuals
     over the safe core are recorded in ``info``.
     """
-    _, E1 = _require_analytic_two_isometry(T1, tols)
-    _, E2 = _require_analytic_two_isometry(T2, tols)
+    c1 = certify(T1, tols).require_analytic()
+    c2 = certify(T2, tols).require_analytic()
     amb = T1.dom
-    E = subspace_intersect(E1, E2, tols)
+    E = subspace_intersect(c1.E, c2.E, tols)
     if target.dim != E.dim:
         raise ValueError(
             f"target coefficient dimension {target.dim} does not match joint kernel {E.dim}"
         )
-    L1 = left_inverse(T1, tols=tols).matrix
-    L2 = left_inverse(T2, tols=tols).matrix
+    L1, L2 = c1.L, c2.L
     M1, M2 = target.caps
     rows = np.zeros((target.dim_total, amb.dim_total), dtype=complex)
     row_proj = E.basis.conj().T @ amb.gram
@@ -558,35 +583,32 @@ def wold_pair(T1: OperatorModel, T2: OperatorModel, tols: Tolerances = DEFAULTS,
 
     Verifies orthogonality, completeness, invariance, the required
     unitarity of restrictions (which with invariance certifies H00) and
-    the kernel-reducing identities, checked against :func:`stable_range`,
-    and extracts the classifying measures nu1, nu2 (single-shift blocks)
-    and eta1, eta2 (jointly analytic block, compressed to the joint
-    kernel).
+    the kernel-reducing identities, and extracts the classifying measures
+    nu1, nu2 (single-shift blocks) and eta1, eta2 (jointly analytic block,
+    compressed to the joint kernel).  E1 and E2 are read from the
+    :class:`Certificate` of each operator.  Each extracted restriction
+    inherits its ker*: E10 in H10, E01 in H01, and in H11 the orbit of E
+    under the other operator, [E]_T2 for T1 and [E]_T1 for T2.
     """
     amb = T1.dom
     if T2.dom.dim_total != amb.dim_total:
         raise ValueError("operators act on different spaces")
-    d1 = two_isometry_defect(T1, tols=tols)
-    d2 = two_isometry_defect(T2, tols=tols)
-    if max(d1, d2) > tols.two_isometry:
-        raise AssumptionError(
-            f"two-isometry defects ({d1:.3e}, {d2:.3e}) exceed tolerance"
-        )
+    cert1, cert2 = certify(T1, tols), certify(T2, tols)
     c1, c2 = doubly_commuting_residual(T1, T2, tols=tols)
     if max(c1, c2) > tols.doubly_commuting:
         raise AssumptionError(
             f"pair is not doubly commuting within tolerance ({c1:.3e}, {c2:.3e})"
         )
     residuals = {
-        "defect_1": float(d1), "defect_2": float(d2),
+        "defect_1": cert1.defect, "defect_2": cert2.defect,
         "commuting": float(c1), "star_commuting": float(c2),
     }
 
-    _, E1 = wandering_projection(T1, tols=tols)
-    _, E2 = wandering_projection(T2, tols=tols)
+    E1, E2 = cert1.E, cert2.E
     E = subspace_intersect(E1, E2, tols)
-    E10 = subspace_intersect(E1, orthocomplement(span_orbit(T2, E, tols), tols), tols)
-    E01 = subspace_intersect(E2, orthocomplement(span_orbit(T1, E, tols), tols), tols)
+    O1, O2 = span_orbit(T1, E, tols), span_orbit(T2, E, tols)
+    E10 = subspace_intersect(E1, orthocomplement(O2, tols), tols)
+    E01 = subspace_intersect(E2, orthocomplement(O1, tols), tols)
 
     H10 = span_orbit(T1, E10, tols)
     H01 = span_orbit(T2, E01, tols)
@@ -595,11 +617,7 @@ def wold_pair(T1: OperatorModel, T2: OperatorModel, tols: Tolerances = DEFAULTS,
     H00 = orthocomplement(shifts, tols)
 
     blocks = {"H00": H00, "H10": H10, "H01": H01, "H11": H11}
-    names = list(blocks)
-    ortho = 0.0
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            ortho = max(ortho, _orthogonality(blocks[a], blocks[b]))
+    ortho = max(_orthogonality(A, B) for A, B in combinations(blocks.values(), 2))
     residuals["orthogonality"] = ortho
     residuals["completeness"] = _completeness(list(blocks.values()), amb)
     total_dim = sum(S.dim for S in blocks.values())
@@ -641,18 +659,6 @@ def wold_pair(T1: OperatorModel, T2: OperatorModel, tols: Tolerances = DEFAULTS,
             lemma_a = max(lemma_a, float(np.linalg.norm(amb.whiten(leak), 2)))
     residuals["kernel_reducing"] = lemma_a
 
-    # T1^m(E10) = T1^m(E1) ∩ (stable range of T2), small powers
-    lemma_b = 0.0
-    if E10.dim:
-        sr2 = stable_range(T2, tols=tols)
-        lhs, e1m = E10, E1
-        for m in range(3):
-            rhs = subspace_intersect(e1m, sr2, tols)
-            lemma_b = max(lemma_b, lhs.distance(rhs))
-            lhs = apply_to_subspace(T1, lhs, tols)
-            e1m = apply_to_subspace(T1, e1m, tols)
-    residuals["kernel_intersection_identity"] = lemma_b
-
     worst = max(ortho, residuals["completeness"], invariance, lemma_a,
                 max(unit.values()) if unit else 0.0)
     if total_dim != amb.dim_total or worst > tols.decomposition:
@@ -667,19 +673,16 @@ def wold_pair(T1: OperatorModel, T2: OperatorModel, tols: Tolerances = DEFAULTS,
         "eta1": CircleMeasure.zero(E.dim),
         "eta2": CircleMeasure.zero(E.dim),
     }
-    if extract:
-        if H10.dim:
-            measures["nu1"] = extract_measure(restrictions[("H10", "T1")], tols=tols)
-        if H01.dim:
-            measures["nu2"] = extract_measure(restrictions[("H01", "T2")], tols=tols)
-        if H11.dim:
-            R1 = restrictions[("H11", "T1")]
-            R2 = restrictions[("H11", "T2")]
-            # E = E1 ∩ E2 lies in H11 = [E]_{T1,T2}, which reduces both
-            # operators, so E is the joint kernel of the restrictions too
-            Ejoint = Subspace(R1.dom, H11.coords(E.basis))
-            measures["eta1"] = extract_measure(R1, compress_to=Ejoint, tols=tols)
-            measures["eta2"] = extract_measure(R2, compress_to=Ejoint, tols=tols)
+    for name, bname, oname, kernel in (("nu1", "H10", "T1", E10), ("nu2", "H01", "T2", E01),
+                                       ("eta1", "H11", "T1", O2), ("eta2", "H11", "T2", O1)):
+        if not (extract and blocks[bname].dim):
+            continue
+        R = restrictions[(bname, oname)]
+        _certificate(R, tols, Subspace(R.dom, blocks[bname].coords(kernel.basis)))
+        # H11 = [E]_{T1,T2} reduces both operators, so the joint kernel of
+        # its restrictions is E = E1 ∩ E2 in block coordinates
+        joint = Subspace(R.dom, H11.coords(E.basis)) if bname == "H11" else None
+        measures[name] = extract_measure(R, compress_to=joint, tols=tols)
 
     return QuadrupleDecomposition(H00=H00, H10=H10, H01=H01, H11=H11,
                                   measures=measures, restrictions=restrictions,

@@ -177,11 +177,15 @@ class OperatorModel:
         restrictions propagate it.  ``None`` means the whole domain.
     safe_core_margin : int
         Default margin (top bidegrees excluded per applied factor).
+
+    The matrix is a read-only copy, so the certificates that
+    :func:`woldlab.decomp.certify` memoizes in ``certificates`` stay valid.
     """
 
     def __init__(self, dom: HilbertSpace, codom: HilbertSpace, matrix: np.ndarray,
                  core_fn=None, safe_core_margin: int = DEFAULT_CORE_MARGIN, info: dict = None):
-        matrix = np.asarray(matrix, dtype=complex)
+        matrix = np.array(matrix, dtype=complex)
+        matrix.flags.writeable = False
         if matrix.shape != (codom.dim_total, dom.dim_total):
             raise ValueError(
                 f"matrix shape {matrix.shape} does not map dom ({dom.dim_total}) "
@@ -193,6 +197,7 @@ class OperatorModel:
         self.core_fn = core_fn
         self.safe_core_margin = safe_core_margin
         self.info = info or {}
+        self.certificates = {}
 
     # -- basics ---------------------------------------------------------
 

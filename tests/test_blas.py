@@ -1,5 +1,6 @@
 """The one-BLAS-thread scope around woldlab's entry points."""
 
+import inspect
 import sys
 import threading
 
@@ -10,9 +11,11 @@ import woldlab as wl
 from woldlab import _blas, cli, decomp
 from woldlab.space import EuclideanSpace
 
-DECOMP_ENTRY_POINTS = ("wold_single", "wold_pair", "slocinski", "extract_measure",
-                       "tilde_isometry", "span_orbit", "stable_range", "check_norm_identity",
-                       "check_two_variable_identity", "build_V", "measures_equal_up_to_unitary")
+# every public function that woldlab.decomp defines (not the ones it imports)
+DECOMP_ENTRY_POINTS = sorted(
+    name for name, obj in vars(decomp).items()
+    if inspect.isfunction(obj) and not name.startswith("_") and obj.__module__ == decomp.__name__
+)
 
 
 def counts():

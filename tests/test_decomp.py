@@ -1,13 +1,18 @@
-"""Wold decompositions, measure extraction, norm identities, the model map."""
+"""Wold decompositions, certificates, measure extraction, norm identities, the model map."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
 import woldlab as wl
+from woldlab import decomp
 from woldlab.operators import joint_core, range_complement_projection, restrict_operator
 from woldlab.space import EuclideanSpace
 
 from conftest import random_core_vector, scalar_atoms
+from reference import kernel_intersection_identity, stable_range
 
 THREE_ATOMS = ((0.5, 0.8), (2.0, 1.3), (4.4, 0.35))
 
@@ -17,12 +22,12 @@ THREE_ATOMS = ((0.5, 0.8), (2.0, 1.3), (4.4, 0.35))
 
 def test_stable_range_unitary_is_full():
     U = wl.unitary_operator(wl.random_unitary(6, 2))
-    assert wl.stable_range(U).dim == 6
+    assert stable_range(U).dim == 6
 
 
 def test_stable_range_truncated_shift_is_trivial():
     T = wl.build_shift_1v(scalar_atoms(*THREE_ATOMS), 10)
-    assert wl.stable_range(T).dim == 0
+    assert stable_range(T).dim == 0
 
 
 def test_stable_range_of_scrambled_direct_sum():
@@ -33,7 +38,7 @@ def test_stable_range_of_scrambled_direct_sum():
         inst = wl.make_single_wold_instance(k, mu, 8, seed=5, scramble_seed=11)
         T = inst.operators[0]
         _, E = wl.wandering_projection(T)
-        assert wl.stable_range(T).dim == k
+        assert stable_range(T).dim == k
         assert wl.span_orbit(T, E).dim == T.dom.dim_total - k
 
 
@@ -65,7 +70,7 @@ def test_wold_single_recovers_scrambled_blocks():
         assert res.H0.distance(inst.truth["H0"]) < 1e-8
         assert res.H1.distance(inst.truth["H1"]) < 1e-8
         # the Gram complement of the orbit is the stable range
-        assert res.H0.distance(wl.stable_range(T)) < 1e-10
+        assert res.H0.distance(stable_range(T)) < 1e-10
 
 
 def lambda_plus_shift(modulus):
@@ -122,7 +127,7 @@ def test_span_orbit_of_one_operator_or_a_list():
 def test_stable_range_max_iter_exhausted():
     T = wl.build_shift_1v(scalar_atoms((0.7, 1.0)), 8)
     with pytest.raises(wl.ConvergenceError):
-        wl.stable_range(T, max_iter=2)
+        stable_range(T, max_iter=2)
 
 
 # -- defect-space isometry and extraction ---------------------------------------
@@ -428,32 +433,29 @@ def test_quadruple_json_with_verdicts():
     assert "atoms" in out["measures"]["nu1"]
 
 
-def test_wold_pair_unitary_block_is_joint_stable_range():
-    # shaped like the first case of acceptance test 7
+def acceptance_7_instance():
+    """Shaped like the first case of acceptance test 7."""
     nu1 = wl.random_atomic_measure(1, 2, seed=7001)
     nu2 = wl.random_atomic_measure(1, 3, seed=7101)
     eta1 = wl.random_atomic_measure(1, 2, seed=7201)
     eta2 = wl.random_atomic_measure(1, 1, seed=7301)
-    inst = wl.make_four_block_instance(3, nu1, 8, nu2, 7, eta1, eta2, (5, 4),
+    return wl.make_four_block_instance(3, nu1, 8, nu2, 7, eta1, eta2, (5, 4),
                                        seed=1, scramble_seed=701)
+
+
+def test_wold_pair_unitary_block_is_joint_stable_range():
+    inst = acceptance_7_instance()
     T1, T2 = inst.operators
     quad = wl.wold_pair(T1, T2)
     assert quad.block_dims() == inst.truth["dims"]
     T12 = wl.OperatorModel(T1.dom, T1.dom, T1.matrix @ T2.matrix)
-    assert quad.H00.distance(wl.stable_range(T12)) < 1e-10
-    assert quad.residuals["kernel_intersection_identity"] < 1e-10
+    assert quad.H00.distance(stable_range(T12)) < 1e-10
+    assert kernel_intersection_identity(T1, T2, quad.H10) < 1e-10
 
 
 def test_wold_pair_joint_kernel_is_E_in_H11_coordinates():
-    # acceptance-7 shape; the old route intersected ker R1* and ker R2* of
-    # the H11 restrictions
-    nu1 = wl.random_atomic_measure(1, 2, seed=7001)
-    nu2 = wl.random_atomic_measure(1, 3, seed=7101)
-    eta1 = wl.random_atomic_measure(1, 2, seed=7201)
-    eta2 = wl.random_atomic_measure(1, 1, seed=7301)
-    inst = wl.make_four_block_instance(3, nu1, 8, nu2, 7, eta1, eta2, (5, 4),
-                                       seed=1, scramble_seed=701)
-    T1, T2 = inst.operators
+    # the old route intersected ker R1* and ker R2* of the H11 restrictions
+    T1, T2 = acceptance_7_instance().operators
     quad = wl.wold_pair(T1, T2)
     E = wl.subspace_intersect(wl.wandering_projection(T1)[1], wl.wandering_projection(T2)[1])
     R1, R2 = quad.restrictions[("H11", "T1")], quad.restrictions[("H11", "T2")]
@@ -502,6 +504,100 @@ def test_wold_pair_idempotent_on_blocks():
     R2 = quad.restrictions[("H11", "T2")]
     sub = wl.wold_pair(R1, R2, extract=False)
     assert sub.block_dims() == (0, 0, 0, quad.H11.dim)
+
+
+# -- certificates -------------------------------------------------------------------
+
+
+@pytest.fixture
+def wandering_calls(monkeypatch):
+    """The operators that decomp hands to wandering_projection, in call order."""
+    calls = []
+    real = decomp.wandering_projection
+
+    def counted(T, *args, **kwargs):
+        calls.append(T)
+        return real(T, *args, **kwargs)
+
+    monkeypatch.setattr(decomp, "wandering_projection", counted)
+    return calls
+
+
+def test_inherited_kernels_match_fresh_wandering_projections():
+    inst = wl.make_single_wold_instance(2, scalar_atoms(*THREE_ATOMS), 16, seed=1,
+                                        scramble_seed=23)
+    R = wl.wold_single(inst.operators[0]).analytic_part
+    inherited = {"analytic part": R.certificates[wl.DEFAULTS]}
+    fresh = {"analytic part": wl.wandering_projection(R)[1]}
+    quad = wl.wold_pair(*acceptance_7_instance().operators)
+    for key in (("H10", "T1"), ("H01", "T2"), ("H11", "T1"), ("H11", "T2")):
+        R = quad.restrictions[key]
+        inherited[key] = R.certificates[wl.DEFAULTS]
+        fresh[key] = wl.wandering_projection(R)[1]
+    for key, cert in inherited.items():
+        assert cert.inherited and cert.E.dim == fresh[key].dim, key
+        assert cert.E.distance(fresh[key]) < 1e-10, key
+    # ker (T1|H11)* is [E]_T2 and ker (T2|H11)* is [E]_T1, not the joint kernel E
+    assert inherited[("H11", "T1")].E.dim == 5
+    assert inherited[("H11", "T2")].E.dim == 6
+
+
+def test_wold_single_certifies_once(wandering_calls):
+    inst = wl.make_single_wold_instance(2, scalar_atoms(*THREE_ATOMS), 16, seed=1,
+                                        scramble_seed=23)
+    res = wl.wold_single(inst.operators[0])
+    assert len(res.extracted.atoms) == 3
+    assert wandering_calls == [inst.operators[0]]
+
+
+def test_norm_identities_certify_each_operator_once(wandering_calls, rng):
+    T = wl.build_shift_1v(scalar_atoms(*THREE_ATOMS), 16)
+    for _ in range(6):
+        assert wl.check_norm_identity(T, random_core_vector(T, rng)) < 1e-8
+    assert wandering_calls == [T]
+
+
+def test_wold_pair_certifies_each_operator_once(wandering_calls):
+    T1, T2 = four_block_fixture().operators
+    wl.wold_pair(T1, T2)
+    assert wandering_calls == [T1, T2]
+
+
+def test_pair_identities_and_model_map_share_certificates(wandering_calls, rng):
+    T1, T2 = _analytic_pair(caps=8)
+    core = joint_core(T1, T2, 4)
+    for _ in range(3):
+        x = core.basis @ (rng.standard_normal(core.dim) + 1j * rng.standard_normal(core.dim))
+        assert wl.check_two_variable_identity(T1, T2, x) < 1e-8 * (1 + T1.dom.norm(x) ** 2)
+    wl.build_V(T1, T2, wl.build_space(scalar_atoms((0.9, 0.8)), scalar_atoms((4.0, 1.1)), 8, 8))
+    assert wandering_calls == [T1, T2]
+
+
+def test_scaled_tolerances_get_their_own_certificate(wandering_calls):
+    T = wl.build_shift_1v(scalar_atoms(*THREE_ATOMS), 12)
+    cert = wl.certify(T)
+    assert wl.certify(T) is cert
+    # the orbit, F and L are built on first use only
+    assert not {"orbit", "F", "L"} & set(vars(cert))
+    loose = wl.DEFAULTS.scaled(10)
+    assert wl.certify(T, loose) is not cert
+    assert wandering_calls == [T, T]
+    assert set(T.certificates) == {wl.DEFAULTS, loose}
+
+
+def test_certificate_is_freed_with_its_operator():
+    T = wl.build_shift_1v(scalar_atoms(*THREE_ATOMS), 12)
+    x = np.zeros(13, dtype=complex)
+    x[0] = 1.0
+    gc.disable()
+    try:
+        wl.check_norm_identity(T, x)
+        cert = weakref.ref(T.certificates[wl.DEFAULTS])
+        assert {"orbit", "F", "L"} <= set(vars(cert()))
+        del T
+        assert cert() is None
+    finally:
+        gc.enable()
 
 
 # -- Slocinski ---------------------------------------------------------------------

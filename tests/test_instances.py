@@ -6,6 +6,7 @@ import pytest
 import woldlab as wl
 
 from conftest import scalar_atoms
+from reference import stable_range
 
 
 def test_random_unitary_is_unitary_and_deterministic():
@@ -65,7 +66,7 @@ def test_direct_sum_stable_range_dim():
     mu = scalar_atoms((1.0, 0.5))
     U = wl.unitary_operator(wl.random_unitary(3, 2))
     T = wl.direct_sum([U, wl.build_shift_1v(mu, 8)])
-    assert wl.stable_range(T).dim == 3
+    assert stable_range(T).dim == 3
 
 
 def test_direct_sum_rejects_mixed_parts():
@@ -98,7 +99,7 @@ def test_instance_spec_build_kinds():
     mix = wl.InstanceSpec(kind="scrambled", measures=(mu,), caps=(8, 0),
                           unitary_dims=(2,), seed=5).build()
     assert mix.truth["H0"].dim == 2
-    assert wl.stable_range(mix.operators[0]).dim == 2
+    assert stable_range(mix.operators[0]).dim == 2
 
 
 def test_instance_spec_rejects_unknown_kind():

@@ -290,3 +290,14 @@ def test_restricted_core_is_computed_once_per_margin(margin):
     assert np.array_equal(first, S.coords(inter.basis))
     assert R.core_basis(margin) is first
     assert not first.flags.writeable
+
+
+def test_operator_matrix_is_a_read_only_copy():
+    # certificates are memoized on the operator, so its matrix must not change
+    M = np.eye(3, dtype=complex)
+    sp = EuclideanSpace(3)
+    T = wl.OperatorModel(sp, sp, M)
+    with pytest.raises(ValueError):
+        T.matrix[0, 0] = 2.0
+    M[0, 0] = 2.0
+    assert T.matrix[0, 0] == 1.0
