@@ -117,7 +117,7 @@ def _task_wold_pair(inst: Instance, params, tols):
     quad = wold_pair(*inst.operators, tols=tols)
     reference = inst.truth.get("measures") if isinstance(inst.truth.get("measures"), dict) else None
     out = quad.to_json_dict(reference_measures=reference,
-                            K=int(params.get("fourier_order", 8)))
+                            K=int(params.get("fourier_order", 8)), tols=tols)
     score = max(quad.residuals[k] for k in
                 ("orthogonality", "completeness", "invariance", "kernel_reducing"))
     return out, score

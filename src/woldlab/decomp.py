@@ -553,14 +553,15 @@ class QuadrupleDecomposition:
             out[name] = {"equal": cmp.equal, "detail": cmp.detail}
         return out
 
-    def to_json_dict(self, reference_measures: dict = None, K: int = 8) -> dict:
+    def to_json_dict(self, reference_measures: dict = None, K: int = 8,
+                     tols: Tolerances = DEFAULTS) -> dict:
         out = {
             "block_dims": list(self.block_dims()),
             "residuals": self.residuals,
             "measures": {k: v.to_json_dict() for k, v in self.measures.items()},
         }
         if reference_measures is not None:
-            out["verdicts"] = self.compare_measures(reference_measures, K=K)
+            out["verdicts"] = self.compare_measures(reference_measures, K=K, tols=tols)
         return out
 
 
@@ -724,28 +725,50 @@ class MeasureComparison(NamedTuple):
     detail: str
 
 
-def _coeff_tables(a: CircleMeasure, b: CircleMeasure, K: int):
-    ta = [fourier_coefficient(a, n) for n in range(-K, K + 1)]
-    tb = [fourier_coefficient(b, n) for n in range(-K, K + 1)]
-    return ta, tb
+def _generic_weights(K: int) -> np.ndarray:
+    """Two fixed complex weight rows over n = -K..K, each of l1 norm 1.
+
+    Row 0 puts the real weight 2/3 on n = 0, so an atom at theta enters
+    H = C + C^H with the factor 2 Re sum_n w_n e^{-in theta} >= 2/3: no
+    change of a weight cancels out of H.
+    """
+    w = np.random.default_rng(8).standard_normal((2, 2 * K + 1, 2)) @ [1, 1j]
+    w /= np.abs(w).sum(axis=1, keepdims=True)
+    w[0] /= 3
+    w[0, K] += 2 / 3
+    return w
 
 
-def _trace_battery(ta, tb, tol: float) -> Optional[str]:
-    """Compare traces of all words of length <= 3; None if consistent."""
-    for i, (A, B) in enumerate(zip(ta, tb)):
-        if abs(np.trace(A) - np.trace(B)) > tol:
-            return f"trace of coefficient {i} differs"
-    n = len(ta)
-    for i in range(n):
-        for j in range(n):
-            if abs(np.trace(ta[i] @ ta[j]) - np.trace(tb[i] @ tb[j])) > tol:
-                return f"trace of word ({i},{j}) differs"
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if abs(np.trace(ta[i] @ ta[j] @ ta[k]) - np.trace(tb[i] @ tb[j] @ tb[k])) > tol:
-                    return f"trace of word ({i},{j},{k}) differs"
-    return None
+def _align_clusters(A: np.ndarray, B: np.ndarray, clusters: list, thr: float) -> np.ndarray:
+    """Block-diagonal unitary D, one block per cluster, with D^H A D ~ B.
+
+    With F the clusters fixed so far, a cluster j must satisfy
+    A[F,j] D_j = D_F B[F,j] and D_j B[j,F] = A[j,F] D_F.  The least-squares
+    D_j is the unitary polar factor of
+    M_j = A[F,j]^H D_F B[F,j] + A[j,F] D_F B[j,F]^H, unique when M_j is
+    invertible.  The cluster whose sqrt(sigma_min(M_j)) is largest is fixed
+    next; when none is above ``thr``, the smallest cluster left roots a new
+    component with the identity.
+    """
+    D = np.zeros_like(A)
+    F = np.zeros(0, dtype=int)
+    todo = list(clusters)
+    while todo:
+        DF = D[np.ix_(F, F)]
+        M = [A[np.ix_(F, j)].conj().T @ DF @ B[np.ix_(F, j)]
+             + A[np.ix_(j, F)] @ DF @ B[np.ix_(j, F)].conj().T for j in todo]
+        s = [np.sqrt(np.linalg.svd(m, compute_uv=False)[-1]) for m in M]
+        k = int(np.argmax(s))
+        if s[k] > thr:
+            W, _, Zh = np.linalg.svd(M[k])
+            Dj = W @ Zh
+        else:
+            k = int(np.argmin([len(j) for j in todo]))
+            Dj = np.eye(len(todo[k]))
+        j = todo.pop(k)
+        D[np.ix_(j, j)] = Dj
+        F = np.concatenate([F, j])
+    return D
 
 
 @one_blas_thread
@@ -753,67 +776,44 @@ def measures_equal_up_to_unitary(a: CircleMeasure, b: CircleMeasure, K: int = 8,
                                  tols: Tolerances = DEFAULTS) -> MeasureComparison:
     """Decide whether b(sigma) = U^H a(sigma) U for some unitary U.
 
-    Scalar measures are compared coefficientwise.  Matrix measures first
-    run a battery of conjugation-invariant trace checks (words of length
-    up to 3 in the Fourier coefficients); on success an explicit aligning
-    unitary is built from the eigendecomposition of the zeroth
-    coefficient, provided its spectrum is simple.  When the spectrum is
-    degenerate and the battery passes, the verdict is inconclusive rather
-    than a false positive.
+    Fixed generic weights give C = sum_{|n| <= K} w_n mu_hat(n) and the
+    Hermitian H = C + C^H of each measure.  If b = U^H a U then
+    H_b = U^H H_a U, so different spectra prove ``False``.  Otherwise a
+    second generic combination, written in the two eigenbases of H, fixes
+    one unitary per eigenvalue cluster (:func:`_align_clusters`), and the
+    candidate U = V_a D V_b^H is checked on every coefficient |n| <= K:
+
+    * ``True``: U aligns every coefficient to ``tols.measure_match``;
+    * ``False``: the spectra differ, or every cluster is simple, so the
+      alignment was unique, and it fails;
+    * ``None``: a repeated eigenvalue left the alignment free, and the
+      choice made does not align.
+
+    Every threshold is ``tols.measure_match`` times 2d: an entrywise error
+    of that size in each coefficient moves the eigenvalues and entries of
+    these combinations (of l1 norm 1) by at most that much.
     """
     if a.dim != b.dim:
         raise ValueError("measures have different coefficient dimensions")
-    tol = tols.measure_match
     d = a.dim
     if d == 0:
         return MeasureComparison(True, np.zeros((0, 0)), "trivial coefficient space")
-    ta, tb = _coeff_tables(a, b, K)
-    if d == 1:
-        err = max(abs(complex(A[0, 0]) - complex(B[0, 0])) for A, B in zip(ta, tb))
-        if err <= tol:
-            return MeasureComparison(True, np.eye(1, dtype=complex), f"scalar match ({err:.2e})")
-        return MeasureComparison(False, None, f"scalar coefficients differ ({err:.2e})")
-
-    mismatch = _trace_battery(ta, tb, tol)
-    if mismatch is not None:
-        return MeasureComparison(False, None, mismatch)
-
-    A0, B0 = ta[K], tb[K]
-    la, Va = np.linalg.eigh(A0)
-    lb, Vb = np.linalg.eigh(B0)
-    if np.max(np.abs(la - lb)) > tol:
-        return MeasureComparison(False, None, "zeroth coefficient spectra differ")
-    gaps = np.diff(la)
-    if la.size > 1 and np.min(gaps) < 100 * tol:
-        return MeasureComparison(None, None,
-                                 "inconclusive: zeroth coefficient spectrum is degenerate")
-
-    # phase alignment: need diag(e^{-i phi}) (Va^H a_hat(n) Va) diag(e^{i phi})
-    # to equal Vb^H b_hat(n) Vb entrywise, so off-diagonal ratios fix the
-    # phase differences; propagate from index 0 across a connected graph.
-    phases = np.full(d, np.nan)
-    phases[0] = 0.0
-    for _ in range(d):
-        for n in range(len(ta)):
-            Ma = Va.conj().T @ ta[n] @ Va
-            Mb = Vb.conj().T @ tb[n] @ Vb
-            for i in range(d):
-                for j in range(d):
-                    if i == j or abs(Ma[i, j]) < 100 * tol:
-                        continue
-                    if not np.isnan(phases[i]) and np.isnan(phases[j]):
-                        # e^{i(phi_j - phi_i)} Ma[i,j] = Mb[i,j]
-                        ratio = Mb[i, j] / Ma[i, j]
-                        phases[j] = phases[i] + float(np.angle(ratio))
-                    elif not np.isnan(phases[j]) and np.isnan(phases[i]):
-                        ratio = Mb[i, j] / Ma[i, j]
-                        phases[i] = phases[j] - float(np.angle(ratio))
-    phases = np.where(np.isnan(phases), 0.0, phases)
-    U = Va @ np.diag(np.exp(1j * phases)) @ Vb.conj().T
-    err = max(
-        float(np.max(np.abs(U.conj().T @ A @ U - B))) for A, B in zip(ta, tb)
-    )
-    if err <= 100 * tol:
+    ta, tb = (np.stack([fourier_coefficient(m, n) for n in range(-K, K + 1)]) for m in (a, b))
+    w = _generic_weights(K)
+    Ca, Cb = np.tensordot(w, ta, axes=1), np.tensordot(w, tb, axes=1)
+    (la, Va), (lb, Vb) = (np.linalg.eigh(C[0] + C[0].conj().T) for C in (Ca, Cb))
+    thr = 2 * d * tols.measure_match
+    gap = float(np.max(np.abs(la - lb)))
+    if gap > thr:
+        return MeasureComparison(False, None, f"generic combinations differ in spectrum ({gap:.2e})")
+    cuts = np.flatnonzero(np.minimum(np.diff(la), np.diff(lb)) > thr) + 1
+    clusters = np.split(np.arange(d), cuts)
+    D = _align_clusters(Va.conj().T @ Ca[1] @ Va, Vb.conj().T @ Cb[1] @ Vb, clusters, thr)
+    U = Va @ D @ Vb.conj().T
+    err = float(np.max(np.abs(U.conj().T @ ta @ U - tb)))
+    if err <= tols.measure_match:
         return MeasureComparison(True, U, f"aligned with explicit unitary ({err:.2e})")
+    if len(clusters) == d:
+        return MeasureComparison(False, None, f"the unique alignment fails ({err:.2e})")
     return MeasureComparison(None, None,
-                             f"inconclusive: battery passed but alignment residual {err:.2e}")
+                             f"inconclusive: repeated eigenvalue, alignment residual {err:.2e}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .config import DEFAULT_CORE_MARGIN, DEFAULTS
+from .config import DEFAULTS
 from .errors import AssumptionError
 from .measures import CircleMeasure, require_positive
 from .operators import OperatorModel, Subspace
@@ -111,8 +111,7 @@ def build_shift_1v(mu: CircleMeasure, N: int, space: GradedPolySpace = None) -> 
     if space is None:
         space = build_space_1v(mu, N)
     T = coordinate_shift_matrix(space, 1)
-    return OperatorModel(space, space, T, core_fn=_graded_core_fn(space, 1),
-                         safe_core_margin=DEFAULT_CORE_MARGIN)
+    return OperatorModel(space, space, T, core_fn=_graded_core_fn(space, 1))
 
 
 def build_pair_2v(mu1: CircleMeasure, mu2: CircleMeasure, N1: int, N2: int,
@@ -121,11 +120,9 @@ def build_pair_2v(mu1: CircleMeasure, mu2: CircleMeasure, N1: int, N2: int,
     if space is None:
         space = build_space(mu1, mu2, N1, N2)
     T1 = OperatorModel(space, space, coordinate_shift_matrix(space, 1),
-                       core_fn=_graded_core_fn(space, 1),
-                       safe_core_margin=DEFAULT_CORE_MARGIN)
+                       core_fn=_graded_core_fn(space, 1))
     T2 = OperatorModel(space, space, coordinate_shift_matrix(space, 2),
-                       core_fn=_graded_core_fn(space, 2),
-                       safe_core_margin=DEFAULT_CORE_MARGIN)
+                       core_fn=_graded_core_fn(space, 2))
     return T1, T2
 
 
@@ -200,9 +197,7 @@ def _assemble_sum(ops, space: HilbertSpace) -> OperatorModel:
     dims = [op.dom.dim_total for op in ops]
     offsets = np.concatenate([[0], np.cumsum(dims)[:-1]]).astype(int)
     core_fn = _stack_core_fn(ops, offsets, space.dim_total)
-    margin = max(op.safe_core_margin for op in ops)
-    return OperatorModel(space, space, np.asarray(mat, dtype=complex),
-                         core_fn=core_fn, safe_core_margin=margin)
+    return OperatorModel(space, space, np.asarray(mat, dtype=complex), core_fn=core_fn)
 
 
 def block_embeddings(ops) -> list:
@@ -244,8 +239,7 @@ def _scramble_one(op: OperatorModel, W: np.ndarray, space: HilbertSpace) -> Oper
         return _W.conj().T @ _base(margin)
 
     return OperatorModel(space, space, W.conj().T @ op.matrix @ W,
-                         core_fn=core if base_core is not None else None,
-                         safe_core_margin=op.safe_core_margin)
+                         core_fn=core if base_core is not None else None)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +346,8 @@ class InstanceSpec:
 
     kind:
       - ``shift1v``: M_z of measures[0] at caps[0];
-      - ``pair2v``: coordinate pair of measures[0..1] at caps;
+      - ``pair2v``: coordinate pair of measures[0..1] at caps; its truth
+        names them ``eta1`` and ``eta2``, the measures of the analytic block;
       - ``direct_sum``: one unitary block per entry of unitary_dims plus
         one 1-variable shift per measure (all at caps[0]), as one operator;
       - ``scrambled``: direct_sum conjugated by the seeded unitary.
@@ -405,7 +400,7 @@ class InstanceSpec:
             T1, T2 = build_pair_2v(self.measures[0], self.measures[1],
                                    int(self.caps[0]), int(self.caps[1]))
             return Instance(operators=(T1, T2), space=T1.dom,
-                            truth={"measures": tuple(self.measures[:2])})
+                            truth={"measures": dict(zip(("eta1", "eta2"), self.measures))})
         parts = [unitary_operator(random_unitary(k, self.seed + 7 * i))
                  for i, k in enumerate(self.unitary_dims)]
         parts += [build_shift_1v(mu, caps0) for mu in self.measures]

@@ -61,7 +61,7 @@ def _robust_svd(W: np.ndarray):
 class Subspace:
     """A subspace of an ambient space, held as a Gram-orthonormal basis."""
 
-    def __init__(self, ambient: HilbertSpace, basis: np.ndarray, tol: float = 1e-10):
+    def __init__(self, ambient: HilbertSpace, basis: np.ndarray):
         basis = np.asarray(basis, dtype=complex)
         if basis.ndim == 1:
             basis = basis[:, None]
@@ -69,10 +69,9 @@ class Subspace:
             raise ValueError("basis rows must match the ambient dimension")
         self.ambient = ambient
         self.basis = basis
-        self.tol = tol
         if basis.shape[1]:
             gram_err = np.max(np.abs(basis.conj().T @ ambient.gram @ basis - np.eye(basis.shape[1])))
-            if gram_err > tol * 100:
+            if gram_err > 1e-8:
                 raise ValueError(f"basis is not Gram-orthonormal (deviation {gram_err:.2e})")
 
     @classmethod
@@ -175,15 +174,13 @@ class OperatorModel:
         operator reproduces its untruncated counterpart exactly.  Graded
         shifts install a coordinate-core here; direct sums, scrambles and
         restrictions propagate it.  ``None`` means the whole domain.
-    safe_core_margin : int
-        Default margin (top bidegrees excluded per applied factor).
 
     The matrix is a read-only copy, so the certificates that
     :func:`woldlab.decomp.certify` memoizes in ``certificates`` stay valid.
     """
 
     def __init__(self, dom: HilbertSpace, codom: HilbertSpace, matrix: np.ndarray,
-                 core_fn=None, safe_core_margin: int = DEFAULT_CORE_MARGIN, info: dict = None):
+                 core_fn=None, info: dict = None):
         matrix = np.array(matrix, dtype=complex)
         matrix.flags.writeable = False
         if matrix.shape != (codom.dim_total, dom.dim_total):
@@ -195,7 +192,6 @@ class OperatorModel:
         self.codom = codom
         self.matrix = matrix
         self.core_fn = core_fn
-        self.safe_core_margin = safe_core_margin
         self.info = info or {}
         self.certificates = {}
 
@@ -209,8 +205,7 @@ class OperatorModel:
         if other.codom.dim_total != self.dom.dim_total:
             raise ValueError("inner dimensions do not match for composition")
         return OperatorModel(other.dom, self.codom, self.matrix @ other.matrix,
-                             core_fn=other.core_fn,
-                             safe_core_margin=max(self.safe_core_margin, other.safe_core_margin))
+                             core_fn=other.core_fn)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ x
@@ -219,7 +214,7 @@ class OperatorModel:
 
     def core_basis(self, margin: int = None) -> np.ndarray:
         """Basis (not necessarily orthonormal) of the safe core at ``margin``."""
-        margin = self.safe_core_margin if margin is None else margin
+        margin = DEFAULT_CORE_MARGIN if margin is None else margin
         if self.core_fn is not None:
             return self.core_fn(margin)
         if isinstance(self.dom, GradedPolySpace):
@@ -284,7 +279,6 @@ def two_isometry_defect(T: OperatorModel, margin: int = None, tols: Tolerances =
     G = T.dom.gram
     T2 = T.matrix @ T.matrix
     F = (T2.conj().T @ G @ T2) - 2 * (T.matrix.conj().T @ G @ T.matrix) + G
-    margin = T.safe_core_margin if margin is None else margin
     FB, _ = _core_compressed_form(T, F, margin, tols)
     if FB.size == 0:
         return 0.0
@@ -296,7 +290,6 @@ def doubly_commuting_residual(T1: OperatorModel, T2: OperatorModel,
     """(||T1 T2 - T2 T1||, ||T1* T2 - T2 T1*||) on the joint safe core."""
     if T1.dom.dim_total != T2.dom.dim_total:
         raise ValueError("operators act on different spaces")
-    margin = max(T1.safe_core_margin, T2.safe_core_margin) if margin is None else margin
     core = joint_core(T1, T2, margin, tols)
     C1 = OperatorModel(T1.dom, T1.dom, T1.matrix @ T2.matrix - T2.matrix @ T1.matrix)
     T1s = adjoint(T1).matrix
@@ -326,9 +319,7 @@ def left_inverse(T: OperatorModel, margin: int = 1, tols: Tolerances = DEFAULTS)
         raise ConvergenceError(f"left inverse is ill conditioned (cond = {cond:.3e})")
     pinv = (Vh[:k].conj().T / s[:k]) @ U[:, :k].conj().T
     mat = E @ pinv @ T.codom.chol.conj().T
-    return OperatorModel(T.codom, T.dom, mat, core_fn=T.core_fn,
-                         safe_core_margin=T.safe_core_margin,
-                         info={"condition": cond})
+    return OperatorModel(T.codom, T.dom, mat, core_fn=T.core_fn, info={"condition": cond})
 
 
 def range_complement_projection(T: OperatorModel, tols: Tolerances = DEFAULTS) -> tuple:
@@ -433,7 +424,6 @@ def restrict_operator(T: OperatorModel, S: Subspace, tols: Tolerances = DEFAULTS
 
     core_fn = restricted_core if (amb_core_fn is not None or graded) else None
     return OperatorModel(S.as_space(), S.as_space(), M, core_fn=core_fn,
-                         safe_core_margin=T.safe_core_margin,
                          info={"invariance_leak": leak})
 
 

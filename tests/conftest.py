@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import woldlab as wl
+
+# one fixed sequence of examples and no example database, so that property
+# tests draw the same inputs on every run
+settings.register_profile("woldlab", derandomize=True, deadline=None, database=None)
+settings.load_profile("woldlab")
 
 
 @pytest.fixture

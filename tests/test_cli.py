@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import woldlab as wl
+from woldlab import decomp
 from woldlab.cli import main, run
 
 from conftest import scalar_atoms
@@ -45,14 +46,24 @@ def test_round_trip_scenario(tmp_path):
     assert report["tasks"][0]["result"]["measure_match"] is True
 
 
-def test_round_trip_scores_after_alignment(tmp_path):
-    # a generic d = 2 measure comes back as U^H mu U; the task must score the
-    # difference after that alignment, not the raw one
-    mu = wl.CircleMeasure(dim=2, atoms=(
-        (0.7, np.array([[1.0, 0.3 + 0.2j], [0.3 - 0.2j, 0.6]])),
-        (2.9, np.array([[0.5, -0.1j], [0.1j, 0.9]]))))
+GENERIC_D2 = wl.CircleMeasure(dim=2, atoms=(
+    (0.7, np.array([[1.0, 0.3 + 0.2j], [0.3 - 0.2j, 0.6]])),
+    (2.9, np.array([[0.5, -0.1j], [0.1j, 0.9]]))))
+SCALAR_WEIGHTS_D2 = wl.CircleMeasure(dim=2, atoms=((1.1, 0.8 * np.eye(2)),
+                                                   (4.0, 0.5 * np.eye(2))))
+
+
+@pytest.mark.parametrize("mu, unitary_dims, seed", [
+    pytest.param(GENERIC_D2, [1], 11, id="generic-d2"),
+    pytest.param(SCALAR_WEIGHTS_D2, [], 12, id="scalar-weights-d2"),
+])
+def test_round_trip_scores_after_alignment(tmp_path, mu, unitary_dims, seed):
+    # a d = 2 measure comes back as U^H mu U; the task must score the
+    # difference after that alignment, not the raw one.  With scalar weights
+    # every combination of coefficients has a repeated eigenvalue, and any U
+    # aligns them.
     inst = {"kind": "scrambled", "measures": [mu.to_json_dict()],
-            "caps": [12, 0], "unitary_dims": [1], "seed": 11}
+            "caps": [12, 0], "unitary_dims": unitary_dims, "seed": seed}
     cfg = write_config(tmp_path / "c.json", [inst],
                        [{"op": "round_trip", "instance": 0,
                          "params": {"fourier_order": 8}, "tol": 1e-6}])
@@ -61,6 +72,28 @@ def test_round_trip_scores_after_alignment(tmp_path):
     task = json.loads(out.read_text())["tasks"][0]
     assert task["passed"] and task["result"]["measure_match"] is True
     assert task["score"] < 1e-12
+
+
+def test_tol_scale_reaches_wold_pair_verdicts(tmp_path, monkeypatch):
+    seen = []
+    compare = decomp.measures_equal_up_to_unitary
+
+    def spy(a, b, K=8, tols=wl.DEFAULTS):
+        seen.append(tols)
+        return compare(a, b, K=K, tols=tols)
+
+    monkeypatch.setattr(decomp, "measures_equal_up_to_unitary", spy)
+    mu1, mu2 = scalar_atoms((0.7, 0.9), (2.9, 0.5)), scalar_atoms((1.3, 0.8))
+    inst = {"kind": "pair2v", "measures": [mu1.to_json_dict(), mu2.to_json_dict()],
+            "caps": [6, 3], "unitary_dims": [], "seed": 0}
+    cfg = write_config(tmp_path / "c.json", [inst],
+                       [{"op": "wold_pair", "instance": 0,
+                         "params": {"fourier_order": 8}, "tol": 1e-6}])
+    out = tmp_path / "r.json"
+    assert run(cfg, str(out), tol_scale=10) == 0
+    assert seen == [wl.DEFAULTS.scaled(10)] * 2
+    verdicts = json.loads(out.read_text())["tasks"][0]["result"]["verdicts"]
+    assert {k: v["equal"] for k, v in verdicts.items()} == {"eta1": True, "eta2": True}
 
 
 def test_negative_weight_config_exits_one(tmp_path, capsys):

@@ -5,6 +5,8 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from hypothesis import assume, event, given, strategies as st
 
 import woldlab as wl
 from woldlab import decomp
@@ -670,11 +672,144 @@ def test_measures_scalar_vs_dim_mismatch():
         wl.measures_equal_up_to_unitary(a, b)
 
 
-def test_measures_degenerate_spectrum_inconclusive():
-    # equal measures whose zeroth coefficient has a repeated eigenvalue:
-    # never a false verdict, report inconclusive instead
+def test_measures_degenerate_spectrum_decided():
+    # equal measures whose coefficients are all scalar: every combination has
+    # one repeated eigenvalue, and any unitary aligns them
     W = np.eye(2)
     a = wl.CircleMeasure(dim=2, atoms=((0.5, W), (2.5, np.diag([0.3, 0.3]))))
     b = wl.conjugate(a, wl.random_unitary(2, 5))
     cmp = wl.measures_equal_up_to_unitary(a, b, K=4)
-    assert cmp.equal is not False
+    assert cmp.equal is True, cmp.detail
+    assert_aligns(cmp.unitary, a, b, K=4)
+
+
+# -- measure comparison: properties ------------------------------------------------
+
+KINDS = ("generic", "commuting", "scalar", "block-sum", "kron")
+seeds = st.integers(0, 2**32 - 1)
+
+
+def assert_aligns(U, a, b, K=8):
+    np.testing.assert_allclose(U.conj().T @ U, np.eye(a.dim), atol=1e-10)
+    for n in range(-K, K + 1):
+        np.testing.assert_allclose(U.conj().T @ wl.fourier_coefficient(a, n) @ U,
+                                   wl.fourier_coefficient(b, n), atol=1e-8)
+
+
+def drawn_measure(kind, d, n_atoms, with_density, seed):
+    """Atoms and an optional density whose weights have the structure ``kind``:
+    independent, one shared eigenbasis, w I, a 2 + 1 or 1 + 1 block sum, or A (x) I_2."""
+    rng = np.random.default_rng(seed)
+    basis = wl.random_unitary(d, seed)
+
+    def psd(m):
+        X = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        return X @ X.conj().T / m + 0.1 * np.eye(m)
+
+    def weight():
+        if kind == "generic":
+            return psd(d)
+        if kind == "commuting":
+            return (basis * rng.uniform(0.1, 1.0, d)) @ basis.conj().T
+        if kind == "scalar":
+            return rng.uniform(0.1, 1.0) * np.eye(d)
+        if kind == "block-sum":
+            return sla.block_diag(psd(d - 1), psd(1))
+        return np.kron(psd(d // 2), np.eye(2))
+
+    angles = np.sort(rng.uniform(0, 2 * np.pi, n_atoms))
+    return wl.CircleMeasure(dim=d, atoms=tuple((float(t), weight()) for t in angles),
+                            density=weight() if with_density else None)
+
+
+@st.composite
+def measures(draw, kind):
+    d = draw(st.sampled_from((2, 4) if kind == "kron" else (2, 3)))
+    return drawn_measure(kind, d, draw(st.integers(1, 3)), draw(st.booleans()), draw(seeds))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data())
+def test_comparison_finds_the_conjugating_unitary(kind, data):
+    mu = data.draw(measures(kind))
+    nu = wl.conjugate(mu, wl.random_unitary(mu.dim, data.draw(seeds)))
+    cmp = wl.measures_equal_up_to_unitary(mu, nu, K=8)
+    assert cmp.equal is True, cmp.detail
+    assert_aligns(cmp.unitary, mu, nu)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data())
+def test_comparison_rejects_a_changed_weight(kind, data):
+    mu = data.draw(measures(kind))
+    rng = np.random.default_rng(data.draw(seeds))
+    X = rng.standard_normal((mu.dim, mu.dim)) + 1j * rng.standard_normal((mu.dim, mu.dim))
+    E = X + X.conj().T
+    E *= 1e-4 / np.linalg.norm(E, 2)
+    atoms = list(mu.atoms)
+    j = data.draw(st.integers(0, len(atoms) - 1))
+    atoms[j] = (atoms[j][0], atoms[j][1] + E)
+    changed = wl.CircleMeasure(dim=mu.dim, atoms=tuple(atoms), density=mu.density)
+    nu = wl.conjugate(changed, wl.random_unitary(mu.dim, data.draw(seeds)))
+    cmp = wl.measures_equal_up_to_unitary(mu, nu, K=8)
+    assert cmp.equal is False, cmp.detail
+
+
+def near_repeated(mu, low, K=8):
+    """mu with eigenvalue ``low`` of its combination H = C + C^H raised, through
+    the density, to 1e-7 below the next one: a cluster no eigenvector fixes."""
+    w = decomp._generic_weights(K)
+    C = sum(wn * wl.fourier_coefficient(mu, n) for wn, n in zip(w[0], range(-K, K + 1)))
+    lam, V = np.linalg.eigh(C + C.conj().T)
+    shift = (lam[low + 1] - lam[low] - 1e-7) / (2 * w[0, K].real)
+    density = mu.density + shift * np.outer(V[:, low], V[:, low].conj())
+    return wl.CircleMeasure(dim=mu.dim, atoms=mu.atoms, density=density)
+
+
+@pytest.mark.parametrize("low", (0, 1))
+@given(seed=seeds, useed=seeds)
+def test_comparison_aligns_across_a_near_repeated_eigenvalue(low, seed, useed):
+    # the links to the simple cluster fix the unitary of the pair
+    mu = near_repeated(drawn_measure("generic", 3, 2, True, seed), low)
+    nu = wl.conjugate(mu, wl.random_unitary(3, useed))
+    cmp = wl.measures_equal_up_to_unitary(mu, nu, K=8)
+    assert cmp.equal is True, cmp.detail
+    assert_aligns(cmp.unitary, mu, nu)
+
+
+@given(seed=seeds, useed=seeds)
+def test_comparison_never_rejects_when_the_alignment_is_free(seed, useed):
+    # d = 2 with one cluster: no link fixes its unitary, so a failed alignment
+    # proves nothing and the verdict must not be False
+    mu = near_repeated(drawn_measure("generic", 2, 2, True, seed), 0)
+    nu = wl.conjugate(mu, wl.random_unitary(2, useed))
+    cmp = wl.measures_equal_up_to_unitary(mu, nu, K=8)
+    assert cmp.equal is not False, cmp.detail
+
+
+def max_imaginary_word_trace(mats, length):
+    """max |Im tr w| over the words w of length <= ``length`` in ``mats``."""
+    words, worst = np.eye(mats.shape[1])[None], 0.0
+    for _ in range(length):
+        words = (words[:, None] @ mats[None]).reshape(-1, *mats.shape[1:])
+        worst = max(worst, float(np.max(np.abs(np.trace(words, axis1=1, axis2=2).imag))))
+    return worst
+
+
+@pytest.mark.parametrize("kind", ("generic", "commuting"))
+@given(data=st.data())
+def test_comparison_with_the_transpose_matches_word_traces(kind, data):
+    # b = a^T has weights W^T = conj(W), and tr w(W^T) = conj tr w(W) for every
+    # word w, so a and a^T are unitarily equivalent iff every word trace is real
+    # (words of length <= 3 decide d = 2, words of length <= 6 decide d = 3)
+    mu = data.draw(measures(kind))
+    mats = np.stack([W for _, W in mu.atoms] + [mu.density])
+    nu = wl.CircleMeasure(dim=mu.dim, atoms=tuple((t, W.T) for t, W in mu.atoms),
+                          density=mu.density.T)
+    imag = max_imaginary_word_trace(mats, 3 if mu.dim == 2 else 6)
+    assume(imag < 1e-9 or imag > 1e-4)
+    cmp = wl.measures_equal_up_to_unitary(mu, nu, K=8)
+    event(f"d = {mu.dim}, equivalent: {imag < 1e-9}")
+    assert cmp.equal is (imag < 1e-9), (imag, cmp.detail)
+    if cmp.equal:
+        assert_aligns(cmp.unitary, mu, nu)
