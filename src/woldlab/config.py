@@ -32,8 +32,11 @@ class Tolerances:
     doubly_commuting: float = 1e-8
     #: a pair qualifies as isometric when ||V*V - I|| is below this
     isometry: float = 1e-10
-    #: subspace intersection keeps eigenvalues of P_A + P_B above 2 - this
+    #: subspace intersection keeps principal angles whose cosine is above
+    #: 1 - this (eigenvalues of P_A + P_B above 2 - this)
     intersection: float = 1e-8
+    #: a wandering projection P must satisfy P = P^2 = P* to within this
+    projection_law: float = 1e-8
     #: left inverses reject condition numbers above this
     condition_max: float = 1e10
     #: least-squares fit of the defect-space isometry
@@ -44,6 +47,9 @@ class Tolerances:
     vmap: float = 1e-7
     #: Fourier-coefficient agreement for measure comparison
     measure_match: float = 1e-6
+    #: the measures Slocinski's decomposition extracts from an isometric
+    #: pair must have total mass below this
+    isometric_mass: float = 1e-8
 
     def scaled(self, factor: float) -> "Tolerances":
         """Return a copy with every tolerance multiplied by ``factor``."""

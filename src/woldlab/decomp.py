@@ -390,7 +390,7 @@ def _completeness(blocks, amb) -> float:
     if not blocks:
         return 1.0
     total = sum(_whitened_projector(S) for S in blocks)
-    return float(np.linalg.norm(total - np.eye(amb.dim_total), 2))
+    return float(np.max(np.abs(np.linalg.eigvalsh(total - np.eye(amb.dim_total)))))
 
 
 @one_blas_thread
@@ -595,7 +595,9 @@ def wold_pair(T1: OperatorModel, T2: OperatorModel, tols: Tolerances = DEFAULTS,
     if T2.dom.dim_total != amb.dim_total:
         raise ValueError("operators act on different spaces")
     cert1, cert2 = certify(T1, tols), certify(T2, tols)
-    c1, c2 = doubly_commuting_residual(T1, T2, tols=tols)
+    core = joint_core(T1, T2, None, tols)
+    T1s, T2s = adjoint(T1).matrix, adjoint(T2).matrix
+    c1, c2 = doubly_commuting_residual(T1, T2, tols=tols, core=core, T1_star=T1s)
     if max(c1, c2) > tols.doubly_commuting:
         raise AssumptionError(
             f"pair is not doubly commuting within tolerance ({c1:.3e}, {c2:.3e})"
@@ -647,14 +649,13 @@ def wold_pair(T1: OperatorModel, T2: OperatorModel, tols: Tolerances = DEFAULTS,
     # The adjoint is only trustworthy on the safe core, so test kernel
     # vectors inside the joint core and measure the leak out of the kernel.
     lemma_a = 0.0
-    core = joint_core(T1, T2, None, tols)
-    for Ei, Tj in ((E1, T2), (E2, T1)):
+    for Ei, Tj, Tjs in ((E1, T2, T2s), (E2, T1, T1s)):
         if Ei.dim == 0:
             continue
         Ei_core = subspace_intersect(Ei, core, tols)
         if Ei_core.dim == 0:
             continue
-        for M in (Tj.matrix, adjoint(Tj).matrix):
+        for M in (Tj.matrix, Tjs):
             image = M @ Ei_core.basis
             leak = image - Ei.basis @ Ei.coords(image)
             lemma_a = max(lemma_a, float(np.linalg.norm(amb.whiten(leak), 2)))
@@ -708,7 +709,7 @@ def slocinski(V1: OperatorModel, V2: OperatorModel, tols: Tolerances = DEFAULTS)
     for name, mu in quad.measures.items():
         mass = float(np.linalg.norm(mu.total_mass)) if mu.dim else 0.0
         quad.residuals[f"mass_{name}"] = mass
-        if mass > 1e-8:
+        if mass > tols.isometric_mass:
             raise AssumptionError(
                 f"extracted measure {name} has mass {mass:.3e}; input was not isometric"
             )
@@ -740,16 +741,23 @@ def _generic_weights(K: int) -> np.ndarray:
 
 
 def _align_clusters(A: np.ndarray, B: np.ndarray, clusters: list, thr: float) -> np.ndarray:
-    """Block-diagonal unitary D, one block per cluster, with D^H A D ~ B.
+    """Unitary D, one block per cluster, with D^H A D ~ B.
 
     With F the clusters fixed so far, a cluster j must satisfy
     A[F,j] D_j = D_F B[F,j] and D_j B[j,F] = A[j,F] D_F.  The least-squares
     D_j is the unitary polar factor of
     M_j = A[F,j]^H D_F B[F,j] + A[j,F] D_F B[j,F]^H, unique when M_j is
     invertible.  The cluster whose sqrt(sigma_min(M_j)) is largest is fixed
-    next; when none is above ``thr``, the smallest cluster left roots a new
-    component with the identity.
+    next.  When none is above ``thr``, the smallest cluster left roots a new
+    component.  A multi-index root must also satisfy
+    D_j^H herm(A[j,j]) D_j = herm(B[j,j]), so it is first split by the
+    eigenbases of these Hermitian parts, cut where both spectra have a gap
+    above ``thr``; D then carries those eigenbases.  A root that does
+    not split is fixed with the identity.
     """
+    A, B = A.copy(), B.copy()
+    d = A.shape[0]
+    Pa, Pb = np.eye(d, dtype=complex), np.eye(d, dtype=complex)
     D = np.zeros_like(A)
     F = np.zeros(0, dtype=int)
     todo = list(clusters)
@@ -764,11 +772,23 @@ def _align_clusters(A: np.ndarray, B: np.ndarray, clusters: list, thr: float) ->
             Dj = W @ Zh
         else:
             k = int(np.argmin([len(j) for j in todo]))
+            j = todo[k]
+            if len(j) > 1:
+                (la, Qa), (lb, Qb) = (np.linalg.eigh((X[np.ix_(j, j)] + X[np.ix_(j, j)].conj().T) / 2)
+                                      for X in (A, B))
+                cuts = np.flatnonzero(np.minimum(np.diff(la), np.diff(lb)) > thr) + 1
+                if cuts.size:
+                    for X, P, Q in ((A, Pa, Qa), (B, Pb, Qb)):
+                        X[:, j] = X[:, j] @ Q
+                        X[j, :] = Q.conj().T @ X[j, :]
+                        P[:, j] = P[:, j] @ Q
+                    todo[k:k + 1] = np.split(j, cuts)
+                    continue
             Dj = np.eye(len(todo[k]))
         j = todo.pop(k)
         D[np.ix_(j, j)] = Dj
         F = np.concatenate([F, j])
-    return D
+    return Pa @ D @ Pb.conj().T
 
 
 @one_blas_thread

@@ -17,7 +17,7 @@ import scipy.linalg as sla
 from .config import DEFAULTS
 from .errors import AssumptionError
 from .measures import CircleMeasure, require_positive
-from .operators import OperatorModel, Subspace
+from .operators import IndexCore, MappedCore, OperatorModel, StackCore, Subspace
 from .space import (
     EuclideanSpace,
     GradedPolySpace,
@@ -89,14 +89,13 @@ def random_measure_pair(dim: int, n_atoms: int, seed: int) -> tuple:
 
 def _graded_core_fn(space: GradedPolySpace, var: int):
     def core(margin: int, _space=space, _var=var):
-        idx = _space.core_indices(margin, var=_var)
-        return np.eye(_space.dim_total, dtype=complex)[:, idx]
+        return IndexCore(_space, _space.core_indices(margin, var=_var))
     return core
 
 
 def _full_core_fn(space):
     def core(margin: int, _space=space):
-        return np.eye(_space.dim_total, dtype=complex)
+        return IndexCore(_space, np.arange(_space.dim_total))
     return core
 
 
@@ -155,15 +154,9 @@ def _block_diag_space(spaces) -> HilbertSpace:
     return HilbertSpace(np.asarray(gram, dtype=complex), label="+".join(sp.label for sp in spaces))
 
 
-def _stack_core_fn(parts, offsets, total):
+def _stack_core_fn(parts, offsets, space: HilbertSpace):
     def core(margin: int):
-        cols = []
-        for op, off in zip(parts, offsets):
-            B = op.core_basis(margin)
-            E = np.zeros((total, B.shape[1]), dtype=complex)
-            E[off:off + B.shape[0], :] = B
-            cols.append(E)
-        return np.hstack(cols) if cols else np.zeros((total, 0), dtype=complex)
+        return StackCore(space, [op.core(margin) for op in parts], offsets)
     return core
 
 
@@ -172,7 +165,8 @@ def direct_sum(parts):
 
     Accepts a list of OperatorModel (returning one operator) or a list of
     (OperatorModel, OperatorModel) pairs (returning a pair on the summed
-    space).  Gram matrices and safe cores stack blockwise.
+    space).  Gram matrices and safe cores stack blockwise; the summands of
+    a pair share one space, so their cores intersect summand by summand.
     """
     if not parts:
         raise ValueError("direct_sum of nothing")
@@ -196,7 +190,7 @@ def _assemble_sum(ops, space: HilbertSpace) -> OperatorModel:
     mat = sla.block_diag(*[op.matrix for op in ops])
     dims = [op.dom.dim_total for op in ops]
     offsets = np.concatenate([[0], np.cumsum(dims)[:-1]]).astype(int)
-    core_fn = _stack_core_fn(ops, offsets, space.dim_total)
+    core_fn = _stack_core_fn(ops, offsets, space)
     return OperatorModel(space, space, np.asarray(mat, dtype=complex), core_fn=core_fn)
 
 
@@ -219,27 +213,28 @@ def scramble(ops, seed: int):
 
     The map x -> W x is an isometry between the scrambled and original
     spaces, so every Gram-aware residual is preserved; safe cores are
-    carried along.
+    carried along, mapped by W^H.  The operators of a pair share one W^H,
+    so their cores intersect inside it.
     """
-    if isinstance(ops, (tuple, list)):
-        W = random_unitary(ops[0].dom.dim_total, seed)
-        space = HilbertSpace(W.conj().T @ ops[0].dom.gram @ W, label="scrambled")
-        return tuple(_scramble_one(op, W, space) for op in ops), W
-    W = random_unitary(ops.dom.dim_total, seed)
-    space = HilbertSpace(W.conj().T @ ops.dom.gram @ W, label="scrambled")
-    return _scramble_one(ops, W, space), W
+    pair = isinstance(ops, (tuple, list))
+    first = ops[0] if pair else ops
+    W = random_unitary(first.dom.dim_total, seed)
+    Wh = W.conj().T
+    space = HilbertSpace(Wh @ first.dom.gram @ W, label="scrambled")
+    if pair:
+        return tuple(_scramble_one(op, W, Wh, space) for op in ops), W
+    return _scramble_one(ops, W, Wh, space), W
 
 
-def _scramble_one(op: OperatorModel, W: np.ndarray, space: HilbertSpace) -> OperatorModel:
-    inner = op.core_fn
-    graded = isinstance(op.dom, GradedPolySpace)
-    base_core = op.core_basis if (inner is not None or graded) else None
+def _scramble_one(op: OperatorModel, W: np.ndarray, Wh: np.ndarray,
+                  space: HilbertSpace) -> OperatorModel:
+    has_core = op.core_fn is not None or isinstance(op.dom, GradedPolySpace)
 
-    def core(margin: int, _W=W, _base=base_core):
-        return _W.conj().T @ _base(margin)
+    def core(margin: int, _op=op, _Wh=Wh, _space=space):
+        return MappedCore(_space, _op.core(margin), _Wh)
 
-    return OperatorModel(space, space, W.conj().T @ op.matrix @ W,
-                         core_fn=core if base_core is not None else None)
+    return OperatorModel(space, space, Wh @ op.matrix @ W,
+                         core_fn=core if has_core else None)
 
 
 # ---------------------------------------------------------------------------

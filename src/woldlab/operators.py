@@ -119,22 +119,32 @@ def _whitened_projector(S: Subspace) -> np.ndarray:
     return Bw @ Bw.conj().T
 
 
-def subspace_intersect(A: Subspace, B: Subspace, tols: Tolerances = DEFAULTS) -> Subspace:
-    """Intersection via the spectrum of P_A + P_B.
+def _principal_pairs(A: np.ndarray, B: np.ndarray, gram: np.ndarray, tols: Tolerances) -> tuple:
+    """(U, s, V): the principal vector pairs A U[:, i], B V[:, i] of two
+    Gram-orthonormal bases whose cosine s[i] exceeds 1 - intersection_tol,
+    from the thin SVD of the cross-Gram A^H G B."""
+    if min(A.shape[1], B.shape[1]) == 0:
+        return (np.zeros((A.shape[1], 0), dtype=complex), np.zeros(0),
+                np.zeros((B.shape[1], 0), dtype=complex))
+    U, s, Vh = np.linalg.svd(A.conj().T @ (gram @ B), full_matrices=False)
+    sel = s > 1 - tols.intersection
+    return U[:, sel], s[sel], Vh[sel].conj().T
 
-    Eigenvectors with eigenvalue above 2 - intersection_tol lie in both
-    ranges; this is robust for near-degenerate geometries where a naive
-    nullspace chain is not.
+
+def subspace_intersect(A: Subspace, B: Subspace, tols: Tolerances = DEFAULTS) -> Subspace:
+    """Intersection as the span of the (near-)zero principal angles.
+
+    The directions whose cosine exceeds 1 - intersection_tol lie in both
+    subspaces.  P_A + P_B has eigenvalues 1 +- cos, so this is the cut
+    2 - intersection_tol on its spectrum, and the basis returned is that
+    spectrum's eigenvectors (A u + B v) / sqrt(2 (1 + cos)), Gram-orthonormal
+    by construction.
     """
     if A.ambient is not B.ambient and A.ambient.gram.shape != B.ambient.gram.shape:
         raise ValueError("subspaces live in different ambient spaces")
     amb = A.ambient
-    if min(A.dim, B.dim) == 0:
-        return Subspace.trivial(amb)
-    Pw = _whitened_projector(A) + _whitened_projector(B)
-    lam, V = np.linalg.eigh((Pw + Pw.conj().T) / 2)
-    sel = lam > 2 - tols.intersection
-    return Subspace(amb, amb.unwhiten(V[:, sel]))
+    U, s, V = _principal_pairs(A.basis, B.basis, amb.gram, tols)
+    return Subspace(amb, (A.basis @ U + B.basis @ V) / np.sqrt(2 * (1 + s)))
 
 
 def subspace_sum(A: Subspace, B: Subspace, tols: Tolerances = DEFAULTS) -> Subspace:
@@ -157,6 +167,133 @@ def apply_to_subspace(T: "OperatorModel", S: Subspace, tols: Tolerances = DEFAUL
 
 
 # ---------------------------------------------------------------------------
+# safe cores
+# ---------------------------------------------------------------------------
+
+class Core:
+    """A safe core held by its structure rather than by a basis.
+
+    ``frame()`` spans the core (not necessarily orthonormal); ``basis()``
+    is a Gram-orthonormal basis of it in ``space``.  The kinds:
+
+    * :class:`IndexCore`: coordinate vectors, e.g. bidegrees below the caps;
+    * :class:`SpanCore`: the columns of a matrix, e.g. an opaque ``core_fn``;
+    * :class:`StackCore`: the summand cores of a direct sum;
+    * :class:`MappedCore`: an inner core mapped by a unitary, e.g. a scramble.
+
+    Cores of the same structure intersect structurally
+    (:func:`core_intersection`); nothing is cached.
+    """
+
+    def __init__(self, space: HilbertSpace):
+        self.space = space
+
+    def subspace(self, tols: Tolerances = DEFAULTS) -> Subspace:
+        return Subspace(self.space, self.basis(tols))
+
+
+class IndexCore(Core):
+    """The span of the coordinate vectors ``index``.  Its Gram-orthonormal
+    basis is E_I R^{-1} with R^H R = G[I, I]: a Cholesky factorization of a
+    positive definite block, so no rank decision."""
+
+    def __init__(self, space: HilbertSpace, index):
+        super().__init__(space)
+        self.index = np.asarray(index, dtype=int)
+
+    def frame(self) -> np.ndarray:
+        return np.eye(self.space.dim_total, dtype=complex)[:, self.index]
+
+    def basis(self, tols: Tolerances = DEFAULTS) -> np.ndarray:
+        I, D = self.index, self.space.dim_total
+        if I.size == D:
+            return self.frame() if self.space.identity_space() else self.space.unwhiten(self.frame())
+        B = np.zeros((D, I.size), dtype=complex)
+        if I.size:
+            R = sla.cholesky(self.space.gram[np.ix_(I, I)], lower=False)
+            B[I] = sla.solve_triangular(R, np.eye(I.size), lower=False)
+        return B
+
+
+class SpanCore(Core):
+    """The span of the columns of X, orthonormalized (rank-revealing) on
+    each use unless it is ``orthonormal`` already."""
+
+    def __init__(self, space: HilbertSpace, X: np.ndarray, orthonormal: bool = False):
+        super().__init__(space)
+        self.X = X
+        self.orthonormal = orthonormal
+
+    def frame(self) -> np.ndarray:
+        return self.X
+
+    def basis(self, tols: Tolerances = DEFAULTS) -> np.ndarray:
+        return self.X if self.orthonormal else orthonormal_columns(self.space, self.X, tols)
+
+
+class StackCore(Core):
+    """Direct sum of the summand cores ``parts``, whose coordinates start at
+    ``offsets``; the Gram is block diagonal, so the summands' bases stack."""
+
+    def __init__(self, space: HilbertSpace, parts, offsets):
+        super().__init__(space)
+        self.parts = tuple(parts)
+        self.offsets = tuple(int(o) for o in offsets)
+
+    def _stack(self, blocks) -> np.ndarray:
+        out = np.zeros((self.space.dim_total, sum(b.shape[1] for b in blocks)), dtype=complex)
+        col = 0
+        for off, b in zip(self.offsets, blocks):
+            out[off:off + b.shape[0], col:col + b.shape[1]] = b
+            col += b.shape[1]
+        return out
+
+    def frame(self) -> np.ndarray:
+        return self._stack([p.frame() for p in self.parts])
+
+    def basis(self, tols: Tolerances = DEFAULTS) -> np.ndarray:
+        return self._stack([p.basis(tols) for p in self.parts])
+
+
+class MappedCore(Core):
+    """``transform @ inner`` for a unitary ``transform`` from the inner space
+    onto ``space`` (its Gram is transform G_inner transform^H), which
+    therefore maps Gram-orthonormal bases to Gram-orthonormal bases."""
+
+    def __init__(self, space: HilbertSpace, inner: Core, transform: np.ndarray):
+        super().__init__(space)
+        self.inner = inner
+        self.transform = transform
+
+    def frame(self) -> np.ndarray:
+        return self.transform @ self.inner.frame()
+
+    def basis(self, tols: Tolerances = DEFAULTS) -> np.ndarray:
+        return self.transform @ self.inner.basis(tols)
+
+
+def core_intersection(a: Core, b: Core, tols: Tolerances = DEFAULTS) -> Core:
+    """a ∩ b, structurally where the two cores share their structure.
+
+    Coordinate cores of one space intersect by index, cores under the same
+    transform (a pair scramble shares one) inside it, and direct sums
+    summand by summand.  Anything else is intersected by principal angles
+    (:func:`subspace_intersect`) in the smallest space where the structure
+    stops.
+    """
+    if isinstance(a, IndexCore) and isinstance(b, IndexCore) and a.space is b.space:
+        return IndexCore(a.space, np.intersect1d(a.index, b.index))
+    if isinstance(a, MappedCore) and isinstance(b, MappedCore) and a.transform is b.transform:
+        return MappedCore(a.space, core_intersection(a.inner, b.inner, tols), a.transform)
+    if (isinstance(a, StackCore) and isinstance(b, StackCore) and a.space is b.space
+            and a.offsets == b.offsets):
+        return StackCore(a.space, [core_intersection(p, q, tols) for p, q in zip(a.parts, b.parts)],
+                         a.offsets)
+    inter = subspace_intersect(a.subspace(tols), b.subspace(tols), tols)
+    return SpanCore(a.space, inter.basis, orthonormal=True)
+
+
+# ---------------------------------------------------------------------------
 # operators
 # ---------------------------------------------------------------------------
 
@@ -170,10 +307,12 @@ class OperatorModel:
     matrix : ndarray
         Coefficient matrix, shape (codom dim, dom dim).
     core_fn : callable, optional
-        margin -> basis matrix of the domain subspace on which the
-        operator reproduces its untruncated counterpart exactly.  Graded
-        shifts install a coordinate-core here; direct sums, scrambles and
-        restrictions propagate it.  ``None`` means the whole domain.
+        margin -> the domain subspace on which the operator reproduces its
+        untruncated counterpart exactly, as a :class:`Core` or as a matrix
+        whose columns span it.  Graded shifts install an index core here;
+        direct sums, scrambles and restrictions propagate it.  ``None``
+        means the coordinate core of a graded domain, else the whole
+        domain.
 
     The matrix is a read-only copy, so the certificates that
     :func:`woldlab.decomp.certify` memoizes in ``certificates`` stay valid.
@@ -212,24 +351,28 @@ class OperatorModel:
 
     # -- safe core --------------------------------------------------------
 
-    def core_basis(self, margin: int = None) -> np.ndarray:
-        """Basis (not necessarily orthonormal) of the safe core at ``margin``."""
+    def core(self, margin: int = None) -> Core:
+        """The safe core at ``margin`` (default ``DEFAULT_CORE_MARGIN``)."""
         margin = DEFAULT_CORE_MARGIN if margin is None else margin
         if self.core_fn is not None:
-            return self.core_fn(margin)
+            core = self.core_fn(margin)
+            return core if isinstance(core, Core) else SpanCore(self.dom, core)
         if isinstance(self.dom, GradedPolySpace):
-            idx = self.dom.core_indices(margin)
-            return np.eye(self.dom.dim_total, dtype=complex)[:, idx]
-        return np.eye(self.dom.dim_total, dtype=complex)
+            return IndexCore(self.dom, self.dom.core_indices(margin))
+        return IndexCore(self.dom, np.arange(self.dom.dim_total))
+
+    def core_basis(self, margin: int = None) -> np.ndarray:
+        """Basis (not necessarily orthonormal) of the safe core at ``margin``."""
+        return self.core(margin).frame()
 
     def core_subspace(self, margin: int = None, tols: Tolerances = DEFAULTS) -> Subspace:
-        return Subspace.from_columns(self.dom, self.core_basis(margin), tols)
+        return self.core(margin).subspace(tols)
 
 
 def joint_core(T1: OperatorModel, T2: OperatorModel, margin: int = None,
                tols: Tolerances = DEFAULTS) -> Subspace:
     """Intersection of the two operators' safe cores (as a subspace)."""
-    return subspace_intersect(T1.core_subspace(margin, tols), T2.core_subspace(margin, tols), tols)
+    return core_intersection(T1.core(margin), T2.core(margin), tols).subspace(tols)
 
 
 def operator_norm(A: OperatorModel, domain: Subspace = None) -> float:
@@ -263,7 +406,7 @@ def adjoint(A: OperatorModel) -> OperatorModel:
 
 def _core_compressed_form(T: OperatorModel, F: np.ndarray, margin: int,
                           tols: Tolerances) -> tuple:
-    B = orthonormal_columns(T.dom, T.core_basis(margin), tols)
+    B = T.core(margin).basis(tols)
     return B.conj().T @ F @ B, B
 
 
@@ -286,13 +429,19 @@ def two_isometry_defect(T: OperatorModel, margin: int = None, tols: Tolerances =
 
 
 def doubly_commuting_residual(T1: OperatorModel, T2: OperatorModel,
-                              margin: int = None, tols: Tolerances = DEFAULTS) -> tuple:
-    """(||T1 T2 - T2 T1||, ||T1* T2 - T2 T1*||) on the joint safe core."""
+                              margin: int = None, tols: Tolerances = DEFAULTS,
+                              core: Subspace = None, T1_star: np.ndarray = None) -> tuple:
+    """(||T1 T2 - T2 T1||, ||T1* T2 - T2 T1*||) on the joint safe core.
+
+    A caller that already holds the joint core at ``margin`` or the matrix
+    of ``adjoint(T1)`` passes it in as ``core`` or ``T1_star``.
+    """
     if T1.dom.dim_total != T2.dom.dim_total:
         raise ValueError("operators act on different spaces")
-    core = joint_core(T1, T2, margin, tols)
+    if core is None:
+        core = joint_core(T1, T2, margin, tols)
     C1 = OperatorModel(T1.dom, T1.dom, T1.matrix @ T2.matrix - T2.matrix @ T1.matrix)
-    T1s = adjoint(T1).matrix
+    T1s = adjoint(T1).matrix if T1_star is None else T1_star
     C2 = OperatorModel(T1.dom, T1.dom, T1s @ T2.matrix - T2.matrix @ T1s)
     return operator_norm(C1, core), operator_norm(C2, core)
 
@@ -346,7 +495,7 @@ def wandering_projection(T: OperatorModel, tols: Tolerances = DEFAULTS) -> tuple
     idem = np.max(np.abs(Pm @ Pm - Pm)) if Pm.size else 0.0
     herm = np.max(np.abs(G @ Pm - Pm.conj().T @ G)) if Pm.size else 0.0
     scale = max(1.0, float(np.linalg.norm(G, 2)))
-    if max(idem, herm / scale) > 1e-8:
+    if max(idem, herm / scale) > tols.projection_law:
         raise AssumptionError(
             f"wandering projection failed its laws (idem {idem:.2e}, herm {herm:.2e})"
         )
@@ -367,7 +516,7 @@ def defect_operator(T: OperatorModel, margin: int = 1, tols: Tolerances = DEFAUL
         raise ValueError("defect_operator needs a square operator")
     G = T.dom.gram
     F = T.matrix.conj().T @ G @ T.matrix - G
-    B = orthonormal_columns(T.dom, T.core_basis(margin), tols)
+    B = T.core(margin).basis(tols)
     FB = B.conj().T @ F @ B
     FB = (FB + FB.conj().T) / 2
     if FB.size == 0:
@@ -398,9 +547,10 @@ def restrict_operator(T: OperatorModel, S: Subspace, tols: Tolerances = DEFAULTS
 
     The restricted space carries the identity gram (the basis is
     orthonormal).  The safe core of the restriction is the ambient core
-    intersected with the subspace, rebased, computed once per margin and
-    handed out read-only.  How far T(S) leaks out of S
-    is recorded as ``info['invariance_leak']``.
+    intersected with the subspace: in S coordinates it is spanned by the
+    right principal vectors V of cosine above 1 - intersection_tol, already
+    orthonormal.  It is computed once per margin and handed out read-only.
+    How far T(S) leaks out of S is recorded as ``info['invariance_leak']``.
     """
     if S.ambient.dim_total != T.dom.dim_total:
         raise ValueError("subspace does not live in the operator domain")
@@ -410,20 +560,19 @@ def restrict_operator(T: OperatorModel, S: Subspace, tols: Tolerances = DEFAULTS
     if S.dim:
         residual = image - S.basis @ M
         leak = float(np.linalg.norm(T.dom.whiten(residual), 2))
-    amb_core_fn = T.core_fn
-    graded = isinstance(T.dom, GradedPolySpace)
-
+    space = S.as_space()
     cores = {}
 
     def restricted_core(margin):
         if margin not in cores:
-            inter = subspace_intersect(T.core_subspace(margin, tols), S, tols)
-            cores[margin] = S.coords(inter.basis)
-            cores[margin].flags.writeable = False  # shared by every caller
+            _, _, V = _principal_pairs(T.core_subspace(margin, tols).basis, S.basis,
+                                       T.dom.gram, tols)
+            V.flags.writeable = False  # shared by every caller
+            cores[margin] = SpanCore(space, V, orthonormal=True)
         return cores[margin]
 
-    core_fn = restricted_core if (amb_core_fn is not None or graded) else None
-    return OperatorModel(S.as_space(), S.as_space(), M, core_fn=core_fn,
+    has_core = T.core_fn is not None or isinstance(T.dom, GradedPolySpace)
+    return OperatorModel(space, space, M, core_fn=restricted_core if has_core else None,
                          info={"invariance_leak": leak})
 
 

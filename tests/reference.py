@@ -1,10 +1,27 @@
 """Reference computations that the tests compare woldlab's results against.
 
-They iterate ranges, one SVD per step, so no part of the pipeline uses
-them; the tests call them directly.
+They iterate ranges, one SVD per step, or diagonalize a D x D matrix, so
+no part of the pipeline uses them; the tests call them directly.
 """
 
+import numpy as np
+
 import woldlab as wl
+
+
+def eigh_intersection(A, B, tols=wl.DEFAULTS):
+    """A ∩ B from the spectrum of P_A + P_B, in whitened coordinates.
+
+    Eigenvectors with eigenvalue above 2 - intersection_tol lie in both
+    ranges.
+    """
+    amb = A.ambient
+    if min(A.dim, B.dim) == 0:
+        return wl.Subspace.trivial(amb)
+    Aw, Bw = amb.whiten(A.basis), amb.whiten(B.basis)
+    Pw = Aw @ Aw.conj().T + Bw @ Bw.conj().T
+    lam, V = np.linalg.eigh((Pw + Pw.conj().T) / 2)
+    return wl.Subspace(amb, amb.unwhiten(V[:, lam > 2 - tols.intersection]))
 
 
 def stable_range(T, max_iter=None, tols=wl.DEFAULTS):

@@ -9,7 +9,7 @@ import scipy.linalg as sla
 from hypothesis import assume, event, given, strategies as st
 
 import woldlab as wl
-from woldlab import decomp
+from woldlab import decomp, operators
 from woldlab.operators import joint_core, range_complement_projection, restrict_operator
 from woldlab.space import EuclideanSpace
 
@@ -266,6 +266,7 @@ def test_two_variable_identity_early_stop_matches_full_sum(rng):
     T1, T2 = wl.build_pair_2v(mu1, mu2, 8, 8)
     core = joint_core(T1, T2, 4)
     x = core.basis @ (rng.standard_normal(core.dim) + 1j * rng.standard_normal(core.dim))
+    x /= T1.dom.norm(x)  # unit Gram norm, so the bound below is 45 ulp of ||x||^2
     G = T1.dom.gram
     F1 = T1.matrix.conj().T @ G @ T1.matrix - G
     F2 = T2.matrix.conj().T @ G @ T2.matrix - G
@@ -565,6 +566,21 @@ def test_wold_pair_certifies_each_operator_once(wandering_calls):
     assert wandering_calls == [T1, T2]
 
 
+def test_wold_pair_builds_its_joint_core_once(monkeypatch):
+    calls = []
+    for module in (decomp, operators):
+        real = module.joint_core
+
+        def counted(*args, _real=real, **kwargs):
+            calls.append(args[:2])
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "joint_core", counted)
+    T1, T2 = four_block_fixture().operators
+    wl.wold_pair(T1, T2)
+    assert calls == [(T1, T2)]
+
+
 def test_pair_identities_and_model_map_share_certificates(wandering_calls, rng):
     T1, T2 = _analytic_pair(caps=8)
     core = joint_core(T1, T2, 4)
@@ -779,12 +795,13 @@ def test_comparison_aligns_across_a_near_repeated_eigenvalue(low, seed, useed):
 
 @given(seed=seeds, useed=seeds)
 def test_comparison_never_rejects_when_the_alignment_is_free(seed, useed):
-    # d = 2 with one cluster: no link fixes its unitary, so a failed alignment
-    # proves nothing and the verdict must not be False
+    # d = 2 with one cluster: no link fixes its unitary, but the eigenbases of
+    # the Hermitian parts of the second combination's diagonal blocks split it
     mu = near_repeated(drawn_measure("generic", 2, 2, True, seed), 0)
     nu = wl.conjugate(mu, wl.random_unitary(2, useed))
     cmp = wl.measures_equal_up_to_unitary(mu, nu, K=8)
-    assert cmp.equal is not False, cmp.detail
+    assert cmp.equal is True, cmp.detail
+    assert_aligns(cmp.unitary, mu, nu)
 
 
 def max_imaginary_word_trace(mats, length):

@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import woldlab as wl
+from woldlab import operators
+from woldlab.instances import block_embeddings
 from woldlab.operators import joint_core, orthonormal_columns
 from woldlab.space import EuclideanSpace
 
 from conftest import scalar_atoms
+from reference import eigh_intersection
 
 
 def jordan_block():
@@ -286,8 +290,8 @@ def test_restricted_core_is_computed_once_per_margin(margin):
     S = inst.truth["H1"]
     R = wl.restrict_operator(T, S)
     first = R.core_basis(margin)
-    inter = wl.subspace_intersect(T.core_subspace(margin), S)
-    assert np.array_equal(first, S.coords(inter.basis))
+    inter = eigh_intersection(wl.Subspace.from_columns(T.dom, T.core_basis(margin)), S)
+    assert wl.Subspace(R.dom, first).distance(wl.Subspace(R.dom, S.coords(inter.basis))) < 1e-10
     assert R.core_basis(margin) is first
     assert not first.flags.writeable
 
@@ -301,3 +305,151 @@ def test_operator_matrix_is_a_read_only_copy():
         T.matrix[0, 0] = 2.0
     M[0, 0] = 2.0
     assert T.matrix[0, 0] == 1.0
+
+
+# -- intersections by principal angles ------------------------------------------
+
+TOL = wl.DEFAULTS.intersection
+seeds = st.integers(0, 2**32 - 1)
+
+
+def random_space(D, rng):
+    X = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+    return wl.HilbertSpace(X @ X.conj().T / D + np.eye(D))
+
+
+def mixed(cols, rng):
+    """The span of ``cols`` through a random basis of it."""
+    k = cols.shape[1]
+    return cols @ (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+
+
+@given(seed=seeds, inside=st.booleans(), near=st.integers(1, 2), far=st.integers(0, 2),
+       extra_a=st.integers(0, 2), extra_b=st.integers(0, 2))
+def test_intersection_matches_the_eigh_reference_at_planted_angles(seed, inside, near, far,
+                                                                   extra_a, extra_b):
+    # principal angles planted near the cut, on one side of it per example: a
+    # kept and a cut direction 1e-8 apart in cosine leave the basis of the
+    # intersection defined only to about eps / 1e-8, in either route
+    rng = np.random.default_rng(seed)
+    near_cos = (1.0, 1 - 0.5 * TOL) if inside else (1 - 2 * TOL,)
+    cosines = np.array([near_cos[i % len(near_cos)] for i in range(near)]
+                       + list(rng.choice([0.0, 0.5, 0.9], size=far)))
+    p = cosines.size
+    D = 2 * p + extra_a + extra_b + 2
+    sp = random_space(D, rng)
+    Q = sp.unwhiten(wl.random_unitary(D, seed))  # a Gram-orthonormal basis
+    theta = np.arccos(cosines)
+    a_cols = np.hstack([Q[:, :p], Q[:, 2 * p:2 * p + extra_a]])
+    b_cols = np.hstack([Q[:, :p] * np.cos(theta) + Q[:, p:2 * p] * np.sin(theta),
+                        Q[:, 2 * p + extra_a:2 * p + extra_a + extra_b]])
+    A = wl.Subspace.from_columns(sp, mixed(a_cols, rng))
+    B = wl.Subspace.from_columns(sp, mixed(b_cols, rng))
+    got, ref = wl.subspace_intersect(A, B), eigh_intersection(A, B)
+    assert got.dim == ref.dim == int(np.sum(cosines > 1 - TOL))
+    assert got.distance(ref) < 1e-10
+
+
+def test_intersection_basis_is_the_symmetric_eigenvector():
+    # P_A + P_B has the eigenvector (a + b) / sqrt(2 (1 + cos)) for a pair of
+    # principal vectors a, b; it is returned, not b alone
+    sp = EuclideanSpace(3)
+    c = 1 - 0.5 * TOL
+    A = wl.Subspace(sp, np.array([1.0, 0.0, 0.0]))
+    B = wl.Subspace(sp, np.array([c, np.sqrt(1 - c * c), 0.0]))
+    x = wl.subspace_intersect(A, B).basis[:, 0]
+    expected = (A.basis[:, 0] + B.basis[:, 0]) / np.sqrt(2 * (1 + c))
+    np.testing.assert_allclose(abs(np.vdot(expected, x)), 1.0, atol=1e-15)
+
+
+# -- safe cores -------------------------------------------------------------------
+
+CORE_KINDS = ("graded-1v", "graded-2v", "direct-sum", "scramble", "restriction")
+
+
+def opaque_scalar(space, lam):
+    """lam I with its full safe core given as a plain callable."""
+    D = space.dim_total
+    return wl.OperatorModel(space, space, lam * np.eye(D), core_fn=lambda margin: np.eye(D))
+
+
+def core_case(kind, seed, caps):
+    """(T1, T2, S): a pair of the given kind and, for a restriction, the
+    reducing subspace of the ambient pair that it restricts to."""
+    mu1, mu2 = wl.random_measure_pair(1, 2, seed)
+    if kind == "graded-1v":
+        T = wl.build_shift_1v(mu1, caps)
+        return T, wl.OperatorModel(T.dom, T.dom, np.exp(0.3j) * np.eye(caps + 1)), None
+    if kind == "graded-2v":
+        return (*wl.build_pair_2v(mu1, mu2, caps, caps - 1), None)
+    s10 = wl.build_shift_1v(mu1, caps)
+    s01 = wl.build_shift_1v(mu2, caps - 1)
+    pairs = [wl.commuting_unitary_pair(2, seed), (s10, opaque_scalar(s10.dom, 1j)),
+             (opaque_scalar(s01.dom, -1.0), s01), wl.build_pair_2v(mu1, mu2, caps - 1, caps - 2)]
+    T1, T2 = wl.direct_sum(pairs)
+    if kind == "direct-sum":
+        return T1, T2, None
+    (T1, T2), W = wl.scramble((T1, T2), seed)
+    if kind == "scramble":
+        return T1, T2, None
+    # H10 plus H11: the embedding of the second and the fourth summand
+    embeds = block_embeddings(pairs)
+    S = wl.Subspace.from_columns(T1.dom, W.conj().T @ np.hstack([embeds[1], embeds[3]]))
+    return wl.restrict_operator(T1, S), wl.restrict_operator(T2, S), (T1, T2, S)
+
+
+@pytest.mark.parametrize("kind", CORE_KINDS)
+@settings(max_examples=15)
+@given(seed=st.integers(0, 2**20), caps=st.integers(3, 6))
+def test_structural_cores_match_the_orthonormalized_frames(kind, seed, caps):
+    T1, T2, ambient = core_case(kind, seed, caps)
+    for margin in range(5):
+        frames = [wl.Subspace.from_columns(T.dom, T.core_basis(margin)) for T in (T1, T2)]
+        for T, frame in zip((T1, T2), frames):
+            assert T.core_subspace(margin).distance(frame) < 1e-12
+        assert joint_core(T1, T2, margin).distance(eigh_intersection(*frames)) < 1e-12
+        if ambient is not None:
+            A1, A2, S = ambient
+            for R, A in ((T1, A1), (T2, A2)):
+                ref = eigh_intersection(wl.Subspace.from_columns(A.dom, A.core_basis(margin)), S)
+                assert R.core_subspace(margin).distance(wl.Subspace(R.dom, S.coords(ref.basis))) < 1e-12
+
+
+@pytest.fixture
+def dense_kernel_calls(monkeypatch):
+    """Names of the rank-revealing kernels called, in call order."""
+    calls = []
+    for name in ("orthonormal_columns", "subspace_intersect"):
+        real = getattr(operators, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(operators, name, counted)
+    return calls
+
+
+def test_cores_of_graded_and_euclidean_summands_need_no_orthonormalization(dense_kernel_calls):
+    mu1, mu2 = wl.random_measure_pair(1, 2, seed=81)
+    shift = wl.build_shift_1v(mu1, 7)
+    single = wl.direct_sum([wl.unitary_operator(wl.random_unitary(2, 3)), shift])
+    pair = wl.direct_sum([wl.commuting_unitary_pair(2, 4), wl.build_pair_2v(mu1, mu2, 4, 3)])
+    singles = [shift, single, wl.scramble(single, 5)[0]]
+    pairs = [wl.build_pair_2v(mu1, mu2, 5, 4), pair, wl.scramble(pair, 6)[0]]
+    for margin in range(4):
+        for T in singles + [T for p in pairs for T in p]:
+            assert T.core_subspace(margin).dim
+        for T1, T2 in pairs:
+            assert joint_core(T1, T2, margin).dim
+    assert dense_kernel_calls == []
+
+
+def test_opaque_core_is_orthonormalized_in_its_own_summand(dense_kernel_calls):
+    s = wl.build_shift_1v(scalar_atoms((0.5, 0.8)), 6)
+    (T1, T2), _ = wl.scramble(wl.direct_sum([wl.commuting_unitary_pair(3, 7),
+                                             (s, opaque_scalar(s.dom, 1j))]), 8)
+    core = joint_core(T1, T2, 2)
+    assert core.dim == 3 + 5
+    # one orthonormalization of the 7 x 7 opaque block, one intersection in it
+    assert dense_kernel_calls == ["orthonormal_columns", "subspace_intersect"]
