@@ -488,9 +488,8 @@ def build_V(T1: OperatorModel, T2: OperatorModel, target: GradedPolySpace,
     for m in range(M1 + 1):
         cur = cur_m
         for n in range(M2 + 1):
-            block = row_proj @ cur
-            for k in range(target.dim):
-                rows[target.flat_index(m, n, k), :] = block[k]
+            start = target.flat_index(m, n)
+            rows[start:start + target.dim] = row_proj @ cur
             cur = L2 @ cur
         cur_m = L1 @ cur_m
     V = OperatorModel(amb, target, rows)

@@ -35,6 +35,12 @@ def _clamp_small_negatives(W: np.ndarray, tol_psd: float) -> np.ndarray:
     so that is_positive can still report them."""
     if W.size == 0:
         return W
+    if W.shape == (1, 1):
+        # the eigenvalue of a 1 x 1 Hermitian weight is its real entry
+        lam = W[0, 0].real
+        if lam >= 0 or lam < -tol_psd:
+            return W
+        return np.zeros_like(W)
     lam, V = np.linalg.eigh(W)
     if lam.size and lam.min() >= 0:
         return W
@@ -233,7 +239,7 @@ def is_positive(mu: CircleMeasure, tol_psd: float = None) -> PositivityReport:
     for W in parts:
         if W.size == 0:
             continue
-        lam_min = float(np.linalg.eigvalsh(W).min())
+        lam_min = float(W[0, 0].real if W.shape == (1, 1) else np.linalg.eigvalsh(W).min())
         worst = min(worst, lam_min)
     return PositivityReport(ok=worst >= -tol, min_eigenvalue=worst)
 

@@ -18,6 +18,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 
+from .config import DEFAULTS, Tolerances
 from .errors import AssumptionError
 from .measures import (
     CircleMeasure,
@@ -167,13 +168,12 @@ class GradedPolySpace(HilbertSpace):
         N1, N2 = self.caps
         up1 = max(N1 - margin, 0) if (var in (None, 1) and N1 > 0) else N1
         up2 = max(N2 - margin, 0) if (var in (None, 2) and N2 > 0) else N2
-        idx = [
-            self.flat_index(m, n, k)
-            for m in range(up1 + 1)
-            for n in range(up2 + 1)
-            for k in range(self.dim)
-        ]
-        return np.array(idx, dtype=int)
+        return self._grid()[:up1 + 1, :up2 + 1].reshape(-1)
+
+    def _grid(self) -> np.ndarray:
+        """Flat indices arranged by (m, n, k), shape (N1+1, N2+1, d)."""
+        N1, N2 = self.caps
+        return np.arange(self.dim_total).reshape(N1 + 1, N2 + 1, self.dim)
 
     # -- export ---------------------------------------------------------
 
@@ -246,12 +246,24 @@ def gram_block(mu1: CircleMeasure, mu2: CircleMeasure, m: int, n: int, p: int, q
     return B
 
 
-def build_space(mu1: CircleMeasure, mu2: CircleMeasure, N1: int, N2: int) -> GradedPolySpace:
+def _weighted_table(mu: CircleMeasure, N: int) -> np.ndarray:
+    """One-variable factor A[r, c] = (r ^ c) mu_hat(r - c), shape (N+1, N+1, d, d)."""
+    r, c = np.meshgrid(np.arange(N + 1), np.arange(N + 1), indexing="ij")
+    return np.minimum(r, c)[:, :, None, None] * _fourier_block_table(mu, N)[(r - c) + N]
+
+
+def build_space(mu1: CircleMeasure, mu2: CircleMeasure, N1: int, N2: int,
+                tols: Tolerances = DEFAULTS) -> GradedPolySpace:
     """Assemble the truncated space for the measure pair at caps (N1, N2).
 
     Requires positive measures of equal dimension; for d > 1 the weights
     of the two measures must commute pairwise, otherwise the mixed block
     would break Hermitian symmetry of the Gram matrix.
+
+    The Gram matrix is the expansion of (I + A1) (x) (I + A2) of the two
+    one-variable factors A_i = (r ^ c) mu_i_hat(r - c): the Hardy block
+    I, A1 on the diagonal of the second degree, A2 on the diagonal of the
+    first degree, and the mixed block A2 A1.
     """
     if mu1.dim != mu2.dim:
         raise AssumptionError("measures must share the coefficient dimension")
@@ -264,45 +276,24 @@ def build_space(mu1: CircleMeasure, mu2: CircleMeasure, N1: int, N2: int) -> Gra
     N1, N2 = int(N1), int(N2)
     d = mu1.dim
     D = (N1 + 1) * (N2 + 1) * d
-    F1 = _fourier_block_table(mu1, N1)
-    F2 = _fourier_block_table(mu2, N2)
+    A1 = _weighted_table(mu1, N1)
+    A2 = _weighted_table(mu2, N2)
 
     # six-axis layout (p, q, l, m, n, k); rows first, flattening matches
     # flat_index
-    def blank():
-        return np.zeros((N1 + 1, N2 + 1, d, N1 + 1, N2 + 1, d), dtype=complex)
+    six = (N1 + 1, N2 + 1, d, N1 + 1, N2 + 1, d)
+    diag1, diag2 = np.arange(N1 + 1), np.arange(N2 + 1)
+    d1 = np.zeros(six, dtype=complex)
+    d1[:, diag2, :, :, diag2, :] = np.transpose(A1, (0, 2, 1, 3))
+    d2 = np.zeros(six, dtype=complex)
+    d2[diag1, :, :, diag1, :, :] = np.transpose(A2, (0, 2, 1, 3))
+    d3 = np.einsum("qnlj,pmjk->pqlmnk", A2, A1)
 
-    h2 = blank()
-    d1 = blank()
-    d2 = blank()
-    d3 = blank()
-    eye = np.eye(d)
-    diag2 = np.arange(N2 + 1)
-
-    # second-variable table: T2[q, n] = (n ^ q) mu2_hat(q - n)
-    q_idx, n_idx = np.meshgrid(np.arange(N2 + 1), np.arange(N2 + 1), indexing="ij")
-    T2 = np.minimum(q_idx, n_idx)[:, :, None, None] * F2[(q_idx - n_idx) + N2]
-
-    for m in range(N1 + 1):
-        h2[m, diag2, :, m, diag2, :] = eye
-        if N2 > 0:
-            # dims (q, n, l, k) -> (q, l, n, k)
-            d2[m, :, :, m, :, :] = np.transpose(T2, (0, 2, 1, 3))
-        for p in range(N1 + 1):
-            c1 = min(m, p)
-            if c1 == 0:
-                continue
-            B1 = c1 * F1[(p - m) + N1]
-            d1[p, diag2, :, m, diag2, :] += B1
-            if N2 > 0:
-                mixed = np.einsum("qnlj,jk->qlnk", T2, B1)
-                d3[p, :, :, m, :, :] += mixed
-
-    components = {k: v.reshape(D, D) for k, v in
-                  {"h2": h2, "d1": d1, "d2": d2, "d3": d3}.items()}
+    components = {"h2": np.eye(D, dtype=complex), "d1": d1.reshape(D, D),
+                  "d2": d2.reshape(D, D), "d3": d3.reshape(D, D)}
     space = GradedPolySpace(mu1, mu2, (N1, N2), components)
     herm = np.max(np.abs(space.gram - space.gram.conj().T))
-    if herm > 1e-12 * max(1.0, np.max(np.abs(space.gram))):
+    if herm > tols.hermitian * max(1.0, np.max(np.abs(space.gram))):
         raise AssumptionError(f"assembled gram is not Hermitian (deviation {herm:.2e})")
     return space
 
@@ -318,19 +309,13 @@ def coordinate_shift_matrix(space: GradedPolySpace, var: int) -> np.ndarray:
     The top degree in the shifted variable falls outside the truncation
     and is dropped; everything below is the exact coefficient shift.
     """
-    N1, N2 = space.caps
-    d = space.dim
     D = space.dim_total
     T = np.zeros((D, D))
-    for m in range(N1 + 1):
-        for n in range(N2 + 1):
-            if var == 1 and m < N1:
-                src, dst = space.flat_index(m, n), space.flat_index(m + 1, n)
-            elif var == 2 and n < N2:
-                src, dst = space.flat_index(m, n), space.flat_index(m, n + 1)
-            else:
-                continue
-            T[dst:dst + d, src:src + d] = np.eye(d)
+    grid = space._grid()
+    if var == 1:
+        T[grid[1:], grid[:-1]] = 1.0
+    elif var == 2:
+        T[grid[:, 1:], grid[:, :-1]] = 1.0
     return T
 
 

@@ -63,3 +63,87 @@ def kernel_intersection_identity(T1, T2, H10, tols=wl.DEFAULTS):
             lhs = wl.apply_to_subspace(T1, lhs, tols)
             e1m = wl.apply_to_subspace(T1, e1m, tols)
     return worst
+
+
+def loop_gram(mu1, mu2, N1, N2):
+    """The four Gram components (h2, d1, d2, d3), one (m, p) pair at a time.
+
+    Fills six-axis arrays (p, q, l, m, n, k) in a double loop over the
+    first degrees; ``build_space`` must reproduce them bit for bit.
+    """
+    d = mu1.dim
+    D = (N1 + 1) * (N2 + 1) * d
+    tab1, tab2 = wl.fourier_table(mu1, N1), wl.fourier_table(mu2, N2)
+    F1 = np.array([tab1[s] for s in range(-N1, N1 + 1)]).reshape(2 * N1 + 1, d, d)
+    F2 = np.array([tab2[s] for s in range(-N2, N2 + 1)]).reshape(2 * N2 + 1, d, d)
+
+    def blank():
+        return np.zeros((N1 + 1, N2 + 1, d, N1 + 1, N2 + 1, d), dtype=complex)
+
+    h2, d1, d2, d3 = blank(), blank(), blank(), blank()
+    eye = np.eye(d)
+    diag2 = np.arange(N2 + 1)
+    # second-variable table: T2[q, n] = (n ^ q) mu2_hat(q - n)
+    q_idx, n_idx = np.meshgrid(np.arange(N2 + 1), np.arange(N2 + 1), indexing="ij")
+    T2 = np.minimum(q_idx, n_idx)[:, :, None, None] * F2[(q_idx - n_idx) + N2]
+    for m in range(N1 + 1):
+        h2[m, diag2, :, m, diag2, :] = eye
+        if N2 > 0:
+            d2[m, :, :, m, :, :] = np.transpose(T2, (0, 2, 1, 3))
+        for p in range(N1 + 1):
+            c1 = min(m, p)
+            if c1 == 0:
+                continue
+            B1 = c1 * F1[(p - m) + N1]
+            d1[p, diag2, :, m, diag2, :] += B1
+            if N2 > 0:
+                d3[p, :, :, m, :, :] += np.einsum("qnlj,jk->qlnk", T2, B1)
+    return {k: v.reshape(D, D) for k, v in
+            {"h2": h2, "d1": d1, "d2": d2, "d3": d3}.items()}
+
+
+def loop_core_indices(space, margin, var=None):
+    """``GradedPolySpace.core_indices``, one flat index at a time."""
+    N1, N2 = space.caps
+    up1 = max(N1 - margin, 0) if (var in (None, 1) and N1 > 0) else N1
+    up2 = max(N2 - margin, 0) if (var in (None, 2) and N2 > 0) else N2
+    return np.array([space.flat_index(m, n, k)
+                     for m in range(up1 + 1) for n in range(up2 + 1)
+                     for k in range(space.dim)], dtype=int)
+
+
+def loop_shift_matrix(space, var):
+    """``coordinate_shift_matrix``, one d x d identity block per bidegree."""
+    N1, N2 = space.caps
+    d = space.dim
+    T = np.zeros((space.dim_total, space.dim_total))
+    for m in range(N1 + 1):
+        for n in range(N2 + 1):
+            if var == 1 and m < N1:
+                src, dst = space.flat_index(m, n), space.flat_index(m + 1, n)
+            elif var == 2 and n < N2:
+                src, dst = space.flat_index(m, n), space.flat_index(m, n + 1)
+            else:
+                continue
+            T[dst:dst + d, src:src + d] = np.eye(d)
+    return T
+
+
+def loop_model_rows(T1, T2, target, tols=wl.DEFAULTS):
+    """The coefficient rows of ``build_V``, written one row at a time."""
+    c1, c2 = wl.certify(T1, tols), wl.certify(T2, tols)
+    amb = T1.dom
+    E = wl.subspace_intersect(c1.E, c2.E, tols)
+    M1, M2 = target.caps
+    rows = np.zeros((target.dim_total, amb.dim_total), dtype=complex)
+    row_proj = E.basis.conj().T @ amb.gram
+    cur_m = np.eye(amb.dim_total, dtype=complex)
+    for m in range(M1 + 1):
+        cur = cur_m
+        for n in range(M2 + 1):
+            block = row_proj @ cur
+            for k in range(target.dim):
+                rows[target.flat_index(m, n, k), :] = block[k]
+            cur = c2.L @ cur
+        cur_m = c1.L @ cur_m
+    return rows

@@ -14,7 +14,7 @@ from woldlab.operators import joint_core, range_complement_projection, restrict_
 from woldlab.space import EuclideanSpace
 
 from conftest import random_core_vector, scalar_atoms
-from reference import kernel_intersection_identity, stable_range
+from reference import kernel_intersection_identity, loop_model_rows, stable_range
 
 THREE_ATOMS = ((0.5, 0.8), (2.0, 1.3), (4.4, 0.35))
 
@@ -334,6 +334,15 @@ def test_build_V_isometry_and_intertwining():
     assert V.info["isometry"] < 1e-8
     assert V.info["intertwine_1"] < 1e-8
     assert V.info["intertwine_2"] < 1e-8
+
+
+def test_build_V_rows_equal_the_row_by_row_loop():
+    # d = 2: each bidegree fills two contiguous rows
+    T1, T2 = wl.build_pair_2v(*wl.random_measure_pair(2, 2, seed=3), 5, 4)
+    quad = wl.wold_pair(T1, T2)
+    target = wl.build_space(quad.measures["eta1"], quad.measures["eta2"], *T1.dom.caps)
+    V = wl.build_V(T1, T2, target)
+    assert np.array_equal(V.matrix, loop_model_rows(T1, T2, target))
 
 
 def test_build_V_rejects_pair_with_unitary_summand():

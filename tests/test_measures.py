@@ -90,6 +90,21 @@ def test_small_negative_eigenvalues_are_clamped():
     assert mu.atoms[0][1][0, 0] == 0.0
 
 
+@pytest.mark.parametrize("w", [0.7, -1e-11, -1e-3],
+                         ids=["positive", "inside-clamp-window", "below-clamp-window"])
+def test_scalar_weight_skips_the_eigensolver(w):
+    # the eigenvalue of a 1 x 1 weight is its entry: the clamped weight and
+    # the positivity report are those of the eigendecomposition
+    mu = wl.CircleMeasure(dim=1, atoms=((0.4, np.array([[w]])),))
+    lam, V = np.linalg.eigh(np.array([[w]], dtype=complex))
+    clamped = np.where((lam < 0) & (lam >= -wl.DEFAULTS.psd), 0.0, lam)
+    weight = mu.atoms[0][1]
+    assert weight.dtype == complex and weight.shape == (1, 1)
+    assert np.array_equal(weight, (V * clamped) @ V.conj().T)
+    worst = min(0.0, float(np.linalg.eigvalsh(weight).min()))
+    assert wl.is_positive(mu) == (worst >= -wl.DEFAULTS.psd, worst)
+
+
 def test_atoms_must_be_separated():
     with pytest.raises(ValueError):
         wl.CircleMeasure(dim=1, atoms=((0.5, np.eye(1)), (0.5 + 1e-14, np.eye(1))))

@@ -1,12 +1,16 @@
 """Gram assembly of the truncated spaces, validated against the oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import woldlab as wl
-from woldlab.space import gram_block
+from woldlab.space import coordinate_shift_matrix, gram_block
 
 from conftest import random_poly, scalar_atoms
+from reference import loop_core_indices, loop_gram, loop_shift_matrix
 
 
 def lebesgue_pair():
@@ -172,3 +176,112 @@ def test_gram_csv_and_metadata_export(tmp_path):
     import json
     meta = json.loads(meta_path.read_text())
     assert meta["caps"] == [2, 1] and meta["dim"] == 1
+
+
+# -- factored assembly against the per-bidegree loop -----------------------------
+
+LOOP_CASES = [(96, 0, 1), (0, 6, 1), (5, 4, 1), (8, 3, 2), (8, 8, 2), (30, 0, 2),
+              (12, 10, 3), (10, 10, 1), (20, 20, 1)]
+
+
+def commuting_pair(d, seed):
+    """Two measures with weights in one eigenbasis; the first has a density."""
+    basis = wl.random_unitary(d, seed) if d > 1 else None
+    mu1 = wl.random_atomic_measure(d, 3, seed + 10, eigenbasis=basis, density_scale=0.4)
+    mu2 = wl.random_atomic_measure(d, 2, seed + 20, eigenbasis=basis)
+    return mu1, mu2
+
+
+@pytest.mark.parametrize("N1, N2, d", LOOP_CASES)
+def test_build_space_equals_the_loop_bit_for_bit(N1, N2, d):
+    mu1, mu2 = commuting_pair(d, seed=N1 + 7 * N2 + d)
+    sp = wl.build_space(mu1, mu2, N1, N2)
+    ref = loop_gram(mu1, mu2, N1, N2)
+    assert list(sp.components) == list(ref)
+    for name, comp in ref.items():
+        assert np.array_equal(sp.components[name], comp), name
+    assert np.array_equal(sp.gram, sum(ref.values()))
+
+
+@pytest.mark.parametrize("caps, d", [((4, 3), 2), ((5, 0), 1), ((0, 4), 3), ((1, 1), 1)])
+def test_index_helpers_equal_their_loops(caps, d):
+    mu1, mu2 = commuting_pair(d, seed=3)
+    sp = wl.build_space(mu1, mu2, *caps)
+    for margin in range(4):
+        for var in (None, 1, 2):
+            got = sp.core_indices(margin, var=var)
+            want = loop_core_indices(sp, margin, var=var)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+    for var in (1, 2):
+        got = coordinate_shift_matrix(sp, var)
+        assert got.dtype == float and np.array_equal(got, loop_shift_matrix(sp, var))
+
+
+def test_hermitian_gate_reads_its_tolerance():
+    # the mixed block of a d = 2 pair is Hermitian only up to rounding
+    mu1, mu2 = commuting_pair(2, seed=5)
+    gram = wl.build_space(mu1, mu2, 3, 3).gram
+    assert np.max(np.abs(gram - gram.conj().T)) > 0
+    with pytest.raises(wl.AssumptionError, match="not Hermitian"):
+        wl.build_space(mu1, mu2, 3, 3, tols=replace(wl.DEFAULTS, hermitian=0.0))
+
+
+# -- properties of the factored Gram ----------------------------------------------
+
+caps_st = st.integers(0, 8)
+
+
+@st.composite
+def measure_pairs(draw, d):
+    """Two positive measures with 1-3 atoms each and an optional density;
+    for d = 2 their weights share one eigenbasis, so they commute."""
+    seed = draw(st.integers(0, 2**16))
+    basis = wl.random_unitary(d, seed) if d > 1 else None
+    mus = []
+    for k in (1, 2):
+        density = draw(st.sampled_from([0.0, 0.3, 1.5]))
+        mus.append(wl.random_atomic_measure(d, draw(st.integers(1, 3)), seed + 10 * k,
+                                            eigenbasis=basis, density_scale=density))
+    return tuple(mus)
+
+
+@given(N1=caps_st, N2=caps_st, d=st.sampled_from([1, 2]), data=st.data())
+def test_gram_nests_exactly_under_larger_caps(N1, N2, d, data):
+    mu1, mu2 = data.draw(measure_pairs(d))
+    small = wl.build_space(mu1, mu2, N1, N2)
+    big = wl.build_space(mu1, mu2, N1 + 1, N2 + 1)
+    idx = big.core_indices(1)
+    assert np.array_equal(small.gram, big.gram[np.ix_(idx, idx)])
+
+
+@given(N1=caps_st, N2=caps_st, data=st.data())
+def test_scalar_gram_is_the_kronecker_product(N1, N2, data):
+    mu1, mu2 = data.draw(measure_pairs(1))
+    G = wl.build_space(mu1, mu2, N1, N2).gram
+    G1 = wl.build_space_1v(mu1, N1).gram
+    G2 = wl.build_space_1v(mu2, N2).gram
+    assert np.max(np.abs(G - np.kron(G1, G2))) <= 1e-14 * np.max(np.abs(G))
+
+
+def lifted(G, N, other, first):
+    """A one-variable Gram of caps N and dim d, acting on its own degree of
+    the bidisc space and as the identity on the other degree (cap ``other``)."""
+    d = G.shape[0] // (N + 1)
+    G4 = G.reshape(N + 1, d, N + 1, d)
+    eye = np.eye(other + 1)
+    if first:
+        L = np.einsum("plmk,qn->pqlmnk", G4, eye)
+    else:
+        L = np.einsum("qlnk,pm->pqlmnk", G4, eye)
+    return L.reshape(G.shape[0] * (other + 1), -1)
+
+
+@given(N1=caps_st, N2=caps_st, data=st.data())
+def test_matrix_gram_is_the_product_of_lifted_factors(N1, N2, data):
+    mu1, mu2 = data.draw(measure_pairs(2))
+    G = wl.build_space(mu1, mu2, N1, N2).gram
+    L1 = lifted(wl.build_space_1v(mu1, N1).gram, N1, N2, first=True)
+    L2 = lifted(wl.build_space_1v(mu2, N2).gram, N2, N1, first=False)
+    bound = 1e-14 * np.max(np.abs(G))
+    assert np.max(np.abs(G - L2 @ L1)) <= bound
+    assert np.max(np.abs(L1 @ L2 - L2 @ L1)) <= bound
