@@ -12,7 +12,6 @@ from .measures import (
     CircleMeasure,
     conjugate,
     fourier_coefficient,
-    fourier_table,
     is_positive,
     poisson_integral,
 )
@@ -23,14 +22,12 @@ from .space import (
     build_space,
     build_space_1v,
     dirichlet_components,
-    gram_block,
     inner_product,
 )
 from .operators import (
     OperatorModel,
     Subspace,
     adjoint,
-    apply_to_subspace,
     defect_operator,
     doubly_commuting_residual,
     left_inverse,
@@ -38,7 +35,6 @@ from .operators import (
     orthocomplement,
     restrict_operator,
     subspace_intersect,
-    subspace_sum,
     two_isometry_defect,
     unitarity_residual,
     wandering_projection,
@@ -55,7 +51,6 @@ from .decomp import (
     measures_equal_up_to_unitary,
     slocinski,
     span_orbit,
-    tilde_isometry,
     wold_pair,
     wold_single,
 )

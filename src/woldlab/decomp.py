@@ -26,6 +26,7 @@ from .measures import CircleMeasure, fourier_coefficient
 from .operators import (
     OperatorModel,
     Subspace,
+    _defect_form,
     _whitened_projector,
     adjoint,
     defect_operator,
@@ -103,9 +104,7 @@ class Certificate:
 
     @cached_property
     def F(self) -> np.ndarray:
-        T = self.op()
-        G = T.dom.gram
-        F = T.matrix.conj().T @ G @ T.matrix - G
+        F = _defect_form(self.op())
         F.flags.writeable = False
         return F
 
@@ -192,18 +191,6 @@ def _tilde_pieces(T: OperatorModel, margin: int, tols: Tolerances):
     residuals["unitarity"] = float(np.max(np.abs(su - 1.0))) if su.size else 0.0
     Ut = Uu @ Vhu
     return Ut, Dspace, D, residuals
-
-
-@one_blas_thread
-def tilde_isometry(T: OperatorModel, margin: int = 2, tols: Tolerances = DEFAULTS) -> OperatorModel:
-    """The unitary extension of D x -> D T x on the defect space.
-
-    Returned as an operator on the defect space in its orthonormal basis
-    (identity gram); the basis itself is available as ``info['dspace']``.
-    """
-    Ut, Dspace, _, residuals = _tilde_pieces(T, margin, tols)
-    sp = Dspace.as_space()
-    return OperatorModel(sp, sp, Ut, info={"dspace": Dspace, **residuals})
 
 
 def _cluster_angles(angles: np.ndarray, tol: float):
@@ -313,9 +300,10 @@ def check_two_variable_identity(T1: OperatorModel, T2: OperatorModel, x,
 
     Four families of terms: joint-kernel projections, single defects
     against the complementary kernel projection, and the mixed defect.
-    The mixed term uses <D1^2 D2^2 y, y> written through commuting
-    products, so every summand is an exact Gram pairing.  P, F and L of
-    each operator are read from its :class:`Certificate`.
+    The mixed term <D1^2 D2^2 y, y> is read from F12 = T2^H F1 T2 - F1,
+    which equals (T2 T1)^H G (T1 T2) - T1^H G T1 - T2^H G T2 + G whenever
+    T1 T2 = T2 T1, so every summand is an exact Gram pairing.  P, F and L
+    of each operator are read from its :class:`Certificate`.
     """
     c1 = certify(T1, tols).require_analytic()
     c2 = certify(T2, tols).require_analytic()
@@ -323,10 +311,7 @@ def check_two_variable_identity(T1: OperatorModel, T2: OperatorModel, x,
     P2, F2, L2 = c2.P, c2.F, c2.L
     x = _as_flat(x)
     G = T1.dom.gram
-    T12 = T1.matrix @ T2.matrix
-    T21 = T2.matrix @ T1.matrix
-    F12 = T21.conj().T @ G @ T12 - T1.matrix.conj().T @ G @ T1.matrix \
-        - T2.matrix.conj().T @ G @ T2.matrix + G
+    F12 = T2.matrix.conj().T @ F1 @ T2.matrix - F1
     P = P1 @ P2
 
     def sq(vec, mat=None):

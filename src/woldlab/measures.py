@@ -9,8 +9,6 @@ density) as well as the purely atomic local ones.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -135,17 +133,6 @@ class CircleMeasure:
             out += W
         return out
 
-    def is_zero(self, tol: float = 1e-14) -> bool:
-        return bool(np.linalg.norm(self.total_mass) <= tol)
-
-    def restrict_to_atoms(self, indices) -> "CircleMeasure":
-        """The measure of a Borel set represented as a subset of the atoms.
-
-        Drops the density part: finite atom subsets carry no arc length.
-        """
-        chosen = tuple(self.atoms[i] for i in sorted(set(indices)))
-        return CircleMeasure(dim=self.dim, atoms=chosen)
-
     # -- serialization ------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -177,11 +164,6 @@ class CircleMeasure:
         dens_im = np.array(data.get("density_im", np.zeros((d, d)).tolist()))
         return cls(dim=d, atoms=atoms, density=dens_re + 1j * dens_im)
 
-    def digest(self) -> str:
-        """Stable content hash, used to identify measures in reports."""
-        blob = json.dumps(self.to_json_dict(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
-
 
 def fourier_coefficient(mu: CircleMeasure, n: int) -> np.ndarray:
     """n-th Fourier coefficient: integral of conj(x)^n against mu.
@@ -194,16 +176,6 @@ def fourier_coefficient(mu: CircleMeasure, n: int) -> np.ndarray:
     for theta, W in mu.atoms:
         out += np.exp(-1j * n * theta) * W
     return out
-
-
-def fourier_table(mu: CircleMeasure, K: int) -> dict:
-    """All coefficients mu_hat(n) for ``|n| <= K``, keyed by n."""
-    coeffs = {}
-    for n in range(K + 1):
-        c = fourier_coefficient(mu, n)
-        coeffs[n] = c
-        coeffs[-n] = c.conj().T
-    return coeffs
 
 
 def poisson_kernel(z: complex, theta: float) -> float:
@@ -268,8 +240,9 @@ def conjugate(mu: CircleMeasure, U: np.ndarray) -> CircleMeasure:
     return CircleMeasure(dim=mu.dim, atoms=atoms, density=U.conj().T @ mu.density @ U)
 
 
-def weights_commute(mu1: CircleMeasure, mu2: CircleMeasure, tol: float = 1e-12) -> bool:
-    """Whether every weight/density of mu1 commutes with every one of mu2.
+def weights_commute(mu1: CircleMeasure, mu2: CircleMeasure, tols: Tolerances = DEFAULTS) -> bool:
+    """Whether every weight/density of mu1 commutes with every one of mu2,
+    to ``tols.hermitian`` relative to the largest weight squared.
 
     Needed for the two-variable space: the mixed block multiplies
     coefficients of the two measures, and commutation is what makes the
@@ -282,6 +255,6 @@ def weights_commute(mu1: CircleMeasure, mu2: CircleMeasure, tol: float = 1e-12) 
     )
     for A in parts1:
         for B in parts2:
-            if np.max(np.abs(A @ B - B @ A)) > tol * scale * scale:
+            if np.max(np.abs(A @ B - B @ A)) > tols.hermitian * scale * scale:
                 return False
     return True

@@ -147,23 +147,12 @@ def subspace_intersect(A: Subspace, B: Subspace, tols: Tolerances = DEFAULTS) ->
     return Subspace(amb, (A.basis @ U + B.basis @ V) / np.sqrt(2 * (1 + s)))
 
 
-def subspace_sum(A: Subspace, B: Subspace, tols: Tolerances = DEFAULTS) -> Subspace:
-    if A.ambient.gram.shape != B.ambient.gram.shape:
-        raise ValueError("subspaces live in different ambient spaces")
-    return Subspace.from_columns(A.ambient, np.hstack([A.basis, B.basis]), tols)
-
-
 def orthocomplement(S: Subspace, tols: Tolerances = DEFAULTS) -> Subspace:
     amb = S.ambient
     Pw = _whitened_projector(S)
     lam, V = np.linalg.eigh((Pw + Pw.conj().T) / 2)
     sel = lam < 0.5
     return Subspace(amb, amb.unwhiten(V[:, sel]))
-
-
-def apply_to_subspace(T: "OperatorModel", S: Subspace, tols: Tolerances = DEFAULTS) -> Subspace:
-    """Image T(S), rank-revealed in the codomain geometry."""
-    return Subspace.from_columns(T.codom, T.matrix @ S.basis, tols)
 
 
 # ---------------------------------------------------------------------------
@@ -404,28 +393,37 @@ def adjoint(A: OperatorModel) -> OperatorModel:
 # 2-isometry checkers
 # ---------------------------------------------------------------------------
 
-def _core_compressed_form(T: OperatorModel, F: np.ndarray, margin: int,
-                          tols: Tolerances) -> tuple:
+def _defect_form(T: OperatorModel) -> np.ndarray:
+    """F = T^H G T - G, the Gram form of T*T - I: <F x, y> = <Tx, Ty> - <x, y>.
+
+    Every defect is read from it: T*T - I itself, the 2-isometry defect
+    T^H F T - F and the mixed defect of a commuting pair.
+    """
+    G = T.dom.gram
+    return T.matrix.conj().T @ G @ T.matrix - G
+
+
+def _core_norm(T: OperatorModel, F: np.ndarray, margin: int, tols: Tolerances) -> float:
+    """Spectral norm of the Hermitian form F compressed to T's safe core."""
     B = T.core(margin).basis(tols)
-    return B.conj().T @ F @ B, B
+    FB = B.conj().T @ F @ B
+    if FB.size == 0:
+        return 0.0
+    return float(np.max(np.abs(np.linalg.eigvalsh((FB + FB.conj().T) / 2))))
 
 
 def two_isometry_defect(T: OperatorModel, margin: int = None, tols: Tolerances = DEFAULTS) -> float:
     """Operator norm of T*^2 T^2 - 2 T*T + I compressed to the safe core.
 
-    Both Grammians are evaluated as pairings <T^k x, T^k y>, so no
-    truncated adjoint enters; for graded model shifts the value is zero to
-    rounding because the min-degree weights telescope.
+    The form is T^H F T - F with F = T^H G T - G, a pairing of Gram
+    pairings <T^k x, T^k y>, so no truncated adjoint enters; for graded
+    model shifts the value is zero to rounding because the min-degree
+    weights telescope.
     """
     if not T.is_square:
         raise ValueError("two_isometry_defect needs a square operator")
-    G = T.dom.gram
-    T2 = T.matrix @ T.matrix
-    F = (T2.conj().T @ G @ T2) - 2 * (T.matrix.conj().T @ G @ T.matrix) + G
-    FB, _ = _core_compressed_form(T, F, margin, tols)
-    if FB.size == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvalsh((FB + FB.conj().T) / 2))))
+    F = _defect_form(T)
+    return _core_norm(T, T.matrix.conj().T @ F @ T.matrix - F, margin, tols)
 
 
 def doubly_commuting_residual(T1: OperatorModel, T2: OperatorModel,
@@ -515,9 +513,8 @@ def defect_operator(T: OperatorModel, margin: int = 1, tols: Tolerances = DEFAUL
     if not T.is_square:
         raise ValueError("defect_operator needs a square operator")
     G = T.dom.gram
-    F = T.matrix.conj().T @ G @ T.matrix - G
     B = T.core(margin).basis(tols)
-    FB = B.conj().T @ F @ B
+    FB = B.conj().T @ _defect_form(T) @ B
     FB = (FB + FB.conj().T) / 2
     if FB.size == 0:
         lam = np.zeros(0)
@@ -578,9 +575,4 @@ def restrict_operator(T: OperatorModel, S: Subspace, tols: Tolerances = DEFAULTS
 
 def unitarity_residual(T: OperatorModel, margin: int = 0, tols: Tolerances = DEFAULTS) -> float:
     """||T*T - I|| on the core: 0 for unitaries and isometries."""
-    G = T.dom.gram
-    F = T.matrix.conj().T @ G @ T.matrix - G
-    FB, _ = _core_compressed_form(T, F, margin, tols)
-    if FB.size == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvalsh((FB + FB.conj().T) / 2))))
+    return _core_norm(T, _defect_form(T), margin, tols)

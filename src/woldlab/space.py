@@ -10,8 +10,6 @@ keeps them separately available for cross-checks.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -175,31 +173,6 @@ class GradedPolySpace(HilbertSpace):
         N1, N2 = self.caps
         return np.arange(self.dim_total).reshape(N1 + 1, N2 + 1, self.dim)
 
-    # -- export ---------------------------------------------------------
-
-    def metadata(self) -> dict:
-        return {
-            "caps": list(self.caps),
-            "dim": self.dim,
-            "total_dim": self.dim_total,
-            "mu1_digest": self.mu1.digest(),
-            "mu2_digest": self.mu2.digest(),
-        }
-
-    def export_gram_csv(self, path) -> None:
-        """Row-major CSV with alternating re, im entries per matrix element."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in self.gram:
-                out = []
-                for v in row:
-                    out.extend([repr(float(v.real)), repr(float(v.imag))])
-                writer.writerow(out)
-
-    def export_metadata_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.metadata(), fh, indent=2)
-
 
 def _fourier_block_table(mu: CircleMeasure, N: int) -> np.ndarray:
     """Table F[s + N] = mu_hat(s) for s in [-N, N], shape (2N+1, d, d)."""
@@ -210,40 +183,6 @@ def _fourier_block_table(mu: CircleMeasure, N: int) -> np.ndarray:
         tab[s + N] = c
         tab[-s + N] = c.conj().T
     return tab
-
-
-def gram_block(mu1: CircleMeasure, mu2: CircleMeasure, m: int, n: int, p: int, q: int) -> np.ndarray:
-    """The d x d block pairing the coefficient of z1^m z2^n against z1^p z2^q.
-
-    <f, g> = sum over (m, n), (p, q) of b_{p,q}^H B(m,n,p,q) a_{m,n} with
-
-        B = delta_mp delta_nq I
-            + delta_nq (m ^ p) mu1_hat(p - m)
-            + delta_mp (n ^ q) mu2_hat(q - n)
-            + (m ^ p)(n ^ q) mu2_hat(q - n) mu1_hat(p - m)
-
-    where ^ is min.  Derivative terms vanish unless both paired degrees in
-    the relevant variable are >= 1.
-    """
-    if min(m, n, p, q) < 0:
-        raise ValueError("degrees must be non-negative")
-    if mu1.dim != mu2.dim:
-        raise ValueError("measures must share the coefficient dimension")
-    d = mu1.dim
-    B = np.zeros((d, d), dtype=complex)
-    if m == p and n == q:
-        B += np.eye(d)
-    if n == q and min(m, p) > 0:
-        B += min(m, p) * fourier_coefficient(mu1, p - m)
-    if m == p and min(n, q) > 0:
-        B += min(n, q) * fourier_coefficient(mu2, q - n)
-    if min(m, p) > 0 and min(n, q) > 0:
-        B += (
-            min(m, p)
-            * min(n, q)
-            * (fourier_coefficient(mu2, q - n) @ fourier_coefficient(mu1, p - m))
-        )
-    return B
 
 
 def _weighted_table(mu: CircleMeasure, N: int) -> np.ndarray:
@@ -269,7 +208,7 @@ def build_space(mu1: CircleMeasure, mu2: CircleMeasure, N1: int, N2: int,
         raise AssumptionError("measures must share the coefficient dimension")
     require_positive(mu1, "first measure")
     require_positive(mu2, "second measure")
-    if mu1.dim > 1 and not weights_commute(mu1, mu2):
+    if mu1.dim > 1 and not weights_commute(mu1, mu2, tols):
         raise AssumptionError(
             "measure weights do not commute; the two-variable space is not defined here"
         )

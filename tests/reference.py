@@ -1,12 +1,73 @@
 """Reference computations that the tests compare woldlab's results against.
 
-They iterate ranges, one SVD per step, or diagonalize a D x D matrix, so
-no part of the pipeline uses them; the tests call them directly.
+They iterate ranges, one SVD per step, diagonalize a D x D matrix, or
+write a formula entry by entry, so no part of the pipeline uses them; the
+tests call them directly.
 """
 
 import numpy as np
 
 import woldlab as wl
+
+
+def apply_to_subspace(T, S, tols=wl.DEFAULTS):
+    """Image T(S), rank-revealed in the codomain geometry."""
+    return wl.Subspace.from_columns(T.codom, T.matrix @ S.basis, tols)
+
+
+def subspace_sum(A, B, tols=wl.DEFAULTS):
+    """A + B, rank-revealed from the stacked bases."""
+    return wl.Subspace.from_columns(A.ambient, np.hstack([A.basis, B.basis]), tols)
+
+
+def fourier_table(mu, K):
+    """All coefficients mu_hat(n) for ``|n| <= K``, keyed by n."""
+    coeffs = {}
+    for n in range(K + 1):
+        c = wl.fourier_coefficient(mu, n)
+        coeffs[n] = c
+        coeffs[-n] = c.conj().T
+    return coeffs
+
+
+def gram_block(mu1, mu2, m, n, p, q):
+    """The d x d block pairing the coefficient of z1^m z2^n against z1^p z2^q.
+
+    <f, g> = sum over (m, n), (p, q) of b_{p,q}^H B(m,n,p,q) a_{m,n} with
+
+        B = delta_mp delta_nq I
+            + delta_nq (m ^ p) mu1_hat(p - m)
+            + delta_mp (n ^ q) mu2_hat(q - n)
+            + (m ^ p)(n ^ q) mu2_hat(q - n) mu1_hat(p - m)
+
+    where ^ is min.  Derivative terms vanish unless both paired degrees in
+    the relevant variable are >= 1.
+    """
+    d = mu1.dim
+    B = np.zeros((d, d), dtype=complex)
+    if m == p and n == q:
+        B += np.eye(d)
+    if n == q and min(m, p) > 0:
+        B += min(m, p) * wl.fourier_coefficient(mu1, p - m)
+    if m == p and min(n, q) > 0:
+        B += min(n, q) * wl.fourier_coefficient(mu2, q - n)
+    if min(m, p) > 0 and min(n, q) > 0:
+        B += (min(m, p) * min(n, q)
+              * (wl.fourier_coefficient(mu2, q - n) @ wl.fourier_coefficient(mu1, p - m)))
+    return B
+
+
+def three_term_defect(T, margin=None, tols=wl.DEFAULTS):
+    """``two_isometry_defect`` from its three terms: T^2 is formed, then
+    T^2^H G T^2 - 2 T^H G T + G is compressed to the same safe core."""
+    G = T.dom.gram
+    T2 = T.matrix @ T.matrix
+    F = (T2.conj().T @ G @ T2) - 2 * (T.matrix.conj().T @ G @ T.matrix) + G
+    B = T.core(margin).basis(tols)
+    FB = B.conj().T @ F @ B
+    if FB.size == 0:
+        return 0.0
+    return float(np.max(np.abs(np.linalg.eigvalsh((FB + FB.conj().T) / 2))))
 
 
 def eigh_intersection(A, B, tols=wl.DEFAULTS):
@@ -36,7 +97,7 @@ def stable_range(T, max_iter=None, tols=wl.DEFAULTS):
     S = wl.Subspace.full(T.dom)
     dims = [S.dim]
     for _ in range(max_iter):
-        S = wl.apply_to_subspace(T, S, tols)
+        S = apply_to_subspace(T, S, tols)
         dims.append(S.dim)
         if len(dims) >= 3 and dims[-1] == dims[-2] == dims[-3]:
             return S
@@ -60,8 +121,8 @@ def kernel_intersection_identity(T1, T2, H10, tols=wl.DEFAULTS):
         lhs, e1m = E10, E1
         for _ in range(3):
             worst = max(worst, lhs.distance(wl.subspace_intersect(e1m, sr2, tols)))
-            lhs = wl.apply_to_subspace(T1, lhs, tols)
-            e1m = wl.apply_to_subspace(T1, e1m, tols)
+            lhs = apply_to_subspace(T1, lhs, tols)
+            e1m = apply_to_subspace(T1, e1m, tols)
     return worst
 
 
@@ -73,7 +134,7 @@ def loop_gram(mu1, mu2, N1, N2):
     """
     d = mu1.dim
     D = (N1 + 1) * (N2 + 1) * d
-    tab1, tab2 = wl.fourier_table(mu1, N1), wl.fourier_table(mu2, N2)
+    tab1, tab2 = fourier_table(mu1, N1), fourier_table(mu2, N2)
     F1 = np.array([tab1[s] for s in range(-N1, N1 + 1)]).reshape(2 * N1 + 1, d, d)
     F2 = np.array([tab2[s] for s in range(-N2, N2 + 1)]).reshape(2 * N2 + 1, d, d)
 

@@ -14,7 +14,7 @@ from woldlab.operators import joint_core, range_complement_projection, restrict_
 from woldlab.space import EuclideanSpace
 
 from conftest import random_core_vector, scalar_atoms
-from reference import kernel_intersection_identity, loop_model_rows, stable_range
+from reference import kernel_intersection_identity, loop_model_rows, stable_range, three_term_defect
 
 THREE_ATOMS = ((0.5, 0.8), (2.0, 1.3), (4.4, 0.35))
 
@@ -51,7 +51,7 @@ def test_wold_single_unitary_input():
     U = wl.unitary_operator(wl.random_unitary(5, 7))
     res = wl.wold_single(U)
     assert res.H1.dim == 0 and res.H0.dim == 5
-    assert res.extracted.is_zero()
+    assert np.linalg.norm(res.extracted.total_mass) <= 1e-14
 
 
 def test_wold_single_model_shift_is_analytic():
@@ -138,9 +138,9 @@ def test_stable_range_max_iter_exhausted():
 def test_tilde_single_atom_is_unimodular_scalar():
     theta0, w = 1.3, 0.9
     T = wl.build_shift_1v(scalar_atoms((theta0, w)), 16)
-    Tt = wl.tilde_isometry(T)
-    assert Tt.matrix.shape == (1, 1)
-    val = Tt.matrix[0, 0]
+    Tt, _, _, _ = decomp._tilde_pieces(T, 2, wl.DEFAULTS)
+    assert Tt.shape == (1, 1)
+    val = Tt[0, 0]
     assert abs(abs(val) - 1.0) < 1e-10
     # round-trip angle convention: the eigenvalue angle is the atom angle
     assert np.angle(val) == pytest.approx(theta0, abs=1e-8)
@@ -148,15 +148,15 @@ def test_tilde_single_atom_is_unimodular_scalar():
 
 def test_tilde_isometry_trivial_for_isometry():
     T = wl.build_shift_1v(wl.CircleMeasure.zero(1), 8)
-    Tt = wl.tilde_isometry(T)
-    assert Tt.matrix.shape == (0, 0)
+    Tt, _, _, _ = decomp._tilde_pieces(T, 2, wl.DEFAULTS)
+    assert Tt.shape == (0, 0)
 
 
 def test_tilde_eigenvalues_match_atom_angles():
     angles = [0.5, 2.0, 4.4]
     T = wl.build_shift_1v(scalar_atoms(*THREE_ATOMS), 32)
-    Tt = wl.tilde_isometry(T)
-    got = np.sort(np.mod(np.angle(np.linalg.eigvals(Tt.matrix)), 2 * np.pi))
+    Tt, _, _, _ = decomp._tilde_pieces(T, 2, wl.DEFAULTS)
+    got = np.sort(np.mod(np.angle(np.linalg.eigvals(Tt)), 2 * np.pi))
     np.testing.assert_allclose(got, np.sort(angles), atol=1e-6)
 
 
@@ -172,7 +172,7 @@ def test_extract_single_atom_round_trip():
 
 def test_extract_isometry_gives_zero_measure():
     T = wl.build_shift_1v(wl.CircleMeasure.zero(1), 8)
-    assert wl.extract_measure(T).is_zero()
+    assert np.linalg.norm(wl.extract_measure(T).total_mass) <= 1e-14
 
 
 @pytest.mark.parametrize("make", NON_ANALYTIC)
@@ -627,6 +627,53 @@ def test_certificate_is_freed_with_its_operator():
         gc.enable()
 
 
+# -- negative controls at the tolerance edge -----------------------------------------
+# A model shift (caps 16) and a scrambled four-block pair, each operator
+# perturbed by eps N with N a seeded complex Gaussian and its safe core kept.
+# Past the gate every entry point rejects the 2-isometry defect; nearer it,
+# each call raises or returns residuals it certifies, never anything else.
+
+
+def perturbed(T, eps, seed):
+    rng = np.random.default_rng(seed)
+    D = T.dom.dim_total
+    N = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+    return wl.OperatorModel(T.dom, T.dom, T.matrix + eps * N, core_fn=T.core_fn)
+
+
+def edge_cases(eps):
+    """(perturbed operators, [(entry point, call)])."""
+    S = perturbed(wl.build_shift_1v(scalar_atoms(*THREE_ATOMS), 16), eps, 7)
+    T1, T2 = (perturbed(T, eps, seed) for T, seed in zip(four_block_fixture().operators, (11, 12)))
+    calls = [("certify", lambda: wl.certify(S)), ("wold_single", lambda: wl.wold_single(S)),
+             ("certify", lambda: wl.certify(T2)), ("wold_single", lambda: wl.wold_single(T1)),
+             ("wold_pair", lambda: wl.wold_pair(T1, T2))]
+    return (S, T1, T2), calls
+
+
+def test_perturbation_past_the_gate_is_a_two_isometry_failure():
+    ops, calls = edge_cases(1e-9)
+    for T in ops:
+        assert three_term_defect(T) >= 2 * wl.DEFAULTS.two_isometry
+    for name, call in calls:
+        with pytest.raises(wl.AssumptionError, match="two-isometry defect"):
+            call()
+
+
+@pytest.mark.parametrize("eps", [1e-13, 1e-12, 1e-11, 1e-10])
+def test_smaller_perturbations_raise_or_certify(eps):
+    _, calls = edge_cases(eps)
+    for name, call in calls:
+        try:
+            out = call()
+        except (wl.AssumptionError, wl.ConvergenceError):
+            continue
+        if name == "certify":
+            assert out.defect <= wl.DEFAULTS.two_isometry
+        else:
+            assert max(out.residuals.values()) <= wl.DEFAULTS.decomposition, name
+
+
 # -- Slocinski ---------------------------------------------------------------------
 
 
@@ -642,7 +689,7 @@ def test_slocinski_hardy_pair_is_ss():
     quad = wl.slocinski(V1, V2)
     assert quad.block_dims() == (0, 0, 0, 49)
     for mu in quad.measures.values():
-        assert mu.is_zero(tol=1e-8)
+        assert np.linalg.norm(mu.total_mass) <= 1e-8
 
 
 def test_slocinski_unitary_times_shift():

@@ -1,5 +1,7 @@
 """Circle measures: Fourier coefficients, Poisson integrals, positivity."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -30,9 +32,9 @@ def test_fourier_atom_at_pi_alternates():
 
 def test_fourier_hermitian_symmetry(rng):
     mu = wl.random_atomic_measure(2, 3, seed=11, density_scale=0.4)
-    tab = wl.fourier_table(mu, 8)
     for n in range(9):
-        np.testing.assert_allclose(tab[-n], tab[n].conj().T, atol=1e-14)
+        np.testing.assert_allclose(wl.fourier_coefficient(mu, -n),
+                                   wl.fourier_coefficient(mu, n).conj().T, atol=1e-14)
 
 
 def test_poisson_lebesgue_is_one(rng):
@@ -151,14 +153,6 @@ def test_conjugate_rejects_non_unitary():
         wl.conjugate(mu, np.array([[2.0]]))
 
 
-def test_restrict_to_atoms():
-    mu = scalar_atoms((0.3, 0.9), (2.0, 0.4), (5.0, 1.1))
-    sub = mu.restrict_to_atoms([0, 2])
-    assert len(sub.atoms) == 2
-    assert sub.total_mass[0, 0] == pytest.approx(2.0)
-    assert wl.CircleMeasure.lebesgue(1).restrict_to_atoms([]).is_zero()
-
-
 def test_json_round_trip():
     mu = wl.random_atomic_measure(2, 2, seed=9, density_scale=0.3)
     back = wl.CircleMeasure.from_json_dict(mu.to_json_dict())
@@ -166,7 +160,7 @@ def test_json_round_trip():
     for n in range(-5, 6):
         np.testing.assert_allclose(wl.fourier_coefficient(back, n),
                                    wl.fourier_coefficient(mu, n), atol=1e-14)
-    assert back.digest() == mu.digest()
+    assert back.to_json_dict() == mu.to_json_dict()
 
 
 def test_weights_commute_detects_noncommuting():
@@ -174,3 +168,10 @@ def test_weights_commute_detects_noncommuting():
     assert weights_commute(mu1, mu2)
     other = wl.random_atomic_measure(2, 2, seed=99)  # its own eigenbasis
     assert not weights_commute(mu1, other)
+
+
+def test_weights_commute_reads_tols_hermitian():
+    # weights in one eigenbasis commute only up to rounding
+    mu1, mu2 = wl.random_measure_pair(2, 2, seed=21)
+    assert weights_commute(mu1, mu2, wl.DEFAULTS)
+    assert not weights_commute(mu1, mu2, replace(wl.DEFAULTS, hermitian=0.0))

@@ -11,7 +11,7 @@ from woldlab.operators import joint_core, orthonormal_columns
 from woldlab.space import EuclideanSpace
 
 from conftest import scalar_atoms
-from reference import eigh_intersection
+from reference import apply_to_subspace, eigh_intersection, subspace_sum, three_term_defect
 
 
 def jordan_block():
@@ -86,6 +86,49 @@ def test_defect_zero_for_model_shift():
 def test_defect_jordan_block_is_one():
     # T*^2 T^2 - 2 T*T + I = diag(-1, 1) for the nilpotent Jordan block
     assert wl.two_isometry_defect(jordan_block()) == pytest.approx(1.0)
+    assert three_term_defect(jordan_block()) == pytest.approx(1.0)
+
+
+# two_isometry_defect reads T^H F T - F with F = T^H G T - G; the reference
+# forms T^2 and the three terms.  Equal in exact arithmetic, they agree to
+# rounding.
+
+
+def assert_defect_forms_agree(T):
+    scale = max(1.0, float(np.linalg.norm(T.dom.gram, 2)))
+    assert abs(wl.two_isometry_defect(T) - three_term_defect(T)) <= 1e-12 * scale
+
+
+defect_seeds = st.integers(0, 2**20)
+
+
+@given(seed=defect_seeds, n_atoms=st.integers(1, 3), density=st.booleans(), caps=st.integers(1, 24))
+def test_defect_form_matches_three_terms_on_model_shifts(seed, n_atoms, density, caps):
+    mu = wl.random_atomic_measure(1, n_atoms, seed=seed, density_scale=0.4 * density)
+    assert_defect_forms_agree(wl.build_shift_1v(mu, caps))
+
+
+@given(seed=defect_seeds, n_atoms=st.integers(1, 3), caps=st.integers(1, 7))
+def test_defect_form_matches_three_terms_on_a_d2_coordinate_pair(seed, n_atoms, caps):
+    for T in wl.build_pair_2v(*wl.random_measure_pair(2, n_atoms, seed=seed), caps, caps):
+        assert_defect_forms_agree(T)
+
+
+@given(seed=defect_seeds, k=st.integers(0, 4), caps=st.integers(2, 24))
+def test_defect_form_matches_three_terms_on_scrambled_single_instances(seed, k, caps):
+    mu = wl.random_atomic_measure(1, 2, seed=seed, density_scale=0.4)
+    inst = wl.make_single_wold_instance(k, mu, caps, seed=seed, scramble_seed=seed + 1)
+    assert_defect_forms_agree(inst.operators[0])
+
+
+@given(seed=defect_seeds)
+def test_defect_form_matches_three_terms_on_scrambled_four_block_pairs(seed):
+    nu1, nu2 = (wl.random_atomic_measure(1, 2, seed=seed + j) for j in (1, 2))
+    eta1, eta2 = wl.random_measure_pair(1, 2, seed=seed + 3)
+    inst = wl.make_four_block_instance(2, nu1, 6, nu2, 5, eta1, eta2, (4, 3),
+                                       seed=seed, scramble_seed=seed + 4)
+    for T in inst.operators:
+        assert_defect_forms_agree(T)
 
 
 # -- doubly commuting ---------------------------------------------------------
@@ -245,7 +288,7 @@ def test_dimension_formula(rng):
     for _ in range(5):
         A = wl.Subspace.from_columns(sp, rng.standard_normal((D, 5)) + 1j * rng.standard_normal((D, 5)))
         B = wl.Subspace.from_columns(sp, rng.standard_normal((D, 7)) + 1j * rng.standard_normal((D, 7)))
-        s = wl.subspace_sum(A, B)
+        s = subspace_sum(A, B)
         i = wl.subspace_intersect(A, B)
         assert s.dim + i.dim == A.dim + B.dim
 
@@ -263,7 +306,7 @@ def test_apply_to_subspace():
     mu = scalar_atoms((1.0, 1.0))
     T = wl.build_shift_1v(mu, 6)
     E = wl.Subspace.from_columns(T.dom, np.eye(7)[:, [0]])
-    image = wl.apply_to_subspace(T, E)
+    image = apply_to_subspace(T, E)
     assert image.dim == 1
     # z * constants = multiples of z
     assert abs(image.coords(np.eye(7)[:, 1]))[0] > 0.0

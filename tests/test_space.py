@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import woldlab as wl
-from woldlab.space import coordinate_shift_matrix, gram_block
+from woldlab.space import coordinate_shift_matrix
 
 from conftest import random_poly, scalar_atoms
-from reference import loop_core_indices, loop_gram, loop_shift_matrix
+from reference import gram_block, loop_core_indices, loop_gram, loop_shift_matrix
 
 
 def lebesgue_pair():
@@ -161,23 +161,6 @@ def test_dirichlet_components_sum_to_norm(rng):
     assert parts["h2"] == pytest.approx(float(np.sum(np.abs(f.coeffs) ** 2)))
 
 
-def test_gram_csv_and_metadata_export(tmp_path):
-    mu1, mu2 = lebesgue_pair()
-    sp = wl.build_space(mu1, mu2, 2, 1)
-    csv_path = tmp_path / "gram.csv"
-    meta_path = tmp_path / "meta.json"
-    sp.export_gram_csv(csv_path)
-    sp.export_metadata_json(meta_path)
-    rows = csv_path.read_text().strip().splitlines()
-    assert len(rows) == sp.dim_total
-    first = [float(v) for v in rows[0].split(",")]
-    assert len(first) == 2 * sp.dim_total
-    assert first[0] == pytest.approx(sp.gram[0, 0].real)
-    import json
-    meta = json.loads(meta_path.read_text())
-    assert meta["caps"] == [2, 1] and meta["dim"] == 1
-
-
 # -- factored assembly against the per-bidegree loop -----------------------------
 
 LOOP_CASES = [(96, 0, 1), (0, 6, 1), (5, 4, 1), (8, 3, 2), (8, 8, 2), (30, 0, 2),
@@ -218,8 +201,14 @@ def test_index_helpers_equal_their_loops(caps, d):
 
 
 def test_hermitian_gate_reads_its_tolerance():
-    # the mixed block of a d = 2 pair is Hermitian only up to rounding
-    mu1, mu2 = commuting_pair(2, seed=5)
+    # the mixed block of a d = 2 pair is Hermitian only up to rounding; the
+    # weights are W, W / 2, 2 W and 0.4 I, whose products commute bit for bit,
+    # so the commutation check (which reads the same tolerance) passes at 0
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    W = X @ X.conj().T / 2 + 0.1 * np.eye(2)
+    mu1 = wl.CircleMeasure(2, atoms=((0.7, W), (2.9, 0.5 * W)), density=0.4 * np.eye(2))
+    mu2 = wl.CircleMeasure(2, atoms=((1.6, W), (4.2, 2 * W)))
     gram = wl.build_space(mu1, mu2, 3, 3).gram
     assert np.max(np.abs(gram - gram.conj().T)) > 0
     with pytest.raises(wl.AssumptionError, match="not Hermitian"):

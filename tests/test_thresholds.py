@@ -15,8 +15,6 @@ PACKAGE = Path(wl.__file__).resolve().parent
 #: (module, enclosing definition, value) of the thresholds that remain
 ALLOWED = {
     ("operators.py", "Subspace.__init__", 1e-8),   # Gram-orthonormality of a basis
-    ("measures.py", "weights_commute", 1e-12),     # default of its ``tol``
-    ("measures.py", "CircleMeasure.is_zero", 1e-14),  # default of its ``tol``
 }
 
 
