@@ -37,6 +37,8 @@ class Tolerances:
     intersection: float = 1e-8
     #: a wandering projection P must satisfy P = P^2 = P* to within this
     projection_law: float = 1e-8
+    #: a subspace basis B must satisfy B^H G B = I entrywise to within this
+    orthonormal: float = 1e-8
     #: left inverses reject condition numbers above this
     condition_max: float = 1e10
     #: least-squares fit of the defect-space isometry

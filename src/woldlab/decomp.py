@@ -27,6 +27,7 @@ from .operators import (
     OperatorModel,
     Subspace,
     _defect_form,
+    _numerical_rank,
     _whitened_projector,
     adjoint,
     defect_operator,
@@ -60,8 +61,12 @@ def span_orbit(ops, S: Subspace, tols: Tolerances = DEFAULTS) -> Subspace:
     """Smallest subspace that contains S and is invariant under ``ops``.
 
     ``ops`` is one operator or a list of them.  Each pass applies every
-    operator to the directions the last pass added and keeps the
-    rank-revealed part not yet spanned.  The loop ends when a pass adds
+    operator to the directions the last pass added, projects the images off
+    the basis twice (one Gram-Schmidt pass loses orthogonality in
+    proportion to the cancellation, a second restores it to rounding) and
+    keeps their rank-revealed part.  The accumulated basis is returned as
+    it is, with no closing orthonormalization; the Gram-orthonormality
+    gate of :class:`Subspace` checks it.  The loop ends when a pass adds
     nothing or the basis fills the space, so it needs no iteration cap.
     Every shift block of a Wold decomposition is such an orbit of a
     wandering subspace, e.g. H1 = [ker T*]_T.
@@ -71,10 +76,11 @@ def span_orbit(ops, S: Subspace, tols: Tolerances = DEFAULTS) -> Subspace:
     basis = frontier = S.basis
     while frontier.shape[1] and basis.shape[1] < amb.dim_total:
         images = np.hstack([op.matrix @ frontier for op in ops])
-        images = images - basis @ (basis.conj().T @ (amb.gram @ images))
+        for _ in range(2):
+            images = images - basis @ (basis.conj().T @ (amb.gram @ images))
         frontier = orthonormal_columns(amb, images, tols)
         basis = np.hstack([basis, frontier])
-    return Subspace.from_columns(amb, basis, tols)
+    return Subspace(amb, basis, tols)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,7 +174,7 @@ def _tilde_pieces(T: OperatorModel, margin: int, tols: Tolerances):
     X = Dspace.coords(D.matrix @ C)
     Y = Dspace.coords(D.matrix @ (T.matrix @ C))
     Ux, sx, Vhx = np.linalg.svd(X, full_matrices=False)
-    rank = int(np.sum(sx > max(tols.rank_rtol * sx[0], tols.rank_floor))) if sx.size else 0
+    rank = _numerical_rank(sx, tols)
     if rank == 0:
         raise ConvergenceError("defect images of the safe core vanish; caps too small")
     pinv = (Vhx[:rank].conj().T / sx[:rank]) @ Ux[:, :rank].conj().T
@@ -434,7 +440,7 @@ def wold_single(T: OperatorModel, tols: Tolerances = DEFAULTS,
         )
 
     if extract and H1.dim:
-        _certificate(analytic_part, tols, Subspace(analytic_part.dom, H1.coords(E.basis)))
+        _certificate(analytic_part, tols, Subspace(analytic_part.dom, H1.coords(E.basis), tols))
         extracted = extract_measure(analytic_part, tols=tols)
     else:
         extracted = CircleMeasure.zero(E.dim)
@@ -664,10 +670,10 @@ def wold_pair(T1: OperatorModel, T2: OperatorModel, tols: Tolerances = DEFAULTS,
         if not (extract and blocks[bname].dim):
             continue
         R = restrictions[(bname, oname)]
-        _certificate(R, tols, Subspace(R.dom, blocks[bname].coords(kernel.basis)))
+        _certificate(R, tols, Subspace(R.dom, blocks[bname].coords(kernel.basis), tols))
         # H11 = [E]_{T1,T2} reduces both operators, so the joint kernel of
         # its restrictions is E = E1 ∩ E2 in block coordinates
-        joint = Subspace(R.dom, H11.coords(E.basis)) if bname == "H11" else None
+        joint = Subspace(R.dom, H11.coords(E.basis), tols) if bname == "H11" else None
         measures[name] = extract_measure(R, compress_to=joint, tols=tols)
 
     return QuadrupleDecomposition(H00=H00, H10=H10, H01=H01, H11=H11,

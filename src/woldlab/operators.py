@@ -35,22 +35,26 @@ def orthonormal_columns(space: HilbertSpace, X: np.ndarray, tols: Tolerances = D
         X = X[:, None]
     if X.shape[1] == 0:
         return np.zeros((space.dim_total, 0), dtype=complex)
-    W = space.whiten(X)
-    U, s = _robust_svd(W)
+    U, s = _robust_svd(space.whiten(X))
+    return space.unwhiten(U[:, :_numerical_rank(s, tols)])
+
+
+def _numerical_rank(s: np.ndarray, tols: Tolerances) -> int:
+    """Number of the descending singular values ``s`` above the rank cut."""
     if s.size == 0:
-        return np.zeros((space.dim_total, 0), dtype=complex)
-    thr = max(tols.rank_rtol * s[0], tols.rank_floor)
-    k = int(np.sum(s > thr))
-    return space.unwhiten(U[:, :k])
+        return 0
+    return int(np.sum(s > max(tols.rank_rtol * s[0], tols.rank_floor)))
 
 
-def _robust_svd(W: np.ndarray):
+def _robust_svd(W: np.ndarray, full_matrices: bool = False):
     """Left singular vectors and values; falls back to the slower QR-based
-    LAPACK driver when divide-and-conquer fails to converge."""
+    LAPACK driver when divide-and-conquer fails to converge.  With
+    ``full_matrices`` the left factor is square, so its trailing columns
+    span the orthogonal complement of the range of W."""
     try:
-        U, s, _ = np.linalg.svd(W, full_matrices=False)
+        U, s, _ = np.linalg.svd(W, full_matrices=full_matrices)
     except np.linalg.LinAlgError:
-        U, s, _ = sla.svd(W, full_matrices=False, lapack_driver="gesvd")
+        U, s, _ = sla.svd(W, full_matrices=full_matrices, lapack_driver="gesvd")
     return U, s
 
 
@@ -59,9 +63,13 @@ def _robust_svd(W: np.ndarray):
 # ---------------------------------------------------------------------------
 
 class Subspace:
-    """A subspace of an ambient space, held as a Gram-orthonormal basis."""
+    """A subspace of an ambient space, held as a Gram-orthonormal basis.
 
-    def __init__(self, ambient: HilbertSpace, basis: np.ndarray):
+    The basis is checked on construction: B^H G B must equal the identity
+    entrywise to within ``tols.orthonormal``.
+    """
+
+    def __init__(self, ambient: HilbertSpace, basis: np.ndarray, tols: Tolerances = DEFAULTS):
         basis = np.asarray(basis, dtype=complex)
         if basis.ndim == 1:
             basis = basis[:, None]
@@ -71,12 +79,12 @@ class Subspace:
         self.basis = basis
         if basis.shape[1]:
             gram_err = np.max(np.abs(basis.conj().T @ ambient.gram @ basis - np.eye(basis.shape[1])))
-            if gram_err > 1e-8:
+            if gram_err > tols.orthonormal:
                 raise ValueError(f"basis is not Gram-orthonormal (deviation {gram_err:.2e})")
 
     @classmethod
     def from_columns(cls, ambient: HilbertSpace, X: np.ndarray, tols: Tolerances = DEFAULTS) -> "Subspace":
-        return cls(ambient, orthonormal_columns(ambient, X, tols))
+        return cls(ambient, orthonormal_columns(ambient, X, tols), tols)
 
     @classmethod
     def full(cls, ambient: HilbertSpace) -> "Subspace":
@@ -144,15 +152,20 @@ def subspace_intersect(A: Subspace, B: Subspace, tols: Tolerances = DEFAULTS) ->
         raise ValueError("subspaces live in different ambient spaces")
     amb = A.ambient
     U, s, V = _principal_pairs(A.basis, B.basis, amb.gram, tols)
-    return Subspace(amb, (A.basis @ U + B.basis @ V) / np.sqrt(2 * (1 + s)))
+    return Subspace(amb, (A.basis @ U + B.basis @ V) / np.sqrt(2 * (1 + s)), tols)
 
 
 def orthocomplement(S: Subspace, tols: Tolerances = DEFAULTS) -> Subspace:
+    """Gram-orthogonal complement of S.
+
+    The whitened basis of S has orthonormal columns, so the trailing
+    D - dim S columns of the complete QR factor Q of it are an orthonormal
+    basis of its complement; unwhitened, they are Gram-orthonormal.  No
+    rank decision is taken: the complement has dimension D - dim S.
+    """
     amb = S.ambient
-    Pw = _whitened_projector(S)
-    lam, V = np.linalg.eigh((Pw + Pw.conj().T) / 2)
-    sel = lam < 0.5
-    return Subspace(amb, amb.unwhiten(V[:, sel]))
+    Q, _ = np.linalg.qr(amb.whiten(S.basis), mode="complete")
+    return Subspace(amb, amb.unwhiten(Q[:, S.dim:]), tols)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +191,7 @@ class Core:
         self.space = space
 
     def subspace(self, tols: Tolerances = DEFAULTS) -> Subspace:
-        return Subspace(self.space, self.basis(tols))
+        return Subspace(self.space, self.basis(tols), tols)
 
 
 class IndexCore(Core):
@@ -460,7 +473,7 @@ def left_inverse(T: OperatorModel, margin: int = 1, tols: Tolerances = DEFAULTS)
     U, s, Vh = np.linalg.svd(TEw, full_matrices=False)
     if s.size == 0 or s[0] <= tols.rank_floor:
         raise AssumptionError("operator has (numerically) trivial range on its core")
-    k = int(np.sum(s > max(tols.rank_rtol * s[0], tols.rank_floor)))
+    k = _numerical_rank(s, tols)
     cond = float(s[0] / s[k - 1])
     if cond > tols.condition_max:
         raise ConvergenceError(f"left inverse is ill conditioned (cond = {cond:.3e})")
@@ -472,14 +485,20 @@ def left_inverse(T: OperatorModel, margin: int = 1, tols: Tolerances = DEFAULTS)
 def range_complement_projection(T: OperatorModel, tols: Tolerances = DEFAULTS) -> tuple:
     """(P matrix, E): Gram projection onto ker T* = ran(T)-perp, with range.
 
-    Built directly from an orthonormal basis of ran(T), so it does not
-    depend on any safe-core choice; P = I - Q Q^H G is exactly Gram
-    self-adjoint and idempotent.
+    One full SVD of the whitened matrix L^H T gives both: its leading k
+    left singular vectors, k the rank cut of :func:`orthonormal_columns`,
+    unwhiten to a Gram-orthonormal basis Q of ran(T), and its trailing
+    ones to a Gram-orthonormal basis of the complement E.  It does not
+    depend on any safe-core choice; P = I - Q Q^H G is Gram self-adjoint
+    and idempotent up to rounding.
     """
-    Q = orthonormal_columns(T.codom, T.matrix, tols)
-    Pm = np.eye(T.codom.dim_total, dtype=complex) - Q @ Q.conj().T @ T.codom.gram
-    E = Subspace.from_columns(T.codom, Pm, tols)
-    return Pm, E
+    sp = T.codom
+    U, s = _robust_svd(sp.whiten(T.matrix), full_matrices=True)
+    B = sp.unwhiten(U)
+    k = _numerical_rank(s, tols)
+    Q = B[:, :k]
+    Pm = np.eye(sp.dim_total, dtype=complex) - Q @ Q.conj().T @ sp.gram
+    return Pm, Subspace(sp, B[:, k:], tols)
 
 
 def wandering_projection(T: OperatorModel, tols: Tolerances = DEFAULTS) -> tuple:
@@ -507,7 +526,10 @@ def defect_operator(T: OperatorModel, margin: int = 1, tols: Tolerances = DEFAUL
     The quadratic form of T*T - I is evaluated exactly as
     <Tx, Ty> - <x, y> on the margin-1 core, then diagonalized there.
     Eigenvalues in [-psd_tol, 0) are clamped; anything more negative
-    disqualifies T as a 2-isometry candidate.  D acts as zero on the core
+    disqualifies T as a 2-isometry candidate.  The noise band is
+    symmetric: eigenvalues up to psd_tol (relative to the largest, at
+    least 1) or up to rank_rtol times the largest count as zero, so the
+    rank of D is not decided by rounding.  D acts as zero on the core
     complement.
     """
     if not T.is_square:
@@ -527,14 +549,14 @@ def defect_operator(T: OperatorModel, margin: int = 1, tols: Tolerances = DEFAUL
             f"T*T - I has eigenvalue {lam.min():.3e} below -psd_tol; not a 2-isometry candidate"
         )
     lam = np.clip(lam, 0.0, None)
-    # rank decision on the eigenvalues of T*T - I: the square root would
-    # amplify eigensolver noise past the floor
-    keep = lam > max(tols.rank_rtol * lam.max(initial=0.0), tols.rank_floor**2)
+    # rank decision on the eigenvalues of T*T - I, in the band of the clamp
+    # above: the square root would amplify eigensolver noise past the floor
+    keep = lam > max(tols.rank_rtol * lam.max(initial=0.0), tols.psd * lam_scale)
     lam = np.where(keep, lam, 0.0)
     roots = np.sqrt(lam)
     DB = (V * roots) @ V.conj().T
     Dmat = B @ DB @ B.conj().T @ G
-    Dspace = Subspace(T.dom, B @ V[:, keep])
+    Dspace = Subspace(T.dom, B @ V[:, keep], tols)
     D = OperatorModel(T.dom, T.dom, Dmat, info={"rank": int(keep.sum())})
     return D, Dspace
 
@@ -546,7 +568,10 @@ def restrict_operator(T: OperatorModel, S: Subspace, tols: Tolerances = DEFAULTS
     orthonormal).  The safe core of the restriction is the ambient core
     intersected with the subspace: in S coordinates it is spanned by the
     right principal vectors V of cosine above 1 - intersection_tol, already
-    orthonormal.  It is computed once per margin and handed out read-only.
+    orthonormal.  When S is the whole space nothing is cut, and V is the
+    coordinates S.coords(B) of the core basis B, orthonormal because S is
+    Gram-unitary; no SVD is needed.  It is computed once per margin and
+    handed out read-only.
     How far T(S) leaks out of S is recorded as ``info['invariance_leak']``.
     """
     if S.ambient.dim_total != T.dom.dim_total:
@@ -562,8 +587,11 @@ def restrict_operator(T: OperatorModel, S: Subspace, tols: Tolerances = DEFAULTS
 
     def restricted_core(margin):
         if margin not in cores:
-            _, _, V = _principal_pairs(T.core_subspace(margin, tols).basis, S.basis,
-                                       T.dom.gram, tols)
+            B = T.core_subspace(margin, tols).basis
+            if S.dim == T.dom.dim_total:
+                V = S.coords(B)
+            else:
+                _, _, V = _principal_pairs(B, S.basis, T.dom.gram, tols)
             V.flags.writeable = False  # shared by every caller
             cores[margin] = SpanCore(space, V, orthonormal=True)
         return cores[margin]

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import settings
 
 import woldlab as wl
@@ -15,6 +16,36 @@ settings.load_profile("woldlab")
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+class FactorizationLog(list):
+    """Shapes of the matrices handed to the dense factorizations, in call order."""
+
+    def large(self, D):
+        """How many of them had both dimensions at least D / 2."""
+        return sum(1 for shape in self if min(shape) >= D / 2)
+
+
+#: the factorizations counted: every eigensolver, SVD and QR the package calls
+FACTORIZATIONS = ((np.linalg, ("svd", "eigh", "eigvalsh", "qr")),
+                  (sla, ("svd", "schur", "null_space")))
+
+
+@pytest.fixture
+def dense_factorizations(monkeypatch):
+    """A :class:`FactorizationLog` of every counted factorization called
+    while the test runs."""
+    log = FactorizationLog()
+    for module, names in FACTORIZATIONS:
+        for name in names:
+            real = getattr(module, name)
+
+            def counted(a, *args, _real=real, **kwargs):
+                log.append(np.shape(a)[-2:])
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    return log
 
 
 def random_core_vector(op, rng, margin=4):

@@ -8,6 +8,7 @@ tests call them directly.
 import numpy as np
 
 import woldlab as wl
+from woldlab.operators import _principal_pairs, orthonormal_columns
 
 
 def apply_to_subspace(T, S, tols=wl.DEFAULTS):
@@ -208,3 +209,51 @@ def loop_model_rows(T1, T2, target, tols=wl.DEFAULTS):
             cur = c2.L @ cur
         cur_m = c1.L @ cur_m
     return rows
+
+
+# The routes below are the ones the pipeline took before its kernels, orbits,
+# complements and restricted cores each lost a dense factorization; the
+# cross-checks in tests/test_operators.py and tests/test_decomp.py compare
+# the current routes with them.
+
+
+def two_svd_kernel(T, tols=wl.DEFAULTS):
+    """``range_complement_projection`` by two SVDs: a thin one for ran(T),
+    then a second, rank-revealing one of the projector P for E = ran P."""
+    Q = orthonormal_columns(T.codom, T.matrix, tols)
+    Pm = np.eye(T.codom.dim_total, dtype=complex) - Q @ Q.conj().T @ T.codom.gram
+    E = wl.Subspace.from_columns(T.codom, Pm, tols)
+    return Pm, E
+
+
+def closing_svd_orbit(ops, S, tols=wl.DEFAULTS):
+    """``span_orbit`` with one projection per pass and a closing
+    rank-revealing SVD of the whole accumulated basis."""
+    ops = [ops] if isinstance(ops, wl.OperatorModel) else list(ops)
+    amb = S.ambient
+    basis = frontier = S.basis
+    while frontier.shape[1] and basis.shape[1] < amb.dim_total:
+        images = np.hstack([op.matrix @ frontier for op in ops])
+        images = images - basis @ (basis.conj().T @ (amb.gram @ images))
+        frontier = orthonormal_columns(amb, images, tols)
+        basis = np.hstack([basis, frontier])
+    return wl.Subspace.from_columns(amb, basis, tols)
+
+
+def eigh_complement(S, tols=wl.DEFAULTS):
+    """``orthocomplement`` from the eigenvectors of the D x D whitened
+    projector with eigenvalue below 1/2."""
+    amb = S.ambient
+    Bw = amb.whiten(S.basis)
+    Pw = Bw @ Bw.conj().T
+    lam, V = np.linalg.eigh((Pw + Pw.conj().T) / 2)
+    sel = lam < 0.5
+    return wl.Subspace(amb, amb.unwhiten(V[:, sel]))
+
+
+def principal_pair_core(T, S, margin, tols=wl.DEFAULTS):
+    """The safe core of ``restrict_operator(T, S)`` in S coordinates, always
+    from the right principal vectors of the ambient core and S, also when
+    S is the whole space."""
+    _, _, V = _principal_pairs(T.core_subspace(margin, tols).basis, S.basis, T.dom.gram, tols)
+    return V

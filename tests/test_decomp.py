@@ -575,6 +575,35 @@ def test_wold_pair_certifies_each_operator_once(wandering_calls):
     assert wandering_calls == [T1, T2]
 
 
+# Dense factorizations with both dimensions at least D / 2, pinned per
+# decomposition.  Each E = ker T* takes one full SVD, an orbit no closing
+# SVD, a complement one complete QR, and a restriction to the whole space no
+# core SVD.
+
+
+def test_wold_single_dense_factorization_count(dense_factorizations):
+    inst = wl.make_single_wold_instance(2, scalar_atoms(*THREE_ATOMS), 16, seed=1,
+                                        scramble_seed=23)
+    T = inst.operators[0]
+    dense_factorizations.clear()
+    wl.wold_single(T)
+    assert dense_factorizations.large(T.dom.dim_total) == 8     # 10 before the cuts
+
+
+def test_wold_pair_dense_factorization_count_on_a_four_block_pair(dense_factorizations):
+    T1, T2 = acceptance_7_instance().operators
+    dense_factorizations.clear()
+    wl.wold_pair(T1, T2)
+    assert dense_factorizations.large(T1.dom.dim_total) == 12   # 17 before the cuts
+
+
+def test_wold_pair_dense_factorization_count_on_a_coordinate_pair(dense_factorizations):
+    T1, T2 = _analytic_pair(caps=10)
+    dense_factorizations.clear()
+    wl.wold_pair(T1, T2)
+    assert dense_factorizations.large(T1.dom.dim_total) == 11   # 20 before the cuts
+
+
 def test_wold_pair_builds_its_joint_core_once(monkeypatch):
     calls = []
     for module in (decomp, operators):

@@ -1,0 +1,98 @@
+"""Kernels, orbits, complements and restricted cores against their older routes.
+
+Each routine lost one dense factorization: the kernel of T* is read from one
+full SVD, an orbit keeps its accumulated basis, a complement comes from a
+complete QR, and a restriction to the whole space reads its core without an
+SVD.  ``tests/reference.py`` keeps the older routes; on the same inputs both
+must give the same subspaces, to rounding.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+import woldlab as wl
+from woldlab.decomp import span_orbit
+from woldlab.operators import orthocomplement, range_complement_projection, restrict_operator
+
+from reference import closing_svd_orbit, eigh_complement, principal_pair_core, two_svd_kernel
+
+TOL = 1e-10
+seeds = st.integers(0, 2**20)
+
+
+def assert_same(got, ref):
+    assert got.dim == ref.dim
+    assert got.distance(ref) < TOL
+
+
+def random_full_space(amb, seed):
+    """The whole of ``amb`` through a random Gram-unitary basis."""
+    return wl.Subspace(amb, amb.unwhiten(wl.random_unitary(amb.dim_total, seed)))
+
+
+def check_routes(ops, seed):
+    """Every rewritten routine on ``ops`` (one operator or a pair) and the
+    subspaces a decomposition builds from them, against its older route."""
+    amb = ops[0].dom
+    kernels = []
+    for T in ops:
+        Pm, E = range_complement_projection(T)
+        Pr, Er = two_svd_kernel(T)
+        assert_same(E, Er)
+        assert np.max(np.abs(Pm - Pr)) < TOL * max(1.0, np.linalg.norm(amb.gram, 2))
+        kernels.append(E)
+    E = kernels[0] if len(ops) == 1 else wl.subspace_intersect(*kernels)
+    orbits = [span_orbit(T, E) for T in ops]
+    if len(ops) == 2:
+        orbits.append(span_orbit(list(ops), E))
+        assert_same(orbits[-1], closing_svd_orbit(list(ops), E))
+    for T, orbit in zip(ops, orbits):
+        assert_same(orbit, closing_svd_orbit(T, E))
+    for S in orbits + kernels + [wl.Subspace.trivial(amb)]:
+        assert_same(orthocomplement(S), eigh_complement(S))
+    whole = random_full_space(amb, seed)
+    for T in ops:
+        for S in (orbits[-1], orthocomplement(orbits[-1]), whole):
+            if S.dim == 0:
+                continue
+            R = restrict_operator(T, S)
+            for margin in range(4):
+                ref = principal_pair_core(T, S, margin)
+                assert_same(wl.Subspace(R.dom, R.core_basis(margin)), wl.Subspace(R.dom, ref))
+
+
+@settings(max_examples=12)
+@given(seed=seeds, k=st.integers(0, 3), n_atoms=st.integers(1, 3), density=st.booleans(),
+       caps=st.integers(2, 16))
+def test_single_routes_match_on_scrambled_unitary_plus_shift(seed, k, n_atoms, density, caps):
+    mu = wl.random_atomic_measure(1, n_atoms, seed=seed, density_scale=0.4 * density)
+    inst = wl.make_single_wold_instance(k, mu, caps, seed=seed, scramble_seed=seed + 1)
+    check_routes(inst.operators, seed)
+
+
+@settings(max_examples=6)
+@given(seed=seeds, k00=st.integers(0, 2))
+def test_pair_routes_match_on_scrambled_four_block_pairs(seed, k00):
+    nu1, nu2 = (wl.random_atomic_measure(1, 2, seed=seed + j) for j in (1, 2))
+    eta1, eta2 = wl.random_measure_pair(1, 2, seed=seed + 3)
+    inst = wl.make_four_block_instance(k00, nu1, 5, nu2, 4, eta1, eta2, (3, 3),
+                                       seed=seed, scramble_seed=seed + 4)
+    check_routes(inst.operators, seed)
+
+
+@settings(max_examples=8)
+@given(seed=seeds, d=st.integers(1, 2), n_atoms=st.integers(1, 2), caps=st.integers(2, 5))
+def test_pair_routes_match_on_coordinate_pairs(seed, d, n_atoms, caps):
+    pair = wl.build_pair_2v(*wl.random_measure_pair(d, n_atoms, seed=seed), caps, caps - 1)
+    check_routes(pair, seed)
+
+
+def test_restriction_to_the_whole_space_reads_its_core_without_an_svd(dense_factorizations):
+    T1, _ = wl.build_pair_2v(*wl.random_measure_pair(1, 2, seed=5), 6, 6)
+    S = random_full_space(T1.dom, 6)
+    dense_factorizations.clear()
+    R = restrict_operator(T1, S)
+    for margin in range(4):
+        R.core_basis(margin)
+    # nothing is cut, so each core is read in S coordinates with no factorization
+    assert list(dense_factorizations) == []

@@ -185,6 +185,23 @@ def test_defect_rank_one_for_single_atom():
     assert Dspace.dim == 1
 
 
+def test_isometric_restrictions_have_no_defect_at_rounding_level():
+    # the Hardy pair is isometric, so T*T - I vanishes on every basis of it;
+    # through a random Gram-unitary basis its eigenvalues are rounding
+    # (about 1e-16) and must not count as rank
+    z = wl.CircleMeasure.zero(1)
+    pair = wl.build_pair_2v(z, z, 5, 5)
+    sp = pair[0].dom
+    for seed in range(40):
+        S = wl.Subspace(sp, sp.unwhiten(wl.random_unitary(sp.dim_total, seed)))
+        for T in pair:
+            R = wl.restrict_operator(T, S)
+            D, Dspace = wl.defect_operator(R)
+            assert D.info["rank"] == Dspace.dim == 0
+            mu = wl.extract_measure(R)
+            assert mu.atoms == () and not np.any(mu.total_mass)
+
+
 def test_defect_rejects_contractions():
     assert wl.two_isometry_defect(jordan_block()) > 0.5
     with pytest.raises(wl.AssumptionError):

@@ -2,20 +2,22 @@
 
 A float literal of at most 1e-6 in ``src/woldlab`` is a threshold that
 ``--tol-scale`` cannot reach.  The scan below fails on any such literal
-outside ``config.py`` that is not on the allowlist of the ones that remain.
+outside ``config.py`` that is not on the allowlist, which is empty.
 """
 
 import ast
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import woldlab as wl
+from woldlab.space import EuclideanSpace
 
 PACKAGE = Path(wl.__file__).resolve().parent
 
-#: (module, enclosing definition, value) of the thresholds that remain
-ALLOWED = {
-    ("operators.py", "Subspace.__init__", 1e-8),   # Gram-orthonormality of a basis
-}
+#: (module, enclosing definition, value) of the thresholds that remain: none
+ALLOWED = set()
 
 
 def small_float_literals(path):
@@ -51,3 +53,12 @@ def test_the_scan_sees_a_bare_threshold(tmp_path):
 def test_moved_thresholds_keep_their_defaults():
     assert wl.DEFAULTS.projection_law == 1e-8
     assert wl.DEFAULTS.isometric_mass == 1e-8
+    assert wl.DEFAULTS.orthonormal == 1e-8
+
+
+def test_orthonormality_gate_reads_its_tolerance():
+    sp = EuclideanSpace(2)
+    skewed = np.array([[1.0, 0.0], [1e-7, 1.0]])
+    with pytest.raises(ValueError, match="not Gram-orthonormal"):
+        wl.Subspace(sp, skewed)
+    assert wl.Subspace(sp, skewed, wl.DEFAULTS.scaled(100)).dim == 2
