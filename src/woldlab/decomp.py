@@ -22,12 +22,14 @@ import scipy.linalg as sla
 from ._blas import one_blas_thread
 from .config import DEFAULTS, Tolerances
 from .errors import AssumptionError, ConvergenceError
-from .measures import CircleMeasure, fourier_coefficient
+from .measures import CircleMeasure, fourier_coefficients
 from .operators import (
     OperatorModel,
     Subspace,
     _defect_form,
     _numerical_rank,
+    _robust_svd,
+    _whitened_operator,
     _whitened_projector,
     adjoint,
     defect_operator,
@@ -36,7 +38,6 @@ from .operators import (
     left_inverse,
     operator_norm,
     orthocomplement,
-    orthonormal_columns,
     restrict_operator,
     subspace_intersect,
     two_isometry_defect,
@@ -64,23 +65,35 @@ def span_orbit(ops, S: Subspace, tols: Tolerances = DEFAULTS) -> Subspace:
     operator to the directions the last pass added, projects the images off
     the basis twice (one Gram-Schmidt pass loses orthogonality in
     proportion to the cancellation, a second restores it to rounding) and
-    keeps their rank-revealed part.  The accumulated basis is returned as
-    it is, with no closing orthonormalization; the Gram-orthonormality
-    gate of :class:`Subspace` checks it.  The loop ends when a pass adds
-    nothing or the basis fills the space, so it needs no iteration cap.
-    Every shift block of a Wold decomposition is such an orbit of a
-    wandering subspace, e.g. H1 = [ker T*]_T.
+    keeps their rank-revealed part, cut as :func:`orthonormal_columns`
+    cuts.  The loop ends when a pass adds nothing or the basis fills the
+    space, so it needs no iteration cap.  Every shift block of a Wold
+    decomposition is such an orbit of a wandering subspace, e.g.
+    H1 = [ker T*]_T.
+
+    The passes run in whitened coordinates, where the Gram inner product
+    is Euclidean: the operators and S are whitened once, the basis grows
+    in one D x D buffer, and it is unwhitened once at the end, with no
+    closing orthonormalization; the Gram-orthonormality gate of
+    :class:`Subspace` checks it.
     """
     ops = [ops] if isinstance(ops, OperatorModel) else list(ops)
     amb = S.ambient
-    basis = frontier = S.basis
-    while frontier.shape[1] and basis.shape[1] < amb.dim_total:
-        images = np.hstack([op.matrix @ frontier for op in ops])
+    D = amb.dim_total
+    Tw = [_whitened_operator(op) for op in ops]
+    basis = np.empty((D, D), dtype=complex)
+    start, end = 0, S.dim
+    basis[:, :end] = amb.whiten(S.basis)
+    while start < end < D:
+        images = np.hstack([T @ basis[:, start:end] for T in Tw])
+        B = basis[:, :end]
         for _ in range(2):
-            images = images - basis @ (basis.conj().T @ (amb.gram @ images))
-        frontier = orthonormal_columns(amb, images, tols)
-        basis = np.hstack([basis, frontier])
-    return Subspace(amb, basis, tols)
+            images -= B @ (B.conj().T @ images)
+        U, s = _robust_svd(images)
+        added = _numerical_rank(s, tols)
+        basis[:, end:end + added] = U[:, :added]
+        start, end = end, end + added
+    return Subspace(amb, amb.unwhiten(basis[:, :end]), tols)
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,14 +255,12 @@ def extract_measure(T: OperatorModel, compress_to: Subspace = None,
     Tschur, Q = sla.schur(Ut, output="complex")
     eigs = np.diag(Tschur)
     angles = np.mod(np.angle(eigs), 2 * np.pi)
-    G = T.dom.gram
-    DE = D.matrix @ compress_to.basis
+    # row i of Y pairs the i-th Schur vector of the defect space with D E
+    Y = (Dspace.basis @ Q).conj().T @ (T.dom.gram @ (D.matrix @ compress_to.basis))
     atoms = []
     for cluster in _cluster_angles(angles, tols.atom_cluster):
-        cluster = np.array(cluster, dtype=int)
-        Z = Dspace.basis @ Q[:, cluster]
-        Y = Z.conj().T @ (G @ DE)
-        W = Y.conj().T @ Y
+        Yc = Y[np.array(cluster, dtype=int)]
+        W = Yc.conj().T @ Yc
         angs = angles[cluster]
         if angs.max() - angs.min() > np.pi:  # seam-straddling cluster
             angs = np.where(angs > np.pi, angs - 2 * np.pi, angs)
@@ -418,16 +429,21 @@ def wold_single(T: OperatorModel, tols: Tolerances = DEFAULTS,
         unitarity_residual(unitary_part, margin=0, tols=tols) if H0.dim else 0.0
     )
     # wandering property: <T^n w, w'> = 0 for n >= 1, until the truncation
-    # has annihilated T^n E (Gram norm at most _EPS times that of E)
+    # has annihilated T^n E (Gram norm at most _EPS times that of E); in
+    # whitened coordinates the pairing is E_w^H T_w^n E_w
     wander = 0.0
     if E.dim:
-        cur = E.basis
+        Tw = _whitened_operator(T)
+        cur = amb.whiten(E.basis)
+        Ewh = cur.conj().T
+        cross = []
         for _ in range(amb.dim_total + 1):
-            cur = T.matrix @ cur
-            Gcur = amb.gram @ cur
-            if np.vdot(cur, Gcur).real <= _EPS**2 * E.dim:
+            cur = Tw @ cur
+            if np.vdot(cur, cur).real <= _EPS**2 * E.dim:
                 break
-            wander = max(wander, float(np.linalg.norm(E.basis.conj().T @ Gcur, 2)))
+            cross.append(Ewh @ cur)
+        if cross:
+            wander = float(np.max(np.linalg.norm(np.stack(cross), 2, axis=(1, 2))))
     residuals["wandering"] = wander
 
     worst = max(residuals["orthogonality"], residuals["completeness"], wander,
@@ -808,7 +824,7 @@ def measures_equal_up_to_unitary(a: CircleMeasure, b: CircleMeasure, K: int = 8,
     d = a.dim
     if d == 0:
         return MeasureComparison(True, np.zeros((0, 0)), "trivial coefficient space")
-    ta, tb = (np.stack([fourier_coefficient(m, n) for n in range(-K, K + 1)]) for m in (a, b))
+    ta, tb = fourier_coefficients(a, K), fourier_coefficients(b, K)
     w = _generic_weights(K)
     Ca, Cb = np.tensordot(w, ta, axes=1), np.tensordot(w, tb, axes=1)
     (la, Va), (lb, Vb) = (np.linalg.eigh(C[0] + C[0].conj().T) for C in (Ca, Cb))

@@ -178,6 +178,24 @@ def fourier_coefficient(mu: CircleMeasure, n: int) -> np.ndarray:
     return out
 
 
+def fourier_coefficients(mu: CircleMeasure, K: int) -> np.ndarray:
+    """Stacked coefficients mu_hat(n) for n = -K..K, shape (2K + 1, d, d).
+
+    The values of :func:`fourier_coefficient`, from one product of the
+    phases exp(-i n theta_j) with the stacked atom weights.
+    """
+    n = np.arange(-K, K + 1)
+    d = mu.dim
+    if mu.atoms:
+        angles = np.array([theta for theta, _ in mu.atoms])
+        weights = np.stack([W for _, W in mu.atoms])
+        table = np.tensordot(np.exp(-1j * np.outer(n, angles)), weights, axes=1)
+    else:
+        table = np.zeros((n.size, d, d), dtype=complex)
+    table[K] += mu.density
+    return table
+
+
 def poisson_kernel(z: complex, theta: float) -> float:
     """(1 - |z|^2) / |e^{i theta} - z|^2 for z in the open disc."""
     return (1.0 - abs(z) ** 2) / abs(np.exp(1j * theta) - z) ** 2

@@ -122,6 +122,16 @@ class Subspace:
         return float(np.linalg.norm(L.conj().T @ right, 2))
 
 
+def _whitened_operator(T: OperatorModel) -> np.ndarray:
+    """T_w = L^H T L^{-H}, the matrix of T in whitened coordinates x_w = L^H x,
+    where the Gram inner product is Euclidean: one product and one
+    triangular solve, and T itself on an identity-Gram space."""
+    sp = T.dom
+    if sp.identity_space():
+        return T.matrix
+    return sla.solve_triangular(sp.chol, sp.whiten(T.matrix).conj().T, lower=True).conj().T
+
+
 def _whitened_projector(S: Subspace) -> np.ndarray:
     Bw = S.ambient.whiten(S.basis)
     return Bw @ Bw.conj().T

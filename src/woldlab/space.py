@@ -141,7 +141,11 @@ class GradedPolySpace(HilbertSpace):
         self.mu1 = mu1
         self.mu2 = mu2
         self.components = components
-        gram = sum(components.values())
+        # summed in place in the order of ``components``: one D x D copy
+        parts = iter(components.values())
+        gram = np.array(next(parts), dtype=complex)
+        for part in parts:
+            gram += part
         super().__init__(gram, label=f"D2(caps={self.caps}, d={self.dim})")
 
     # -- indexing ------------------------------------------------------
@@ -231,8 +235,13 @@ def build_space(mu1: CircleMeasure, mu2: CircleMeasure, N1: int, N2: int,
     components = {"h2": np.eye(D, dtype=complex), "d1": d1.reshape(D, D),
                   "d2": d2.reshape(D, D), "d3": d3.reshape(D, D)}
     space = GradedPolySpace(mu1, mu2, (N1, N2), components)
-    herm = np.max(np.abs(space.gram - space.gram.conj().T))
-    if herm > tols.hermitian * max(1.0, np.max(np.abs(space.gram))):
+    # one complex and one real D x D temporary for both maxima
+    G = space.gram
+    skew = G.T.conj()
+    skew -= G
+    mags = np.abs(skew)
+    herm = mags.max()
+    if herm > tols.hermitian * max(1.0, np.abs(G, out=mags).max()):
         raise AssumptionError(f"assembled gram is not Hermitian (deviation {herm:.2e})")
     return space
 

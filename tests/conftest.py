@@ -48,6 +48,21 @@ def dense_factorizations(monkeypatch):
     return log
 
 
+@pytest.fixture
+def triangular_solves(monkeypatch):
+    """Shapes of the right-hand sides of every ``scipy.linalg.solve_triangular``
+    call made while the test runs."""
+    log = []
+    real = sla.solve_triangular
+
+    def counted(a, b, *args, **kwargs):
+        log.append(np.shape(b))
+        return real(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(sla, "solve_triangular", counted)
+    return log
+
+
 def random_core_vector(op, rng, margin=4):
     """A random vector supported on the safe core of the operator."""
     core = op.core_subspace(margin)

@@ -257,3 +257,41 @@ def principal_pair_core(T, S, margin, tols=wl.DEFAULTS):
     S is the whole space."""
     _, _, V = _principal_pairs(T.core_subspace(margin, tols).basis, S.basis, T.dom.gram, tols)
     return V
+
+
+# The orbit and wandering loops below work in the ambient Gram geometry, one
+# whitening, Gram product and SVD per pass or power; the pipeline now runs
+# both on whitened operators. tests/test_dense_passes.py compares them.
+
+
+def gram_orbit(ops, S, tols=wl.DEFAULTS):
+    """``span_orbit`` in ambient coordinates: each pass projects its images
+    off the basis through the Gram matrix and orthonormalizes them with
+    ``orthonormal_columns``, and the basis grows by one ``hstack`` a pass."""
+    ops = [ops] if isinstance(ops, wl.OperatorModel) else list(ops)
+    amb = S.ambient
+    basis = frontier = S.basis
+    while frontier.shape[1] and basis.shape[1] < amb.dim_total:
+        images = np.hstack([op.matrix @ frontier for op in ops])
+        for _ in range(2):
+            images = images - basis @ (basis.conj().T @ (amb.gram @ images))
+        frontier = orthonormal_columns(amb, images, tols)
+        basis = np.hstack([basis, frontier])
+    return wl.Subspace(amb, basis, tols)
+
+
+def gram_wandering(T, E):
+    """The wandering residual of ``wold_single``: the largest ||E^H G T^n E||
+    over n >= 1, one spectral norm per power, until the Gram norm of T^n E
+    is at most eps^2 dim E."""
+    amb = T.dom
+    eps = np.finfo(float).eps
+    wander = 0.0
+    cur = E.basis
+    for _ in range(amb.dim_total + 1):
+        cur = T.matrix @ cur
+        Gcur = amb.gram @ cur
+        if np.vdot(cur, Gcur).real <= eps**2 * E.dim:
+            break
+        wander = max(wander, float(np.linalg.norm(E.basis.conj().T @ Gcur, 2)))
+    return wander

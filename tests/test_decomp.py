@@ -6,10 +6,11 @@ import weakref
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import assume, event, given, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 import woldlab as wl
 from woldlab import decomp, operators
+from woldlab.measures import fourier_coefficients
 from woldlab.operators import joint_core, range_complement_projection, restrict_operator
 from woldlab.space import EuclideanSpace
 
@@ -501,6 +502,42 @@ def test_wold_pair_blocks_invariant_under_scramble():
         da = getattr(qa, name).distance(inst_a.truth["blocks"][name])
         db = getattr(qb, name).distance(inst_b.truth["blocks"][name])
         assert max(da, db) < 1e-6
+
+
+# Invariance under scrambling: the same U_k (+) M_z(mu), or the same four-block
+# pair, conjugated by two different unitaries decomposes into blocks of the
+# same dimensions and measures with the same Fourier data (d = 1, so the
+# coefficients themselves are unitary invariants).
+
+
+def assert_same_measures(a, b):
+    assert wl.measures_equal_up_to_unitary(a, b).equal is True
+    assert np.max(np.abs(fourier_coefficients(a, 8) - fourier_coefficients(b, 8))) < 1e-8
+
+
+@settings(max_examples=4)
+@given(seed=st.integers(0, 2**20), k=st.integers(0, 2), n_atoms=st.integers(1, 3),
+       density=st.booleans(), caps=st.integers(6, 14))
+def test_wold_single_is_invariant_under_scrambling(seed, k, n_atoms, density, caps):
+    mu = wl.random_atomic_measure(1, n_atoms, seed=seed, density_scale=0.4 * density)
+    a, b = (wl.wold_single(wl.make_single_wold_instance(k, mu, caps, seed=seed,
+                                                        scramble_seed=s).operators[0])
+            for s in (seed + 1, seed + 2))
+    assert (a.H0.dim, a.H1.dim) == (b.H0.dim, b.H1.dim) == (k, caps + 1)
+    assert_same_measures(a.extracted, b.extracted)
+
+
+@settings(max_examples=3)
+@given(seed=st.integers(0, 2**20), k00=st.integers(0, 2))
+def test_wold_pair_is_invariant_under_scrambling(seed, k00):
+    nu1, nu2 = (wl.random_atomic_measure(1, 2, seed=seed + j) for j in (1, 2))
+    eta1, eta2 = wl.random_measure_pair(1, 2, seed=seed + 3)
+    a, b = (wl.wold_pair(*wl.make_four_block_instance(k00, nu1, 5, nu2, 4, eta1, eta2, (3, 3),
+                                                      seed=seed, scramble_seed=s).operators)
+            for s in (seed + 4, seed + 5))
+    assert a.block_dims() == b.block_dims()
+    for name in ("nu1", "nu2", "eta1", "eta2"):
+        assert_same_measures(a.measures[name], b.measures[name])
 
 
 def test_wold_pair_idempotent_on_blocks():

@@ -3,8 +3,10 @@
 Each routine lost one dense factorization: the kernel of T* is read from one
 full SVD, an orbit keeps its accumulated basis, a complement comes from a
 complete QR, and a restriction to the whole space reads its core without an
-SVD.  ``tests/reference.py`` keeps the older routes; on the same inputs both
-must give the same subspaces, to rounding.
+SVD.  Orbits and the wandering check of ``wold_single`` run on whitened
+operators, with no per-pass Gram product, triangular solve or SVD norm.
+``tests/reference.py`` keeps the older routes; on the same inputs both must
+give the same subspaces and residuals, to rounding.
 """
 
 import numpy as np
@@ -14,9 +16,17 @@ import woldlab as wl
 from woldlab.decomp import span_orbit
 from woldlab.operators import orthocomplement, range_complement_projection, restrict_operator
 
-from reference import closing_svd_orbit, eigh_complement, principal_pair_core, two_svd_kernel
+from reference import (
+    closing_svd_orbit,
+    eigh_complement,
+    gram_orbit,
+    gram_wandering,
+    principal_pair_core,
+    two_svd_kernel,
+)
 
 TOL = 1e-10
+WANDER_TOL = 1e-13
 seeds = st.integers(0, 2**20)
 
 
@@ -48,6 +58,9 @@ def check_routes(ops, seed):
         assert_same(orbits[-1], closing_svd_orbit(list(ops), E))
     for T, orbit in zip(ops, orbits):
         assert_same(orbit, closing_svd_orbit(T, E))
+        assert_same(orbit, gram_orbit(T, E))
+    if len(ops) == 2:
+        assert_same(orbits[-1], gram_orbit(list(ops), E))
     for S in orbits + kernels + [wl.Subspace.trivial(amb)]:
         assert_same(orthocomplement(S), eigh_complement(S))
     whole = random_full_space(amb, seed)
@@ -61,6 +74,12 @@ def check_routes(ops, seed):
                 assert_same(wl.Subspace(R.dom, R.core_basis(margin)), wl.Subspace(R.dom, ref))
 
 
+def check_wandering(T):
+    """The wandering residual of ``wold_single`` against the Gram-geometry loop."""
+    wander = wl.wold_single(T, extract=False).residuals["wandering"]
+    assert abs(wander - gram_wandering(T, wl.certify(T).E)) < WANDER_TOL
+
+
 @settings(max_examples=12)
 @given(seed=seeds, k=st.integers(0, 3), n_atoms=st.integers(1, 3), density=st.booleans(),
        caps=st.integers(2, 16))
@@ -68,6 +87,7 @@ def test_single_routes_match_on_scrambled_unitary_plus_shift(seed, k, n_atoms, d
     mu = wl.random_atomic_measure(1, n_atoms, seed=seed, density_scale=0.4 * density)
     inst = wl.make_single_wold_instance(k, mu, caps, seed=seed, scramble_seed=seed + 1)
     check_routes(inst.operators, seed)
+    check_wandering(inst.operators[0])
 
 
 @settings(max_examples=6)
@@ -78,6 +98,8 @@ def test_pair_routes_match_on_scrambled_four_block_pairs(seed, k00):
     inst = wl.make_four_block_instance(k00, nu1, 5, nu2, 4, eta1, eta2, (3, 3),
                                        seed=seed, scramble_seed=seed + 4)
     check_routes(inst.operators, seed)
+    for T in inst.operators:
+        check_wandering(T)
 
 
 @settings(max_examples=8)
@@ -85,6 +107,8 @@ def test_pair_routes_match_on_scrambled_four_block_pairs(seed, k00):
 def test_pair_routes_match_on_coordinate_pairs(seed, d, n_atoms, caps):
     pair = wl.build_pair_2v(*wl.random_measure_pair(d, n_atoms, seed=seed), caps, caps - 1)
     check_routes(pair, seed)
+    # the second operator, at cap caps - 1, is not certified on its core
+    check_wandering(pair[0])
 
 
 def test_restriction_to_the_whole_space_reads_its_core_without_an_svd(dense_factorizations):
@@ -96,3 +120,19 @@ def test_restriction_to_the_whole_space_reads_its_core_without_an_svd(dense_fact
         R.core_basis(margin)
     # nothing is cut, so each core is read in S coordinates with no factorization
     assert list(dense_factorizations) == []
+
+
+def test_span_orbit_whitens_each_operator_once(triangular_solves):
+    inst = wl.make_four_block_instance(1, wl.random_atomic_measure(1, 2, seed=1), 5,
+                                       wl.random_atomic_measure(1, 2, seed=2), 4,
+                                       *wl.random_measure_pair(1, 2, seed=3), (3, 3),
+                                       seed=4, scramble_seed=5)
+    T1, T2 = inst.operators
+    E = wl.subspace_intersect(wl.certify(T1).E, wl.certify(T2).E)
+    for ops, n_ops in ((T1, 1), ([T1, T2], 2)):
+        triangular_solves.clear()
+        orbit = span_orbit(ops, E)
+        # one whitening per operator and one unwhitening of the basis; the
+        # ambient-coordinate loop made one solve per pass, 4 and 7 here
+        assert orbit.dim > 3 * E.dim
+        assert len(triangular_solves) <= n_ops + 1

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import woldlab as wl
-from woldlab.measures import require_positive, weights_commute
+from woldlab.measures import fourier_coefficients, require_positive, weights_commute
 
 from conftest import scalar_atoms
 
@@ -35,6 +35,19 @@ def test_fourier_hermitian_symmetry(rng):
     for n in range(9):
         np.testing.assert_allclose(wl.fourier_coefficient(mu, -n),
                                    wl.fourier_coefficient(mu, n).conj().T, atol=1e-14)
+
+
+@pytest.mark.parametrize("mu", [
+    wl.CircleMeasure.lebesgue(1, 0.3),
+    scalar_atoms((0.2, 0.5), (np.pi, 1.1)),
+    wl.random_atomic_measure(2, 3, seed=11, density_scale=0.4),
+], ids=["density", "atoms", "matrix"])
+def test_fourier_table_matches_each_coefficient(mu):
+    K = 9
+    table = fourier_coefficients(mu, K)
+    assert table.shape == (2 * K + 1, mu.dim, mu.dim)
+    for n in range(-K, K + 1):
+        np.testing.assert_allclose(table[n + K], wl.fourier_coefficient(mu, n), atol=1e-14)
 
 
 def test_poisson_lebesgue_is_one(rng):
