@@ -170,20 +170,20 @@ def _certificate(T: OperatorModel, tols: Tolerances, E: Subspace = None) -> Cert
 # defect-space isometry and measure extraction
 # ---------------------------------------------------------------------------
 
-def _tilde_pieces(T: OperatorModel, margin: int, tols: Tolerances):
+def _tilde_pieces(T: OperatorModel, tols: Tolerances):
     """Unitary model of the defect-space isometry D x -> D T x.
 
     The map is fit by least squares over safe-core columns, completed
     deterministically on any unreached directions, then projected to the
     closest unitary via its singular factors.
     """
-    D, Dspace = defect_operator(T, margin=1, tols=tols)
+    D, Dspace = defect_operator(T, tols=tols)
     k = Dspace.dim
     residuals = {"lstsq": 0.0, "unitarity": 0.0}
     if k == 0:
         Ut = np.zeros((0, 0), dtype=complex)
         return Ut, Dspace, D, residuals
-    C = T.core_basis(margin)
+    C = T.core_basis()
     X = Dspace.coords(D.matrix @ C)
     Y = Dspace.coords(D.matrix @ (T.matrix @ C))
     Ux, sx, Vhx = np.linalg.svd(X, full_matrices=False)
@@ -233,7 +233,7 @@ def _cluster_angles(angles: np.ndarray, tol: float):
 
 @one_blas_thread
 def extract_measure(T: OperatorModel, compress_to: Subspace = None,
-                    margin: int = 2, tols: Tolerances = DEFAULTS) -> CircleMeasure:
+                    tols: Tolerances = DEFAULTS) -> CircleMeasure:
     """Classifying measure of an analytic 2-isometry.
 
     Analyticity is certified by the orbit of the wandering subspace
@@ -248,7 +248,7 @@ def extract_measure(T: OperatorModel, compress_to: Subspace = None,
     if compress_to is None:
         compress_to = E
     e_dim = compress_to.dim
-    Ut, Dspace, D, _ = _tilde_pieces(T, margin, tols)
+    Ut, Dspace, D, _ = _tilde_pieces(T, tols)
     if Dspace.dim == 0:
         return CircleMeasure.zero(e_dim)
     # Schur of a (numerically) unitary matrix: orthonormal eigenvectors

@@ -16,7 +16,7 @@ import scipy.linalg as sla
 
 from .config import DEFAULTS
 from .errors import AssumptionError
-from .measures import CircleMeasure, require_positive
+from .measures import CircleMeasure
 from .operators import IndexCore, MappedCore, OperatorModel, StackCore, Subspace
 from .space import (
     EuclideanSpace,
@@ -99,25 +99,21 @@ def _full_core_fn(space):
     return core
 
 
-def build_shift_1v(mu: CircleMeasure, N: int, space: GradedPolySpace = None) -> OperatorModel:
+def build_shift_1v(mu: CircleMeasure, N: int) -> OperatorModel:
     """Multiplication by z on the truncated one-variable space of mu.
 
     The matrix is the coefficient shift from the caps-(N-1) truncation
     into the caps-N one, extended by zero on the top degree; all identity
     checks run on the safe core below the cap.
     """
-    require_positive(mu)
-    if space is None:
-        space = build_space_1v(mu, N)
+    space = build_space_1v(mu, N)
     T = coordinate_shift_matrix(space, 1)
     return OperatorModel(space, space, T, core_fn=_graded_core_fn(space, 1))
 
 
-def build_pair_2v(mu1: CircleMeasure, mu2: CircleMeasure, N1: int, N2: int,
-                  space: GradedPolySpace = None) -> tuple:
+def build_pair_2v(mu1: CircleMeasure, mu2: CircleMeasure, N1: int, N2: int) -> tuple:
     """The coordinate shift pair on the graded bidisc space of (mu1, mu2)."""
-    if space is None:
-        space = build_space(mu1, mu2, N1, N2)
+    space = build_space(mu1, mu2, N1, N2)
     T1 = OperatorModel(space, space, coordinate_shift_matrix(space, 1),
                        core_fn=_graded_core_fn(space, 1))
     T2 = OperatorModel(space, space, coordinate_shift_matrix(space, 2),
@@ -254,29 +250,39 @@ class Instance:
         return len(self.operators) == 2
 
 
-def make_single_wold_instance(unitary_dim: int, mu: CircleMeasure, caps: int,
-                              seed: int, scramble_seed: int = None) -> Instance:
-    """Scrambled U_k (+) M_z(mu): ground truth for the single decomposition."""
-    parts = []
-    if unitary_dim:
-        parts.append(unitary_operator(random_unitary(unitary_dim, seed)))
-    shift = build_shift_1v(mu, caps)
-    parts.append(shift)
+def _unitaries_plus_shifts(unitary_dims, seed: int, measures, caps: int,
+                           scramble_seed: int = None) -> tuple:
+    """(T, H0, H1) for U_1 (+) ... (+) M_z(mu_1) (+) ..., optionally scrambled.
+
+    The i-th unitary block is ``random_unitary(k_i, seed + 7 i)``, every
+    shift is at ``caps``; H0 and H1 are the unitary and shift summands as
+    subspaces of the (scrambled) space.
+    """
+    parts = [unitary_operator(random_unitary(k, seed + 7 * i))
+             for i, k in enumerate(unitary_dims)]
+    parts += [build_shift_1v(mu, caps) for mu in measures]
+    if not parts:
+        raise ValueError("direct_sum instance with no blocks")
     T = direct_sum(parts) if len(parts) > 1 else parts[0]
     embeds = block_embeddings(parts)
-    H0_cols = embeds[0] if unitary_dim else np.zeros((T.dom.dim_total, 0))
-    H1_cols = embeds[-1]
-    W = None
+    n_unitary = len(unitary_dims)
+    H0_cols = (np.hstack(embeds[:n_unitary]) if n_unitary
+               else np.zeros((T.dom.dim_total, 0)))
+    H1_cols = (np.hstack(embeds[n_unitary:]) if len(parts) > n_unitary
+               else np.zeros((T.dom.dim_total, 0)))
     if scramble_seed is not None:
         T, W = scramble(T, scramble_seed)
         H0_cols = W.conj().T @ H0_cols
         H1_cols = W.conj().T @ H1_cols
-    truth = {
-        "H0": Subspace.from_columns(T.dom, H0_cols),
-        "H1": Subspace.from_columns(T.dom, H1_cols),
-        "measure": mu,
-        "dims": (unitary_dim, (caps + 1) * mu.dim),
-    }
+    return T, Subspace.from_columns(T.dom, H0_cols), Subspace.from_columns(T.dom, H1_cols)
+
+
+def make_single_wold_instance(unitary_dim: int, mu: CircleMeasure, caps: int,
+                              seed: int, scramble_seed: int = None) -> Instance:
+    """Scrambled U_k (+) M_z(mu): ground truth for the single decomposition."""
+    T, H0, H1 = _unitaries_plus_shifts((unitary_dim,) if unitary_dim else (), seed,
+                                       (mu,), caps, scramble_seed)
+    truth = {"H0": H0, "H1": H1, "measure": mu, "dims": (unitary_dim, (caps + 1) * mu.dim)}
     return Instance(operators=(T,), space=T.dom, truth=truth)
 
 
@@ -396,25 +402,7 @@ class InstanceSpec:
                                    int(self.caps[0]), int(self.caps[1]))
             return Instance(operators=(T1, T2), space=T1.dom,
                             truth={"measures": dict(zip(("eta1", "eta2"), self.measures))})
-        parts = [unitary_operator(random_unitary(k, self.seed + 7 * i))
-                 for i, k in enumerate(self.unitary_dims)]
-        parts += [build_shift_1v(mu, caps0) for mu in self.measures]
-        if not parts:
-            raise ValueError("direct_sum instance with no blocks")
-        T = direct_sum(parts) if len(parts) > 1 else parts[0]
-        embeds = block_embeddings(parts)
-        n_unitary = len(self.unitary_dims)
-        H0_cols = (np.hstack([embeds[i] for i in range(n_unitary)])
-                   if n_unitary else np.zeros((T.dom.dim_total, 0)))
-        H1_cols = (np.hstack([embeds[i] for i in range(n_unitary, len(parts))])
-                   if len(parts) > n_unitary else np.zeros((T.dom.dim_total, 0)))
-        if self.kind == "scrambled":
-            T, W = scramble(T, self.seed)
-            H0_cols = W.conj().T @ H0_cols
-            H1_cols = W.conj().T @ H1_cols
-        truth = {
-            "H0": Subspace.from_columns(T.dom, H0_cols),
-            "H1": Subspace.from_columns(T.dom, H1_cols),
-            "measures": tuple(self.measures),
-        }
+        T, H0, H1 = _unitaries_plus_shifts(self.unitary_dims, self.seed, self.measures, caps0,
+                                           self.seed if self.kind == "scrambled" else None)
+        truth = {"H0": H0, "H1": H1, "measures": tuple(self.measures)}
         return Instance(operators=(T,), space=T.dom, truth=truth)

@@ -387,13 +387,9 @@ def joint_core(T1: OperatorModel, T2: OperatorModel, margin: int = None,
     return core_intersection(T1.core(margin), T2.core(margin), tols).subspace(tols)
 
 
-def operator_norm(A: OperatorModel, domain: Subspace = None) -> float:
-    """Gram operator norm, optionally with the domain restricted."""
-    B = domain.basis if domain is not None else (
-        A.dom.unwhiten(np.eye(A.dom.dim_total)) if not A.dom.identity_space()
-        else np.eye(A.dom.dim_total, dtype=complex)
-    )
-    M = A.codom.whiten(A.matrix @ B)
+def operator_norm(A: OperatorModel, domain: Subspace) -> float:
+    """Gram operator norm of A with its domain restricted to ``domain``."""
+    M = A.codom.whiten(A.matrix @ domain.basis)
     if M.size == 0:
         return 0.0
     return float(np.linalg.norm(M, 2))
@@ -435,7 +431,7 @@ def _core_norm(T: OperatorModel, F: np.ndarray, margin: int, tols: Tolerances) -
     return float(np.max(np.abs(np.linalg.eigvalsh((FB + FB.conj().T) / 2))))
 
 
-def two_isometry_defect(T: OperatorModel, margin: int = None, tols: Tolerances = DEFAULTS) -> float:
+def two_isometry_defect(T: OperatorModel, tols: Tolerances = DEFAULTS) -> float:
     """Operator norm of T*^2 T^2 - 2 T*T + I compressed to the safe core.
 
     The form is T^H F T - F with F = T^H G T - G, a pairing of Gram
@@ -446,28 +442,28 @@ def two_isometry_defect(T: OperatorModel, margin: int = None, tols: Tolerances =
     if not T.is_square:
         raise ValueError("two_isometry_defect needs a square operator")
     F = _defect_form(T)
-    return _core_norm(T, T.matrix.conj().T @ F @ T.matrix - F, margin, tols)
+    return _core_norm(T, T.matrix.conj().T @ F @ T.matrix - F, None, tols)
 
 
 def doubly_commuting_residual(T1: OperatorModel, T2: OperatorModel,
-                              margin: int = None, tols: Tolerances = DEFAULTS,
+                              tols: Tolerances = DEFAULTS,
                               core: Subspace = None, T1_star: np.ndarray = None) -> tuple:
     """(||T1 T2 - T2 T1||, ||T1* T2 - T2 T1*||) on the joint safe core.
 
-    A caller that already holds the joint core at ``margin`` or the matrix
-    of ``adjoint(T1)`` passes it in as ``core`` or ``T1_star``.
+    A caller that already holds the joint core or the matrix of
+    ``adjoint(T1)`` passes it in as ``core`` or ``T1_star``.
     """
     if T1.dom.dim_total != T2.dom.dim_total:
         raise ValueError("operators act on different spaces")
     if core is None:
-        core = joint_core(T1, T2, margin, tols)
+        core = joint_core(T1, T2, tols=tols)
     C1 = OperatorModel(T1.dom, T1.dom, T1.matrix @ T2.matrix - T2.matrix @ T1.matrix)
     T1s = adjoint(T1).matrix if T1_star is None else T1_star
     C2 = OperatorModel(T1.dom, T1.dom, T1s @ T2.matrix - T2.matrix @ T1s)
     return operator_norm(C1, core), operator_norm(C2, core)
 
 
-def left_inverse(T: OperatorModel, margin: int = 1, tols: Tolerances = DEFAULTS) -> OperatorModel:
+def left_inverse(T: OperatorModel, tols: Tolerances = DEFAULTS) -> OperatorModel:
     """Left inverse L = (T*T)^{-1} T* realized on the safe core.
 
     The truncated shift annihilates the top bidegree, so a plain
@@ -478,7 +474,7 @@ def left_inverse(T: OperatorModel, margin: int = 1, tols: Tolerances = DEFAULTS)
     """
     if not T.is_square:
         raise ValueError("left_inverse needs a square operator")
-    E = T.core_basis(margin)
+    E = T.core_basis(1)
     TEw = T.codom.whiten(T.matrix @ E)
     U, s, Vh = np.linalg.svd(TEw, full_matrices=False)
     if s.size == 0 or s[0] <= tols.rank_floor:
@@ -530,7 +526,7 @@ def wandering_projection(T: OperatorModel, tols: Tolerances = DEFAULTS) -> tuple
     return P, E
 
 
-def defect_operator(T: OperatorModel, margin: int = 1, tols: Tolerances = DEFAULTS) -> tuple:
+def defect_operator(T: OperatorModel, tols: Tolerances = DEFAULTS) -> tuple:
     """(D, Dspace): PSD square root of T*T - I on the safe core.
 
     The quadratic form of T*T - I is evaluated exactly as
@@ -545,7 +541,7 @@ def defect_operator(T: OperatorModel, margin: int = 1, tols: Tolerances = DEFAUL
     if not T.is_square:
         raise ValueError("defect_operator needs a square operator")
     G = T.dom.gram
-    B = T.core(margin).basis(tols)
+    B = T.core(1).basis(tols)
     FB = B.conj().T @ _defect_form(T) @ B
     FB = (FB + FB.conj().T) / 2
     if FB.size == 0:

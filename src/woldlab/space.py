@@ -4,8 +4,9 @@ The space of coefficient-valued polynomials sum a_{m,n} z1^m z2^n with
 0 <= m <= N1, 0 <= n <= N2 carries the inner product determined by two
 circle measures.  Its Gram matrix over the monomial basis decomposes into
 a Hardy block plus three derivative blocks built from Fourier
-coefficients of the measures; this module assembles those blocks and
-keeps them separately available for cross-checks.
+coefficients of the measures.  Each space keeps its two one-variable
+factors, from which it assembles the Gram matrix and splits a norm into
+those four pieces.
 """
 
 from __future__ import annotations
@@ -132,20 +133,28 @@ class GradedPolySpace(HilbertSpace):
 
     Basis vectors are monomials z1^m z2^n e_k ordered lexicographically by
     (m, n, k).  The Gram matrix is Hermitian, and positive definite for
-    positive measures (the Hardy block dominates the identity).
+    positive measures (the Hardy block dominates the identity).  The space
+    is built from its one-variable factors A1, A2 of shapes
+    (N1+1, N1+1, d, d) and (N2+1, N2+1, d, d) and keeps them as
+    ``factors``; no other D x D array is held beside the Gram matrix.
     """
 
-    def __init__(self, mu1: CircleMeasure, mu2: CircleMeasure, caps, components: dict):
-        self.caps = (int(caps[0]), int(caps[1]))
-        self.dim = mu1.dim
-        self.mu1 = mu1
-        self.mu2 = mu2
-        self.components = components
-        # summed in place in the order of ``components``: one D x D copy
-        parts = iter(components.values())
-        gram = np.array(next(parts), dtype=complex)
-        for part in parts:
-            gram += part
+    def __init__(self, A1: np.ndarray, A2: np.ndarray):
+        self.factors = (A1, A2)
+        self.caps = (A1.shape[0] - 1, A2.shape[0] - 1)
+        self.dim = d = A1.shape[2]
+        N1, N2 = self.caps
+        D = (N1 + 1) * (N2 + 1) * d
+        # one D x D buffer, viewed with six axes (p, q, l, m, n, k): rows
+        # first, flattening matches flat_index.  The terms are added in the
+        # order I, A1, A2, A2 A1 of tests/reference.py::loop_gram, which the
+        # Gram equals bit for bit
+        gram = np.eye(D, dtype=complex)
+        six = gram.reshape(N1 + 1, N2 + 1, d, N1 + 1, N2 + 1, d)
+        diag1, diag2 = np.arange(N1 + 1), np.arange(N2 + 1)
+        six[:, diag2, :, :, diag2, :] += np.transpose(A1, (0, 2, 1, 3))
+        six[diag1, :, :, diag1, :, :] += np.transpose(A2, (0, 2, 1, 3))
+        gram += np.einsum("qnlj,pmjk->pqlmnk", A2, A1).reshape(D, D)
         super().__init__(gram, label=f"D2(caps={self.caps}, d={self.dim})")
 
     # -- indexing ------------------------------------------------------
@@ -216,25 +225,7 @@ def build_space(mu1: CircleMeasure, mu2: CircleMeasure, N1: int, N2: int,
         raise AssumptionError(
             "measure weights do not commute; the two-variable space is not defined here"
         )
-    N1, N2 = int(N1), int(N2)
-    d = mu1.dim
-    D = (N1 + 1) * (N2 + 1) * d
-    A1 = _weighted_table(mu1, N1)
-    A2 = _weighted_table(mu2, N2)
-
-    # six-axis layout (p, q, l, m, n, k); rows first, flattening matches
-    # flat_index
-    six = (N1 + 1, N2 + 1, d, N1 + 1, N2 + 1, d)
-    diag1, diag2 = np.arange(N1 + 1), np.arange(N2 + 1)
-    d1 = np.zeros(six, dtype=complex)
-    d1[:, diag2, :, :, diag2, :] = np.transpose(A1, (0, 2, 1, 3))
-    d2 = np.zeros(six, dtype=complex)
-    d2[diag1, :, :, diag1, :, :] = np.transpose(A2, (0, 2, 1, 3))
-    d3 = np.einsum("qnlj,pmjk->pqlmnk", A2, A1)
-
-    components = {"h2": np.eye(D, dtype=complex), "d1": d1.reshape(D, D),
-                  "d2": d2.reshape(D, D), "d3": d3.reshape(D, D)}
-    space = GradedPolySpace(mu1, mu2, (N1, N2), components)
+    space = GradedPolySpace(_weighted_table(mu1, int(N1)), _weighted_table(mu2, int(N2)))
     # one complex and one real D x D temporary for both maxima
     G = space.gram
     skew = G.T.conj()
@@ -275,9 +266,15 @@ def inner_product(space: GradedPolySpace, f: PolyVector, g: PolyVector) -> compl
 
 
 def dirichlet_components(space: GradedPolySpace, f: PolyVector) -> dict:
-    """The four pieces of ||f||^2: Hardy part and the three derivative terms."""
-    v = f.flatten()
-    return {
-        name: float((np.conj(v) @ (mat @ v)).real)
-        for name, mat in space.components.items()
-    }
+    """The four pieces of ||f||^2: Hardy part and the three derivative terms.
+
+    Each is contracted from the one-variable factors in
+    O(N1 N2 (N1 + N2) d^2), with no D x D matrix: A1 acts on the first
+    degree, A2 on the second, and the mixed term is A2 applied to A1 f.
+    """
+    A1, A2 = space.factors
+    c = f.coeffs
+    a1c = np.einsum("pmlk,mnk->pnl", A1, c)
+    terms = (("h2", c), ("d1", a1c), ("d2", np.einsum("qnlk,pnk->pql", A2, c)),
+             ("d3", np.einsum("qnlj,pnj->pql", A2, a1c)))
+    return {name: float(np.vdot(c, x).real) for name, x in terms}

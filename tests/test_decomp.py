@@ -139,7 +139,7 @@ def test_stable_range_max_iter_exhausted():
 def test_tilde_single_atom_is_unimodular_scalar():
     theta0, w = 1.3, 0.9
     T = wl.build_shift_1v(scalar_atoms((theta0, w)), 16)
-    Tt, _, _, _ = decomp._tilde_pieces(T, 2, wl.DEFAULTS)
+    Tt, _, _, _ = decomp._tilde_pieces(T, wl.DEFAULTS)
     assert Tt.shape == (1, 1)
     val = Tt[0, 0]
     assert abs(abs(val) - 1.0) < 1e-10
@@ -149,14 +149,14 @@ def test_tilde_single_atom_is_unimodular_scalar():
 
 def test_tilde_isometry_trivial_for_isometry():
     T = wl.build_shift_1v(wl.CircleMeasure.zero(1), 8)
-    Tt, _, _, _ = decomp._tilde_pieces(T, 2, wl.DEFAULTS)
+    Tt, _, _, _ = decomp._tilde_pieces(T, wl.DEFAULTS)
     assert Tt.shape == (0, 0)
 
 
 def test_tilde_eigenvalues_match_atom_angles():
     angles = [0.5, 2.0, 4.4]
     T = wl.build_shift_1v(scalar_atoms(*THREE_ATOMS), 32)
-    Tt, _, _, _ = decomp._tilde_pieces(T, 2, wl.DEFAULTS)
+    Tt, _, _, _ = decomp._tilde_pieces(T, wl.DEFAULTS)
     got = np.sort(np.mod(np.angle(np.linalg.eigvals(Tt)), 2 * np.pi))
     np.testing.assert_allclose(got, np.sort(angles), atol=1e-6)
 

@@ -119,3 +119,21 @@ def test_four_block_instance_dims():
     d1 = wl.two_isometry_defect(inst.operators[0])
     d2 = wl.two_isometry_defect(inst.operators[1])
     assert max(d1, d2) < 1e-9
+
+
+@pytest.mark.parametrize("k, d, caps, seed", [(3, 1, 12, 17), (2, 2, 8, 5), (0, 1, 10, 9)])
+@pytest.mark.parametrize("scrambled", [True, False])
+def test_single_wold_instance_equals_its_spec(k, d, caps, seed, scrambled):
+    # both builders go through one construction, so they agree bit for bit
+    mu = wl.random_atomic_measure(d, 2, seed=seed + 1, density_scale=0.3)
+    single = wl.make_single_wold_instance(k, mu, caps, seed=seed,
+                                          scramble_seed=seed if scrambled else None)
+    spec = wl.InstanceSpec("scrambled" if scrambled else "direct_sum", (mu,), (caps, 0),
+                           (k,) if k else (), seed).build()
+    (A,), (B,) = single.operators, spec.operators
+    assert np.array_equal(A.matrix, B.matrix)
+    assert np.array_equal(A.dom.gram, B.dom.gram)
+    for name in ("H0", "H1"):
+        assert np.array_equal(single.truth[name].basis, spec.truth[name].basis), name
+    assert single.truth["dims"] == (k, (caps + 1) * d)
+    assert spec.truth["measures"] == (mu,)

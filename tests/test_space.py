@@ -1,5 +1,6 @@
 """Gram assembly of the truncated spaces, validated against the oracle."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -180,10 +181,30 @@ def test_build_space_equals_the_loop_bit_for_bit(N1, N2, d):
     mu1, mu2 = commuting_pair(d, seed=N1 + 7 * N2 + d)
     sp = wl.build_space(mu1, mu2, N1, N2)
     ref = loop_gram(mu1, mu2, N1, N2)
-    assert list(sp.components) == list(ref)
-    for name, comp in ref.items():
-        assert np.array_equal(sp.components[name], comp), name
     assert np.array_equal(sp.gram, sum(ref.values()))
+    # the norm pieces contracted from the factors against the dense components
+    f = random_poly(sp.caps, d, np.random.default_rng(N1 + 7 * N2 + d))
+    v = f.flatten()
+    parts = wl.dirichlet_components(sp, f)
+    assert list(parts) == list(ref)
+    for name, comp in ref.items():
+        dense = float((np.conj(v) @ (comp @ v)).real)
+        assert abs(parts[name] - dense) <= 1e-13 * (1 + abs(dense)), name
+
+
+def test_space_holds_no_dense_array_but_its_gram():
+    # a space retains its Gram and the two small one-variable factors, and no
+    # other D x D array
+    mu1, mu2 = commuting_pair(1, seed=47)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sp = wl.build_space(mu1, mu2, 20, 20)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert sp.dim_total == 441
+    assert held <= 1.5 * sp.gram.nbytes
 
 
 @pytest.mark.parametrize("caps, d", [((4, 3), 2), ((5, 0), 1), ((0, 4), 3), ((1, 1), 1)])
