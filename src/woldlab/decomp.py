@@ -175,14 +175,12 @@ def _tilde_pieces(T: OperatorModel, tols: Tolerances):
 
     The map is fit by least squares over safe-core columns, completed
     deterministically on any unreached directions, then projected to the
-    closest unitary via its singular factors.
+    closest unitary via its singular factors.  Returns (Ut, Dspace, D).
     """
     D, Dspace = defect_operator(T, tols=tols)
     k = Dspace.dim
-    residuals = {"lstsq": 0.0, "unitarity": 0.0}
     if k == 0:
-        Ut = np.zeros((0, 0), dtype=complex)
-        return Ut, Dspace, D, residuals
+        return np.zeros((0, 0), dtype=complex), Dspace, D
     C = T.core_basis()
     X = Dspace.coords(D.matrix @ C)
     Y = Dspace.coords(D.matrix @ (T.matrix @ C))
@@ -193,7 +191,6 @@ def _tilde_pieces(T: OperatorModel, tols: Tolerances):
     pinv = (Vhx[:rank].conj().T / sx[:rank]) @ Ux[:, :rank].conj().T
     Tt = Y @ pinv
     lsq = float(np.linalg.norm(Tt @ X - Y, 2) / max(1.0, np.linalg.norm(Y, 2)))
-    residuals["lstsq"] = lsq
     if lsq > tols.tilde_residual:
         raise ConvergenceError(
             f"defect-space isometry fit residual {lsq:.3e} exceeds tolerance; caps too small"
@@ -206,10 +203,8 @@ def _tilde_pieces(T: OperatorModel, tols: Tolerances):
         img_extra = sla.null_space((Tt @ Ux[:, :rank]).conj().T)
         r = min(dom_extra.shape[1], img_extra.shape[1])
         Tt = Tt + img_extra[:, :r] @ dom_extra[:, :r].conj().T
-    Uu, su, Vhu = np.linalg.svd(Tt)
-    residuals["unitarity"] = float(np.max(np.abs(su - 1.0))) if su.size else 0.0
-    Ut = Uu @ Vhu
-    return Ut, Dspace, D, residuals
+    Uu, _, Vhu = np.linalg.svd(Tt)
+    return Uu @ Vhu, Dspace, D
 
 
 def _cluster_angles(angles: np.ndarray, tol: float):
@@ -248,7 +243,7 @@ def extract_measure(T: OperatorModel, compress_to: Subspace = None,
     if compress_to is None:
         compress_to = E
     e_dim = compress_to.dim
-    Ut, Dspace, D, _ = _tilde_pieces(T, tols)
+    Ut, Dspace, D = _tilde_pieces(T, tols)
     if Dspace.dim == 0:
         return CircleMeasure.zero(e_dim)
     # Schur of a (numerically) unitary matrix: orthonormal eigenvectors

@@ -17,7 +17,7 @@ import scipy.linalg as sla
 from .config import DEFAULTS
 from .errors import AssumptionError
 from .measures import CircleMeasure
-from .operators import IndexCore, MappedCore, OperatorModel, StackCore, Subspace
+from .operators import IndexCore, OperatorModel, Subspace, direct_sum_core_fn, scrambled_core_fns
 from .space import (
     EuclideanSpace,
     GradedPolySpace,
@@ -147,13 +147,7 @@ def commuting_unitary_pair(dim: int, seed: int) -> tuple:
 
 def _block_diag_space(spaces) -> HilbertSpace:
     gram = sla.block_diag(*[sp.gram for sp in spaces])
-    return HilbertSpace(np.asarray(gram, dtype=complex), label="+".join(sp.label for sp in spaces))
-
-
-def _stack_core_fn(parts, offsets, space: HilbertSpace):
-    def core(margin: int):
-        return StackCore(space, [op.core(margin) for op in parts], offsets)
-    return core
+    return HilbertSpace(np.asarray(gram, dtype=complex))
 
 
 def direct_sum(parts):
@@ -162,7 +156,7 @@ def direct_sum(parts):
     Accepts a list of OperatorModel (returning one operator) or a list of
     (OperatorModel, OperatorModel) pairs (returning a pair on the summed
     space).  Gram matrices and safe cores stack blockwise; the summands of
-    a pair share one space, so their cores intersect summand by summand.
+    a pair share one space, so their coordinate cores intersect by index.
     """
     if not parts:
         raise ValueError("direct_sum of nothing")
@@ -184,10 +178,8 @@ def _assemble_sum(ops, space: HilbertSpace) -> OperatorModel:
         if not op.is_square:
             raise ValueError("direct_sum needs square blocks")
     mat = sla.block_diag(*[op.matrix for op in ops])
-    dims = [op.dom.dim_total for op in ops]
-    offsets = np.concatenate([[0], np.cumsum(dims)[:-1]]).astype(int)
-    core_fn = _stack_core_fn(ops, offsets, space)
-    return OperatorModel(space, space, np.asarray(mat, dtype=complex), core_fn=core_fn)
+    return OperatorModel(space, space, np.asarray(mat, dtype=complex),
+                         core_fn=direct_sum_core_fn(ops, space))
 
 
 def block_embeddings(ops) -> list:
@@ -210,27 +202,16 @@ def scramble(ops, seed: int):
     The map x -> W x is an isometry between the scrambled and original
     spaces, so every Gram-aware residual is preserved; safe cores are
     carried along, mapped by W^H.  The operators of a pair share one W^H,
-    so their cores intersect inside it.
+    so their coordinate cores intersect by index.
     """
     pair = isinstance(ops, (tuple, list))
-    first = ops[0] if pair else ops
-    W = random_unitary(first.dom.dim_total, seed)
+    group = list(ops) if pair else [ops]
+    W = random_unitary(group[0].dom.dim_total, seed)
     Wh = W.conj().T
-    space = HilbertSpace(Wh @ first.dom.gram @ W, label="scrambled")
-    if pair:
-        return tuple(_scramble_one(op, W, Wh, space) for op in ops), W
-    return _scramble_one(ops, W, Wh, space), W
-
-
-def _scramble_one(op: OperatorModel, W: np.ndarray, Wh: np.ndarray,
-                  space: HilbertSpace) -> OperatorModel:
-    has_core = op.core_fn is not None or isinstance(op.dom, GradedPolySpace)
-
-    def core(margin: int, _op=op, _Wh=Wh, _space=space):
-        return MappedCore(_space, _op.core(margin), _Wh)
-
-    return OperatorModel(space, space, Wh @ op.matrix @ W,
-                         core_fn=core if has_core else None)
+    space = HilbertSpace(Wh @ group[0].dom.gram @ W)
+    out = tuple(OperatorModel(space, space, Wh @ op.matrix @ W, core_fn=fn)
+                for op, fn in zip(group, scrambled_core_fns(group, Wh, space)))
+    return (out if pair else out[0]), W
 
 
 # ---------------------------------------------------------------------------

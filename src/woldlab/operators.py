@@ -111,7 +111,7 @@ class Subspace:
     def as_space(self) -> EuclideanSpace:
         """The subspace as a standalone space; the basis is orthonormal, so
         the restricted gram is the identity."""
-        return EuclideanSpace(self.dim, label=f"sub({self.dim})")
+        return EuclideanSpace(self.dim)
 
     def distance(self, other: "Subspace") -> float:
         """Spectral-norm distance of the two Gram-orthogonal projectors."""
@@ -185,15 +185,15 @@ def orthocomplement(S: Subspace, tols: Tolerances = DEFAULTS) -> Subspace:
 class Core:
     """A safe core held by its structure rather than by a basis.
 
-    ``frame()`` spans the core (not necessarily orthonormal); ``basis()``
-    is a Gram-orthonormal basis of it in ``space``.  The kinds:
+    ``columns()`` spans the core (not necessarily orthonormal);
+    ``basis()`` is a Gram-orthonormal basis of it in ``space``.  The kinds:
 
-    * :class:`IndexCore`: coordinate vectors, e.g. bidegrees below the caps;
-    * :class:`SpanCore`: the columns of a matrix, e.g. an opaque ``core_fn``;
-    * :class:`StackCore`: the summand cores of a direct sum;
-    * :class:`MappedCore`: an inner core mapped by a unitary, e.g. a scramble.
+    * :class:`IndexCore`: coordinate vectors of the space an operator was
+      built in, e.g. bidegrees below the caps, carried along by direct
+      sums and scrambles;
+    * :class:`SpanCore`: the columns of a matrix, e.g. an opaque ``core_fn``.
 
-    Cores of the same structure intersect structurally
+    Coordinate cores of one construction intersect by index
     (:func:`core_intersection`); nothing is cached.
     """
 
@@ -205,26 +205,37 @@ class Core:
 
 
 class IndexCore(Core):
-    """The span of the coordinate vectors ``index``.  Its Gram-orthonormal
-    basis is E_I R^{-1} with R^H R = G[I, I]: a Cholesky factorization of a
-    positive definite block, so no rank decision."""
+    """The coordinate vectors ``index`` of ``frame``, the space the operator
+    was built in (default ``space``), carried into ``space`` by the unitary
+    ``transform`` of a scramble (space Gram transform G_frame transform^H).
+    In ``frame`` its Gram-orthonormal basis is E_I R^{-1} with
+    R^H R = G[I, I]: a Cholesky factorization of a positive definite block,
+    so no rank decision; the transform keeps it Gram-orthonormal."""
 
-    def __init__(self, space: HilbertSpace, index):
+    def __init__(self, space: HilbertSpace, index, frame: HilbertSpace = None,
+                 transform: np.ndarray = None):
         super().__init__(space)
         self.index = np.asarray(index, dtype=int)
+        self.frame = space if frame is None else frame
+        self.transform = transform
 
-    def frame(self) -> np.ndarray:
-        return np.eye(self.space.dim_total, dtype=complex)[:, self.index]
+    def columns(self) -> np.ndarray:
+        if self.transform is not None:
+            return self.transform[:, self.index]
+        return np.eye(self.frame.dim_total, dtype=complex)[:, self.index]
 
     def basis(self, tols: Tolerances = DEFAULTS) -> np.ndarray:
-        I, D = self.index, self.space.dim_total
-        if I.size == D:
-            return self.frame() if self.space.identity_space() else self.space.unwhiten(self.frame())
-        B = np.zeros((D, I.size), dtype=complex)
-        if I.size:
-            R = sla.cholesky(self.space.gram[np.ix_(I, I)], lower=False)
-            B[I] = sla.solve_triangular(R, np.eye(I.size), lower=False)
-        return B
+        I, frame = self.index, self.frame
+        if I.size == frame.dim_total:
+            B = np.eye(I.size, dtype=complex)[:, I]
+            if not frame.identity_space():
+                B = frame.unwhiten(B)
+        else:
+            B = np.zeros((frame.dim_total, I.size), dtype=complex)
+            if I.size:
+                R = sla.cholesky(frame.gram[np.ix_(I, I)], lower=False)
+                B[I] = sla.solve_triangular(R, np.eye(I.size), lower=False)
+        return B if self.transform is None else self.transform @ B
 
 
 class SpanCore(Core):
@@ -236,71 +247,79 @@ class SpanCore(Core):
         self.X = X
         self.orthonormal = orthonormal
 
-    def frame(self) -> np.ndarray:
+    def columns(self) -> np.ndarray:
         return self.X
 
     def basis(self, tols: Tolerances = DEFAULTS) -> np.ndarray:
         return self.X if self.orthonormal else orthonormal_columns(self.space, self.X, tols)
 
 
-class StackCore(Core):
-    """Direct sum of the summand cores ``parts``, whose coordinates start at
-    ``offsets``; the Gram is block diagonal, so the summands' bases stack."""
-
-    def __init__(self, space: HilbertSpace, parts, offsets):
-        super().__init__(space)
-        self.parts = tuple(parts)
-        self.offsets = tuple(int(o) for o in offsets)
-
-    def _stack(self, blocks) -> np.ndarray:
-        out = np.zeros((self.space.dim_total, sum(b.shape[1] for b in blocks)), dtype=complex)
-        col = 0
-        for off, b in zip(self.offsets, blocks):
-            out[off:off + b.shape[0], col:col + b.shape[1]] = b
-            col += b.shape[1]
-        return out
-
-    def frame(self) -> np.ndarray:
-        return self._stack([p.frame() for p in self.parts])
-
-    def basis(self, tols: Tolerances = DEFAULTS) -> np.ndarray:
-        return self._stack([p.basis(tols) for p in self.parts])
+def _matrix_core(space: HilbertSpace, X) -> Core:
+    """The core spanned by the columns of X: the coordinate core of the
+    rows they hit when each column has exactly one nonzero entry, else the
+    span itself."""
+    X = np.asarray(X)
+    hits = X != 0
+    if X.ndim == 2 and np.all(hits.sum(axis=0) == 1):
+        return IndexCore(space, np.unique(hits.argmax(axis=0)))
+    return SpanCore(space, X)
 
 
-class MappedCore(Core):
-    """``transform @ inner`` for a unitary ``transform`` from the inner space
-    onto ``space`` (its Gram is transform G_inner transform^H), which
-    therefore maps Gram-orthonormal bases to Gram-orthonormal bases."""
+def direct_sum_core_fn(ops, space: HilbertSpace):
+    """``core_fn`` of the direct sum of ``ops`` on ``space``.
 
-    def __init__(self, space: HilbertSpace, inner: Core, transform: np.ndarray):
-        super().__init__(space)
-        self.inner = inner
-        self.transform = transform
+    The Gram is block diagonal, so coordinate cores of the summands are
+    one coordinate core of the offset indices.  Any other summand core
+    makes the sum the span of the stacked summand frames, orthonormalized
+    at the caller's tolerances.
+    """
+    offsets = np.cumsum([0] + [op.dom.dim_total for op in ops[:-1]])
 
-    def frame(self) -> np.ndarray:
-        return self.transform @ self.inner.frame()
+    def core(margin: int) -> Core:
+        parts = [op.core(margin) for op in ops]
+        if all(isinstance(c, IndexCore) and c.transform is None for c in parts):
+            return IndexCore(space, np.concatenate([off + c.index for off, c in zip(offsets, parts)]))
+        return SpanCore(space, sla.block_diag(*[c.columns() for c in parts]))
+    return core
 
-    def basis(self, tols: Tolerances = DEFAULTS) -> np.ndarray:
-        return self.transform @ self.inner.basis(tols)
+
+def scrambled_core_fns(ops, Wh: np.ndarray, space: HilbertSpace) -> list:
+    """``core_fn`` of each of ``ops`` conjugated onto ``space`` (Gram
+    Wh G W) by one unitary W.
+
+    A coordinate core keeps its index and frame, with Wh composed onto its
+    transform once per call, so cores of operators scrambled together
+    share the transform object and intersect by index.  A span X maps to
+    Wh X.
+    """
+    composed = {}
+
+    def transform(inner):
+        if inner is None:
+            return Wh
+        if id(inner) not in composed:
+            composed[id(inner)] = (inner, Wh @ inner)  # holds inner, so its id stays unique
+        return composed[id(inner)][1]
+
+    def core_fn(op):
+        def core(margin: int) -> Core:
+            c = op.core(margin)
+            if isinstance(c, IndexCore):
+                return IndexCore(space, c.index, c.frame, transform(c.transform))
+            return SpanCore(space, Wh @ c.X, c.orthonormal)
+        return core
+
+    return [core_fn(op) for op in ops]
 
 
 def core_intersection(a: Core, b: Core, tols: Tolerances = DEFAULTS) -> Core:
-    """a ∩ b, structurally where the two cores share their structure.
-
-    Coordinate cores of one space intersect by index, cores under the same
-    transform (a pair scramble shares one) inside it, and direct sums
-    summand by summand.  Anything else is intersected by principal angles
-    (:func:`subspace_intersect`) in the smallest space where the structure
-    stops.
-    """
-    if isinstance(a, IndexCore) and isinstance(b, IndexCore) and a.space is b.space:
-        return IndexCore(a.space, np.intersect1d(a.index, b.index))
-    if isinstance(a, MappedCore) and isinstance(b, MappedCore) and a.transform is b.transform:
-        return MappedCore(a.space, core_intersection(a.inner, b.inner, tols), a.transform)
-    if (isinstance(a, StackCore) and isinstance(b, StackCore) and a.space is b.space
-            and a.offsets == b.offsets):
-        return StackCore(a.space, [core_intersection(p, q, tols) for p, q in zip(a.parts, b.parts)],
-                         a.offsets)
+    """a ∩ b: by index for coordinate cores of the same frame under the
+    same transform object (the operators of a direct sum or of a pair
+    scramble share both), by principal angles (:func:`subspace_intersect`)
+    otherwise."""
+    if (isinstance(a, IndexCore) and isinstance(b, IndexCore) and a.frame is b.frame
+            and a.transform is b.transform):
+        return IndexCore(a.space, np.intersect1d(a.index, b.index), a.frame, a.transform)
     inter = subspace_intersect(a.subspace(tols), b.subspace(tols), tols)
     return SpanCore(a.space, inter.basis, orthonormal=True)
 
@@ -321,7 +340,8 @@ class OperatorModel:
     core_fn : callable, optional
         margin -> the domain subspace on which the operator reproduces its
         untruncated counterpart exactly, as a :class:`Core` or as a matrix
-        whose columns span it.  Graded shifts install an index core here;
+        whose columns span it (a coordinate core when each column has one
+        nonzero entry).  Graded shifts install an index core here;
         direct sums, scrambles and restrictions propagate it.  ``None``
         means the coordinate core of a graded domain, else the whole
         domain.
@@ -352,15 +372,6 @@ class OperatorModel:
     def is_square(self) -> bool:
         return self.dom.dim_total == self.codom.dim_total
 
-    def __matmul__(self, other: "OperatorModel") -> "OperatorModel":
-        if other.codom.dim_total != self.dom.dim_total:
-            raise ValueError("inner dimensions do not match for composition")
-        return OperatorModel(other.dom, self.codom, self.matrix @ other.matrix,
-                             core_fn=other.core_fn)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x
-
     # -- safe core --------------------------------------------------------
 
     def core(self, margin: int = None) -> Core:
@@ -368,14 +379,14 @@ class OperatorModel:
         margin = DEFAULT_CORE_MARGIN if margin is None else margin
         if self.core_fn is not None:
             core = self.core_fn(margin)
-            return core if isinstance(core, Core) else SpanCore(self.dom, core)
+            return core if isinstance(core, Core) else _matrix_core(self.dom, core)
         if isinstance(self.dom, GradedPolySpace):
             return IndexCore(self.dom, self.dom.core_indices(margin))
         return IndexCore(self.dom, np.arange(self.dom.dim_total))
 
     def core_basis(self, margin: int = None) -> np.ndarray:
         """Basis (not necessarily orthonormal) of the safe core at ``margin``."""
-        return self.core(margin).frame()
+        return self.core(margin).columns()
 
     def core_subspace(self, margin: int = None, tols: Tolerances = DEFAULTS) -> Subspace:
         return self.core(margin).subspace(tols)
@@ -531,12 +542,13 @@ def defect_operator(T: OperatorModel, tols: Tolerances = DEFAULTS) -> tuple:
 
     The quadratic form of T*T - I is evaluated exactly as
     <Tx, Ty> - <x, y> on the margin-1 core, then diagonalized there.
-    Eigenvalues in [-psd_tol, 0) are clamped; anything more negative
-    disqualifies T as a 2-isometry candidate.  The noise band is
-    symmetric: eigenvalues up to psd_tol (relative to the largest, at
-    least 1) or up to rank_rtol times the largest count as zero, so the
-    rank of D is not decided by rounding.  D acts as zero on the core
-    complement.
+    Eigenvalues in [-two_isometry_tol, 0) are clamped; anything more
+    negative disqualifies T as a 2-isometry candidate.  The band is the
+    one at which :func:`woldlab.decomp.certify` accepts T, so an operator
+    it certified is never rejected here.  It is symmetric: eigenvalues up
+    to two_isometry_tol (relative to the largest, at least 1) or up to
+    rank_rtol times the largest count as zero, so the rank of D is not
+    decided by rounding.  D acts as zero on the core complement.
     """
     if not T.is_square:
         raise ValueError("defect_operator needs a square operator")
@@ -550,14 +562,15 @@ def defect_operator(T: OperatorModel, tols: Tolerances = DEFAULTS) -> tuple:
     else:
         lam, V = np.linalg.eigh(FB)
     lam_scale = max(1.0, float(lam.max(initial=0.0)))
-    if lam.size and lam.min() < -tols.psd * lam_scale:
+    if lam.size and lam.min() < -tols.two_isometry * lam_scale:
         raise AssumptionError(
-            f"T*T - I has eigenvalue {lam.min():.3e} below -psd_tol; not a 2-isometry candidate"
+            f"T*T - I has eigenvalue {lam.min():.3e} below -two_isometry_tol; "
+            "not a 2-isometry candidate"
         )
     lam = np.clip(lam, 0.0, None)
     # rank decision on the eigenvalues of T*T - I, in the band of the clamp
     # above: the square root would amplify eigensolver noise past the floor
-    keep = lam > max(tols.rank_rtol * lam.max(initial=0.0), tols.psd * lam_scale)
+    keep = lam > max(tols.rank_rtol * lam.max(initial=0.0), tols.two_isometry * lam_scale)
     lam = np.where(keep, lam, 0.0)
     roots = np.sqrt(lam)
     DB = (V * roots) @ V.conj().T
@@ -574,10 +587,11 @@ def restrict_operator(T: OperatorModel, S: Subspace, tols: Tolerances = DEFAULTS
     orthonormal).  The safe core of the restriction is the ambient core
     intersected with the subspace: in S coordinates it is spanned by the
     right principal vectors V of cosine above 1 - intersection_tol, already
-    orthonormal.  When S is the whole space nothing is cut, and V is the
-    coordinates S.coords(B) of the core basis B, orthonormal because S is
-    Gram-unitary; no SVD is needed.  It is computed once per margin and
-    handed out read-only.
+    orthonormal.  Two cases need no SVD: an ambient core that holds every
+    coordinate holds all of S, so V = I; and when S is the whole space
+    nothing is cut, so V is the coordinates S.coords(B) of the core basis
+    B, orthonormal because S is Gram-unitary.  V is computed once per
+    margin and handed out read-only.
     How far T(S) leaks out of S is recorded as ``info['invariance_leak']``.
     """
     if S.ambient.dim_total != T.dom.dim_total:
@@ -593,17 +607,20 @@ def restrict_operator(T: OperatorModel, S: Subspace, tols: Tolerances = DEFAULTS
 
     def restricted_core(margin):
         if margin not in cores:
-            B = T.core_subspace(margin, tols).basis
-            if S.dim == T.dom.dim_total:
-                V = S.coords(B)
+            core = T.core(margin)
+            if isinstance(core, IndexCore) and core.index.size == core.frame.dim_total:
+                V = np.eye(S.dim, dtype=complex)
             else:
-                _, _, V = _principal_pairs(B, S.basis, T.dom.gram, tols)
+                B = core.subspace(tols).basis
+                if S.dim == T.dom.dim_total:
+                    V = S.coords(B)
+                else:
+                    _, _, V = _principal_pairs(B, S.basis, T.dom.gram, tols)
             V.flags.writeable = False  # shared by every caller
             cores[margin] = SpanCore(space, V, orthonormal=True)
         return cores[margin]
 
-    has_core = T.core_fn is not None or isinstance(T.dom, GradedPolySpace)
-    return OperatorModel(space, space, M, core_fn=restricted_core if has_core else None,
+    return OperatorModel(space, space, M, core_fn=restricted_core,
                          info={"invariance_leak": leak})
 
 

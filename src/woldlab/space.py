@@ -81,12 +81,11 @@ class PolyVector:
 class HilbertSpace:
     """A finite-dimensional space C^D with inner product y^H G x."""
 
-    def __init__(self, gram: np.ndarray, label: str = ""):
+    def __init__(self, gram: np.ndarray):
         gram = np.asarray(gram, dtype=complex)
         if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
             raise ValueError("gram must be square")
         self.gram = gram
-        self.label = label
 
     @property
     def dim_total(self) -> int:
@@ -124,8 +123,8 @@ class HilbertSpace:
 class EuclideanSpace(HilbertSpace):
     """C^D with the standard inner product (identity gram)."""
 
-    def __init__(self, dim: int, label: str = ""):
-        super().__init__(np.eye(dim, dtype=complex), label)
+    def __init__(self, dim: int):
+        super().__init__(np.eye(dim, dtype=complex))
 
 
 class GradedPolySpace(HilbertSpace):
@@ -155,19 +154,13 @@ class GradedPolySpace(HilbertSpace):
         six[:, diag2, :, :, diag2, :] += np.transpose(A1, (0, 2, 1, 3))
         six[diag1, :, :, diag1, :, :] += np.transpose(A2, (0, 2, 1, 3))
         gram += np.einsum("qnlj,pmjk->pqlmnk", A2, A1).reshape(D, D)
-        super().__init__(gram, label=f"D2(caps={self.caps}, d={self.dim})")
+        super().__init__(gram)
 
     # -- indexing ------------------------------------------------------
 
     def flat_index(self, m: int, n: int, k: int = 0) -> int:
         N1, N2 = self.caps
         return (m * (N2 + 1) + n) * self.dim + k
-
-    def bidegrees(self):
-        N1, N2 = self.caps
-        for m in range(N1 + 1):
-            for n in range(N2 + 1):
-                yield m, n
 
     def core_indices(self, margin: int, var=None) -> np.ndarray:
         """Flat indices of bidegrees at least ``margin`` below the caps.

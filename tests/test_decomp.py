@@ -139,7 +139,7 @@ def test_stable_range_max_iter_exhausted():
 def test_tilde_single_atom_is_unimodular_scalar():
     theta0, w = 1.3, 0.9
     T = wl.build_shift_1v(scalar_atoms((theta0, w)), 16)
-    Tt, _, _, _ = decomp._tilde_pieces(T, wl.DEFAULTS)
+    Tt, _, _ = decomp._tilde_pieces(T, wl.DEFAULTS)
     assert Tt.shape == (1, 1)
     val = Tt[0, 0]
     assert abs(abs(val) - 1.0) < 1e-10
@@ -149,14 +149,14 @@ def test_tilde_single_atom_is_unimodular_scalar():
 
 def test_tilde_isometry_trivial_for_isometry():
     T = wl.build_shift_1v(wl.CircleMeasure.zero(1), 8)
-    Tt, _, _, _ = decomp._tilde_pieces(T, wl.DEFAULTS)
+    Tt, _, _ = decomp._tilde_pieces(T, wl.DEFAULTS)
     assert Tt.shape == (0, 0)
 
 
 def test_tilde_eigenvalues_match_atom_angles():
     angles = [0.5, 2.0, 4.4]
     T = wl.build_shift_1v(scalar_atoms(*THREE_ATOMS), 32)
-    Tt, _, _, _ = decomp._tilde_pieces(T, wl.DEFAULTS)
+    Tt, _, _ = decomp._tilde_pieces(T, wl.DEFAULTS)
     got = np.sort(np.mod(np.angle(np.linalg.eigvals(Tt)), 2 * np.pi))
     np.testing.assert_allclose(got, np.sort(angles), atol=1e-6)
 
@@ -738,6 +738,29 @@ def test_smaller_perturbations_raise_or_certify(eps):
             assert out.defect <= wl.DEFAULTS.two_isometry
         else:
             assert max(out.residuals.values()) <= wl.DEFAULTS.decomposition, name
+
+
+@pytest.mark.parametrize("eps", [1e-11, 1e-10])
+def test_a_certified_operator_is_a_two_isometry_candidate(eps):
+    # the defect operator clamps T*T - I in the band at which certify
+    # accepted T, so no later call rejects it as a candidate; here every
+    # call whose operators certify returns
+    (S, T1, T2), _ = edge_cases(eps)
+    certified = 0
+    for ops, call in (((S,), wl.wold_single), ((T1,), wl.wold_single), ((T1, T2), wl.wold_pair)):
+        try:
+            for T in ops:
+                wl.certify(T)
+        except wl.AssumptionError:
+            continue
+        certified += 1
+        try:
+            out = call(*ops)
+        except (wl.AssumptionError, wl.ConvergenceError) as exc:
+            assert "not a 2-isometry candidate" not in str(exc), call.__name__
+            raise
+        assert max(out.residuals.values()) <= wl.DEFAULTS.decomposition, call.__name__
+    assert certified
 
 
 # -- Slocinski ---------------------------------------------------------------------

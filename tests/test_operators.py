@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import woldlab as wl
 from woldlab import operators
 from woldlab.instances import block_embeddings
-from woldlab.operators import joint_core, orthonormal_columns
+from woldlab.operators import IndexCore, core_intersection, joint_core, orthonormal_columns
 from woldlab.space import EuclideanSpace
 
 from conftest import scalar_atoms
@@ -424,7 +424,7 @@ def test_intersection_basis_is_the_symmetric_eigenvector():
 
 # -- safe cores -------------------------------------------------------------------
 
-CORE_KINDS = ("graded-1v", "graded-2v", "direct-sum", "scramble", "restriction")
+CORE_KINDS = ("graded-1v", "graded-2v", "direct-sum", "scramble", "rescramble", "restriction")
 
 
 def opaque_scalar(space, lam):
@@ -452,6 +452,8 @@ def core_case(kind, seed, caps):
     (T1, T2), W = wl.scramble((T1, T2), seed)
     if kind == "scramble":
         return T1, T2, None
+    if kind == "rescramble":
+        return (*wl.scramble((T1, T2), seed + 1)[0], None)
     # H10 plus H11: the embedding of the second and the fourth summand
     embeds = block_embeddings(pairs)
     S = wl.Subspace.from_columns(T1.dom, W.conj().T @ np.hstack([embeds[1], embeds[3]]))
@@ -496,20 +498,30 @@ def test_cores_of_graded_and_euclidean_summands_need_no_orthonormalization(dense
     single = wl.direct_sum([wl.unitary_operator(wl.random_unitary(2, 3)), shift])
     pair = wl.direct_sum([wl.commuting_unitary_pair(2, 4), wl.build_pair_2v(mu1, mu2, 4, 3)])
     singles = [shift, single, wl.scramble(single, 5)[0]]
-    pairs = [wl.build_pair_2v(mu1, mu2, 5, 4), pair, wl.scramble(pair, 6)[0]]
+    pairs = [wl.build_pair_2v(mu1, mu2, 5, 4), pair, wl.scramble(pair, 6)[0],
+             wl.scramble(wl.scramble(pair, 6)[0], 7)[0]]
     for margin in range(4):
         for T in singles + [T for p in pairs for T in p]:
+            assert isinstance(T.core(margin), IndexCore)
             assert T.core_subspace(margin).dim
         for T1, T2 in pairs:
+            assert isinstance(core_intersection(T1.core(margin), T2.core(margin)), IndexCore)
             assert joint_core(T1, T2, margin).dim
     assert dense_kernel_calls == []
 
 
-def test_opaque_core_is_orthonormalized_in_its_own_summand(dense_kernel_calls):
+def test_opaque_core_is_an_index_set_or_a_span_of_the_whole_sum(dense_kernel_calls):
     s = wl.build_shift_1v(scalar_atoms((0.5, 0.8)), 6)
-    (T1, T2), _ = wl.scramble(wl.direct_sum([wl.commuting_unitary_pair(3, 7),
-                                             (s, opaque_scalar(s.dom, 1j))]), 8)
-    core = joint_core(T1, T2, 2)
-    assert core.dim == 3 + 5
-    # one orthonormalization of the 7 x 7 opaque block, one intersection in it
-    assert dense_kernel_calls == ["orthonormal_columns", "subspace_intersect"]
+    D = s.dom.dim_total
+    for frame, kernels in ((np.eye(D), []),
+                           (np.eye(D) @ wl.random_unitary(D, 9),
+                            ["orthonormal_columns", "subspace_intersect"])):
+        dense_kernel_calls.clear()
+        scalar = wl.OperatorModel(s.dom, s.dom, 1j * np.eye(D),
+                                  core_fn=lambda margin, frame=frame: frame)
+        (T1, T2), _ = wl.scramble(wl.direct_sum([wl.commuting_unitary_pair(3, 7),
+                                                 (s, scalar)]), 8)
+        assert joint_core(T1, T2, 2).dim == 3 + 5
+        # an identity frame is the index set of every coordinate; any other
+        # makes the sum one span, orthonormalized once and intersected once
+        assert dense_kernel_calls == kernels
