@@ -26,12 +26,14 @@ from .measures import CircleMeasure, fourier_coefficients
 from .operators import (
     OperatorModel,
     Subspace,
+    _complement_within,
     _defect_form,
+    _euclidean_span,
     _numerical_rank,
-    _robust_svd,
     _whitened_operator,
     _whitened_projector,
     adjoint,
+    checked_projector,
     defect_operator,
     doubly_commuting_residual,
     joint_core,
@@ -42,7 +44,7 @@ from .operators import (
     subspace_intersect,
     two_isometry_defect,
     unitarity_residual,
-    wandering_projection,
+    wandering_subspace,
 )
 from .space import GradedPolySpace, PolyVector, coordinate_shift_matrix
 
@@ -61,65 +63,86 @@ def _as_flat(x) -> np.ndarray:
 def span_orbit(ops, S: Subspace, tols: Tolerances = DEFAULTS) -> Subspace:
     """Smallest subspace that contains S and is invariant under ``ops``.
 
-    ``ops`` is one operator or a list of them.  Each pass applies every
-    operator to the directions the last pass added, projects the images off
-    the basis twice (one Gram-Schmidt pass loses orthogonality in
-    proportion to the cancellation, a second restores it to rounding) and
-    keeps their rank-revealed part, cut as :func:`orthonormal_columns`
-    cuts.  The loop ends when a pass adds nothing or the basis fills the
-    space, so it needs no iteration cap.  Every shift block of a Wold
+    ``ops`` is one operator or a list of them.  Every shift block of a Wold
     decomposition is such an orbit of a wandering subspace, e.g.
-    H1 = [ker T*]_T.
-
-    The passes run in whitened coordinates, where the Gram inner product
-    is Euclidean: the operators and S are whitened once, the basis grows
-    in one D x D buffer, and it is unwhitened once at the end, with no
-    closing orthonormalization; the Gram-orthonormality gate of
-    :class:`Subspace` checks it.
+    H1 = [ker T*]_T.  The operators and S are whitened once and the orbit
+    is grown by :func:`_whitened_orbit`; its basis is unwhitened once at
+    the end, with no closing orthonormalization, and the
+    Gram-orthonormality gate of :class:`Subspace` checks it.
     """
     ops = [ops] if isinstance(ops, OperatorModel) else list(ops)
     amb = S.ambient
-    D = amb.dim_total
-    Tw = [_whitened_operator(op) for op in ops]
+    basis = _whitened_orbit([_whitened_operator(op) for op in ops], amb.whiten(S.basis), tols)
+    return Subspace(amb, amb.unwhiten(basis), tols)
+
+
+@one_blas_thread
+def _whitened_orbit(Tw: list, Sw: np.ndarray, tols: Tolerances) -> np.ndarray:
+    """Orthonormal basis of the orbit of span(Sw) under the whitened
+    operators ``Tw``, in whitened coordinates, where the Gram inner product
+    is Euclidean; Sw has orthonormal columns and stays the leading ones.
+
+    Each pass applies every operator to the directions the last pass
+    added, projects the images off the basis twice (one Gram-Schmidt pass
+    loses orthogonality in proportion to the cancellation, a second
+    restores it to rounding) and keeps their rank-revealed part, cut as
+    :func:`orthonormal_columns` cuts.  The loop ends when a pass adds
+    nothing or the basis fills the space, so it needs no iteration cap.
+    The basis grows in one D x D buffer.
+    """
+    D = Sw.shape[0]
     basis = np.empty((D, D), dtype=complex)
-    start, end = 0, S.dim
-    basis[:, :end] = amb.whiten(S.basis)
+    start, end = 0, Sw.shape[1]
+    basis[:, :end] = Sw
     while start < end < D:
         images = np.hstack([T @ basis[:, start:end] for T in Tw])
         B = basis[:, :end]
         for _ in range(2):
             images -= B @ (B.conj().T @ images)
-        U, s = _robust_svd(images)
-        added = _numerical_rank(s, tols)
-        basis[:, end:end + added] = U[:, :added]
-        start, end = end, end + added
-    return Subspace(amb, amb.unwhiten(basis[:, :end]), tols)
+        new = _euclidean_span(images, tols)
+        start, end = end, end + new.shape[1]
+        basis[:, start:end] = new
+    return basis[:, :end]
 
 
 @dataclass(frozen=True, eq=False)
 class Certificate:
     """What the pipeline needs of one 2-isometry T, computed once.
 
-    The defect, P (the Gram projection onto E = ker T*) and E are built
-    with the certificate; the orbit [E]_T, the defect form F = T^H G T - G
-    and the left inverse L on first use.  By the Wold-type theorem
-    H = H0 ⊕ [E]_T, T is analytic exactly when the orbit fills the space.
-    T is held weakly, so the memo on T (see :func:`certify`) is freed with
-    it.  An ``inherited`` certificate belongs to a restriction to a block
-    built as an orbit: its E was handed down and its orbit is the block.
+    The defect and E = ker T* are built with the certificate; the orbit
+    [E]_T, the whitened operator T_w = L^H T L^{-H}, the defect form
+    F = T^H G T - G, the left inverse L and P (the Gram projection onto E,
+    gated by :func:`woldlab.operators.checked_projector`) on first use.
+    By the Wold-type theorem H = H0 ⊕ [E]_T, T is analytic exactly when
+    the orbit fills the space.  T is held weakly, so the memo on T (see
+    :func:`certify`) is freed with it.  An ``inherited`` certificate
+    belongs to a restriction to a block built as an orbit: its E was
+    handed down and its orbit is the block.
     """
 
     defect: float
-    P: np.ndarray
     E: Subspace
     tols: Tolerances
     op: weakref.ref
     inherited: bool = False
 
     @cached_property
+    def P(self) -> np.ndarray:
+        P = checked_projector(self.E, self.tols)[0]
+        P.flags.writeable = False
+        return P
+
+    @cached_property
+    def Tw(self) -> np.ndarray:
+        return _whitened_operator(self.op())
+
+    @cached_property
     def orbit(self) -> Subspace:
-        T = self.op()
-        return Subspace.full(T.dom) if self.inherited else span_orbit(T, self.E, self.tols)
+        amb = self.E.ambient
+        if self.inherited:
+            return Subspace.full(amb)
+        basis = _whitened_orbit([self.Tw], amb.whiten(self.E.basis), self.tols)
+        return Subspace(amb, amb.unwhiten(basis), self.tols)
 
     @cached_property
     def F(self) -> np.ndarray:
@@ -157,12 +180,9 @@ def _certificate(T: OperatorModel, tols: Tolerances, E: Subspace = None) -> Cert
             f"two-isometry defect {defect:.3e} exceeds tolerance {tols.two_isometry:.1e}"
         )
     inherited = E is not None
-    if inherited:
-        P = OperatorModel(T.dom, T.dom, E.projector())
-    else:
-        P, E = wandering_projection(T, tols=tols)
-    cert = T.certificates[tols] = Certificate(float(defect), P.matrix, E, tols, weakref.ref(T),
-                                              inherited)
+    if not inherited:
+        E = wandering_subspace(T, tols=tols)
+    cert = T.certificates[tols] = Certificate(float(defect), E, tols, weakref.ref(T), inherited)
     return cert
 
 
@@ -428,12 +448,11 @@ def wold_single(T: OperatorModel, tols: Tolerances = DEFAULTS,
     # whitened coordinates the pairing is E_w^H T_w^n E_w
     wander = 0.0
     if E.dim:
-        Tw = _whitened_operator(T)
         cur = amb.whiten(E.basis)
         Ewh = cur.conj().T
         cross = []
         for _ in range(amb.dim_total + 1):
-            cur = Tw @ cur
+            cur = cert.Tw @ cur
             if np.vdot(cur, cur).real <= _EPS**2 * E.dim:
                 break
             cross.append(Ewh @ cur)
@@ -566,6 +585,22 @@ class QuadrupleDecomposition:
         return out
 
 
+def _kernel_part(Aw: np.ndarray, Ew: np.ndarray, tols: Tolerances) -> tuple:
+    """(K_w, leak): the projection P_A E of one subspace onto another, both
+    given by orthonormal bases in whitened coordinates, and how far it
+    leaks out of E.
+
+    P_A E is spanned by A_w U, U the rank-revealed left singular vectors
+    of the coordinates A_w^H E_w, so no SVD has D rows.  When A reduces T
+    and E = ker T*, P_A commutes with T*, so P_A E = A ∩ E lies in E and
+    the leak, the spectral norm of the part of K_w off E, is zero to
+    rounding.
+    """
+    Kw = Aw @ _euclidean_span(Aw.conj().T @ Ew, tols)
+    off = Kw - Ew @ (Ew.conj().T @ Kw)
+    return Kw, float(np.linalg.norm(off, 2)) if off.size else 0.0
+
+
 @one_blas_thread
 def wold_pair(T1: OperatorModel, T2: OperatorModel, tols: Tolerances = DEFAULTS,
               extract: bool = True) -> QuadrupleDecomposition:
@@ -576,21 +611,30 @@ def wold_pair(T1: OperatorModel, T2: OperatorModel, tols: Tolerances = DEFAULTS,
         H00 (both unitary), H10 (first shifts, second unitary),
         H01 (second shifts, first unitary), H11 (jointly analytic).
 
-    The shift blocks are orbits of wandering subspaces (:func:`span_orbit`)
-    and H00 is the Gram complement of their span.  With Ei = ker Ti* and
-    E = E1 ∩ E2, the Wold-type theorem gives E1 = E10 ⊕ [E]_T2, so
+    With Ei = ker Ti*, the Wold blocks A1 = [E1]_T1 and A0 = A1^perp of T1
+    reduce T2, because the pair doubly commutes, so the four blocks are
+    the Wold split of T2 inside each of them.  The projection onto a block
+    that reduces T2 commutes with T2*, so the wandering subspace of T2 on
+    the block is the projection of E2 onto it:
 
-        E10 = E1 ∩ ([E]_T2)^perp,  H10 = [E10]_T1,
-        E01 = E2 ∩ ([E]_T1)^perp,  H01 = [E01]_T2,   H11 = [E]_{T1,T2}.
+        K11 = P_A1 E2,  H11 = [K11]_T2,  H10 = A1 ⊖ H11,
+        K01 = P_A0 E2,  H01 = [K01]_T2,  H00 = A0 ⊖ H01.
+
+    That is three orbits, A1 read from the :class:`Certificate` of T1.
+    Each K is a thin projection of E2 with its rank cut, each ⊖ a complete
+    QR in the coordinates of A1 or A0, and everything runs in whitened
+    coordinates until the blocks are unwhitened.  How far K11 and K01 leak
+    out of E2 is the residual ``E2_leak``: zero when the blocks of T1
+    reduce T2.
 
     Verifies orthogonality, completeness, invariance, the required
-    unitarity of restrictions (which with invariance certifies H00) and
-    the kernel-reducing identities, and extracts the classifying measures
-    nu1, nu2 (single-shift blocks) and eta1, eta2 (jointly analytic block,
-    compressed to the joint kernel).  E1 and E2 are read from the
-    :class:`Certificate` of each operator.  Each extracted restriction
-    inherits its ker*: E10 in H10, E01 in H01, and in H11 the orbit of E
-    under the other operator, [E]_T2 for T1 and [E]_T1 for T2.
+    unitarity of restrictions (which with invariance certifies H00), the
+    kernel-reducing identities and the E2 leak, and extracts the
+    classifying measures nu1, nu2 (single-shift blocks) and eta1, eta2
+    (jointly analytic block, compressed to the joint kernel E = E1 ∩ E2).
+    Each extracted restriction inherits its ker*: P_H10 E1 in H10, K01 in
+    H01, and in H11 P_H11 E1 = [E]_T2 for T1 and K11 = [E]_T1 for T2.  No
+    projector P of a certificate is built.
     """
     amb = T1.dom
     if T2.dom.dim_total != amb.dim_total:
@@ -610,17 +654,17 @@ def wold_pair(T1: OperatorModel, T2: OperatorModel, tols: Tolerances = DEFAULTS,
 
     E1, E2 = cert1.E, cert2.E
     E = subspace_intersect(E1, E2, tols)
-    O1, O2 = span_orbit(T1, E, tols), span_orbit(T2, E, tols)
-    E10 = subspace_intersect(E1, orthocomplement(O2, tols), tols)
-    E01 = subspace_intersect(E2, orthocomplement(O1, tols), tols)
+    A1w = amb.whiten(cert1.orbit.basis)
+    A0w = _complement_within(A1w)
+    E1w, E2w = amb.whiten(E1.basis), amb.whiten(E2.basis)
+    K11w, leak11 = _kernel_part(A1w, E2w, tols)
+    K01w, leak01 = _kernel_part(A0w, E2w, tols)
+    H11w = _whitened_orbit([cert2.Tw], K11w, tols)
+    H01w = _whitened_orbit([cert2.Tw], K01w, tols)
+    H10w, H00w = _complement_within(H11w, A1w), _complement_within(H01w, A0w)
+    blocks = {name: Subspace(amb, amb.unwhiten(Bw), tols)
+              for name, Bw in (("H00", H00w), ("H10", H10w), ("H01", H01w), ("H11", H11w))}
 
-    H10 = span_orbit(T1, E10, tols)
-    H01 = span_orbit(T2, E01, tols)
-    H11 = span_orbit([T1, T2], E, tols)
-    shifts = Subspace.from_columns(amb, np.hstack([H10.basis, H01.basis, H11.basis]), tols)
-    H00 = orthocomplement(shifts, tols)
-
-    blocks = {"H00": H00, "H10": H10, "H01": H01, "H11": H11}
     ortho = max(_orthogonality(A, B) for A, B in combinations(blocks.values(), 2))
     residuals["orthogonality"] = ortho
     residuals["completeness"] = _completeness(list(blocks.values()), amb)
@@ -661,8 +705,10 @@ def wold_pair(T1: OperatorModel, T2: OperatorModel, tols: Tolerances = DEFAULTS,
             leak = image - Ei.basis @ Ei.coords(image)
             lemma_a = max(lemma_a, float(np.linalg.norm(amb.whiten(leak), 2)))
     residuals["kernel_reducing"] = lemma_a
+    # the parts of E2 in the blocks of T1 stay in E2 when the blocks reduce T2
+    residuals["E2_leak"] = max(leak11, leak01)
 
-    worst = max(ortho, residuals["completeness"], invariance, lemma_a,
+    worst = max(ortho, residuals["completeness"], invariance, lemma_a, residuals["E2_leak"],
                 max(unit.values()) if unit else 0.0)
     if total_dim != amb.dim_total or worst > tols.decomposition:
         raise ConvergenceError(
@@ -670,25 +716,27 @@ def wold_pair(T1: OperatorModel, T2: OperatorModel, tols: Tolerances = DEFAULTS,
             f"(dims {tuple(S.dim for S in blocks.values())} vs {amb.dim_total})"
         )
 
-    measures = {
-        "nu1": CircleMeasure.zero(E10.dim),
-        "nu2": CircleMeasure.zero(E01.dim),
-        "eta1": CircleMeasure.zero(E.dim),
-        "eta2": CircleMeasure.zero(E.dim),
+    # the kernel of each extracted restriction, in its block's coordinates
+    kernels = {
+        "nu1": ("H10", "T1", _euclidean_span(H10w.conj().T @ E1w, tols)),
+        "nu2": ("H01", "T2", H01w.conj().T @ K01w),
+        "eta1": ("H11", "T1", _euclidean_span(H11w.conj().T @ E1w, tols)),
+        "eta2": ("H11", "T2", H11w.conj().T @ K11w),
     }
-    for name, bname, oname, kernel in (("nu1", "H10", "T1", E10), ("nu2", "H01", "T2", E01),
-                                       ("eta1", "H11", "T1", O2), ("eta2", "H11", "T2", O1)):
+    # H11 reduces both operators, so the joint kernel of its restrictions
+    # is E = E1 ∩ E2 in block coordinates
+    joint = H11w.conj().T @ amb.whiten(E.basis)
+    measures = {}
+    for name, (bname, oname, K) in kernels.items():
         if not (extract and blocks[bname].dim):
+            measures[name] = CircleMeasure.zero(E.dim if bname == "H11" else K.shape[1])
             continue
         R = restrictions[(bname, oname)]
-        _certificate(R, tols, Subspace(R.dom, blocks[bname].coords(kernel.basis), tols))
-        # H11 = [E]_{T1,T2} reduces both operators, so the joint kernel of
-        # its restrictions is E = E1 ∩ E2 in block coordinates
-        joint = Subspace(R.dom, H11.coords(E.basis), tols) if bname == "H11" else None
-        measures[name] = extract_measure(R, compress_to=joint, tols=tols)
+        _certificate(R, tols, Subspace(R.dom, K, tols))
+        compress_to = Subspace(R.dom, joint, tols) if bname == "H11" else None
+        measures[name] = extract_measure(R, compress_to=compress_to, tols=tols)
 
-    return QuadrupleDecomposition(H00=H00, H10=H10, H01=H01, H11=H11,
-                                  measures=measures, restrictions=restrictions,
+    return QuadrupleDecomposition(**blocks, measures=measures, restrictions=restrictions,
                                   residuals=residuals)
 
 

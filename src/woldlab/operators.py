@@ -35,8 +35,16 @@ def orthonormal_columns(space: HilbertSpace, X: np.ndarray, tols: Tolerances = D
         X = X[:, None]
     if X.shape[1] == 0:
         return np.zeros((space.dim_total, 0), dtype=complex)
-    U, s = _robust_svd(space.whiten(X))
-    return space.unwhiten(U[:, :_numerical_rank(s, tols)])
+    return space.unwhiten(_euclidean_span(space.whiten(X), tols))
+
+
+def _euclidean_span(X: np.ndarray, tols: Tolerances) -> np.ndarray:
+    """Orthonormal basis of the column span of X in Euclidean coordinates,
+    cut at :func:`_numerical_rank`."""
+    if X.size == 0:
+        return np.zeros((X.shape[0], 0), dtype=complex)
+    U, s = _robust_svd(X)
+    return U[:, :_numerical_rank(s, tols)]
 
 
 def _numerical_rank(s: np.ndarray, tols: Tolerances) -> int:
@@ -102,7 +110,7 @@ class Subspace:
 
     def projector(self) -> np.ndarray:
         """Matrix of the Gram-orthogonal projection onto the subspace."""
-        return self.basis @ self.basis.conj().T @ self.ambient.gram
+        return self.basis @ (self.basis.conj().T @ self.ambient.gram)
 
     def coords(self, X: np.ndarray) -> np.ndarray:
         """Coordinates of (projections of) ambient vectors in this basis."""
@@ -166,16 +174,26 @@ def subspace_intersect(A: Subspace, B: Subspace, tols: Tolerances = DEFAULTS) ->
 
 
 def orthocomplement(S: Subspace, tols: Tolerances = DEFAULTS) -> Subspace:
-    """Gram-orthogonal complement of S.
-
-    The whitened basis of S has orthonormal columns, so the trailing
-    D - dim S columns of the complete QR factor Q of it are an orthonormal
-    basis of its complement; unwhitened, they are Gram-orthonormal.  No
-    rank decision is taken: the complement has dimension D - dim S.
+    """Gram-orthogonal complement of S, from :func:`_complement_within` of
+    its whitened basis; unwhitened, the complement is Gram-orthonormal.
+    No rank decision is taken: it has dimension D - dim S.
     """
     amb = S.ambient
-    Q, _ = np.linalg.qr(amb.whiten(S.basis), mode="complete")
-    return Subspace(amb, amb.unwhiten(Q[:, S.dim:]), tols)
+    return Subspace(amb, amb.unwhiten(_complement_within(amb.whiten(S.basis))), tols)
+
+
+def _complement_within(Hw: np.ndarray, Aw: np.ndarray = None) -> np.ndarray:
+    """A ⊖ H for H inside A (the whole space when ``Aw`` is None), both
+    given by orthonormal bases in whitened coordinates: the trailing
+    columns of the complete QR factor of H's coordinates in A, with no
+    QR when H is trivial or all of A."""
+    n, k = (Hw.shape[0] if Aw is None else Aw.shape[1]), Hw.shape[1]
+    if k == 0:
+        return np.eye(n, dtype=complex) if Aw is None else Aw
+    if k == n:
+        return Hw[:, :0]
+    Q, _ = np.linalg.qr(Hw if Aw is None else Aw.conj().T @ Hw, mode="complete")
+    return Q[:, k:] if Aw is None else Aw @ Q[:, k:]
 
 
 # ---------------------------------------------------------------------------
@@ -499,33 +517,25 @@ def left_inverse(T: OperatorModel, tols: Tolerances = DEFAULTS) -> OperatorModel
     return OperatorModel(T.codom, T.dom, mat, core_fn=T.core_fn, info={"condition": cond})
 
 
-def range_complement_projection(T: OperatorModel, tols: Tolerances = DEFAULTS) -> tuple:
-    """(P matrix, E): Gram projection onto ker T* = ran(T)-perp, with range.
+def wandering_subspace(T: OperatorModel, tols: Tolerances = DEFAULTS) -> Subspace:
+    """E = ker T* = ran(T)-perp, the wandering subspace of T.
 
-    One full SVD of the whitened matrix L^H T gives both: its leading k
-    left singular vectors, k the rank cut of :func:`orthonormal_columns`,
-    unwhiten to a Gram-orthonormal basis Q of ran(T), and its trailing
-    ones to a Gram-orthonormal basis of the complement E.  It does not
-    depend on any safe-core choice; P = I - Q Q^H G is Gram self-adjoint
-    and idempotent up to rounding.
+    One full SVD of the whitened matrix L^H T: its left singular vectors
+    past k, the rank cut of :func:`orthonormal_columns`, unwhiten to a
+    Gram-orthonormal basis of E (the leading k span ran T).  It does not
+    depend on any safe-core choice.
     """
     sp = T.codom
     U, s = _robust_svd(sp.whiten(T.matrix), full_matrices=True)
-    B = sp.unwhiten(U)
-    k = _numerical_rank(s, tols)
-    Q = B[:, :k]
-    Pm = np.eye(sp.dim_total, dtype=complex) - Q @ Q.conj().T @ sp.gram
-    return Pm, Subspace(sp, B[:, k:], tols)
+    return Subspace(sp, sp.unwhiten(U[:, _numerical_rank(s, tols):]), tols)
 
 
-def wandering_projection(T: OperatorModel, tols: Tolerances = DEFAULTS) -> tuple:
-    """(P, E): Gram-orthogonal projection onto ker T* and its range.
-
-    The projection laws P = P* = P^2 (Gram adjoint) are verified before
-    returning.
-    """
-    Pm, E = range_complement_projection(T, tols)
-    G = T.dom.gram
+def checked_projector(E: Subspace, tols: Tolerances = DEFAULTS) -> tuple:
+    """(P, idempotency, hermiticity): P = E E^H G, the Gram-orthogonal
+    projection onto E, once its laws P = P* = P^2 (Gram adjoint) hold
+    within ``tols.projection_law``; ``AssumptionError`` otherwise."""
+    Pm = E.projector()
+    G = E.ambient.gram
     idem = np.max(np.abs(Pm @ Pm - Pm)) if Pm.size else 0.0
     herm = np.max(np.abs(G @ Pm - Pm.conj().T @ G)) if Pm.size else 0.0
     scale = max(1.0, float(np.linalg.norm(G, 2)))
@@ -533,7 +543,26 @@ def wandering_projection(T: OperatorModel, tols: Tolerances = DEFAULTS) -> tuple
         raise AssumptionError(
             f"wandering projection failed its laws (idem {idem:.2e}, herm {herm:.2e})"
         )
-    P = OperatorModel(T.dom, T.dom, Pm, info={"idempotency": float(idem), "hermiticity": float(herm)})
+    return Pm, float(idem), float(herm)
+
+
+def range_complement_projection(T: OperatorModel, tols: Tolerances = DEFAULTS) -> tuple:
+    """(P matrix, E): Gram projection onto ker T* = ran(T)-perp, with range,
+    from :func:`wandering_subspace`; P = E E^H G is Gram self-adjoint and
+    idempotent up to rounding."""
+    E = wandering_subspace(T, tols)
+    return E.projector(), E
+
+
+def wandering_projection(T: OperatorModel, tols: Tolerances = DEFAULTS) -> tuple:
+    """(P, E): Gram-orthogonal projection onto ker T* and its range.
+
+    The projection laws are verified before returning
+    (:func:`checked_projector`).
+    """
+    E = wandering_subspace(T, tols)
+    Pm, idem, herm = checked_projector(E, tols)
+    P = OperatorModel(T.dom, T.dom, Pm, info={"idempotency": idem, "hermiticity": herm})
     return P, E
 
 

@@ -8,7 +8,8 @@ tests call them directly.
 import numpy as np
 
 import woldlab as wl
-from woldlab.operators import _principal_pairs, orthonormal_columns
+from woldlab.decomp import span_orbit
+from woldlab.operators import _principal_pairs, orthocomplement, orthonormal_columns
 
 
 def apply_to_subspace(T, S, tols=wl.DEFAULTS):
@@ -295,3 +296,34 @@ def gram_wandering(T, E):
             break
         wander = max(wander, float(np.linalg.norm(E.basis.conj().T @ Gcur, 2)))
     return wander
+
+
+# The construction of the four pair blocks that ``wold_pair`` used before it
+# split by T1 and then by T2: five orbits, three full complements, two
+# principal-angle intersections and one rank-revealing SVD of the union of
+# the shift blocks.  tests/test_dense_passes.py compares the two routes.
+
+
+def five_orbit_pair(T1, T2, tols=wl.DEFAULTS):
+    """(blocks, kernels): the four blocks of a doubly commuting pair and the
+    kernels its extracted restrictions inherit, keyed by (block, operator),
+    both in ambient coordinates.  With Ei = ker Ti* and E = E1 ∩ E2,
+
+        E10 = E1 ∩ ([E]_T2)^perp,  H10 = [E10]_T1,
+        E01 = E2 ∩ ([E]_T1)^perp,  H01 = [E01]_T2,   H11 = [E]_{T1,T2},
+
+    H00 is the complement of the span of the three shift blocks, and the
+    restrictions to H11 inherit [E]_T2 (of T1) and [E]_T1 (of T2)."""
+    amb = T1.dom
+    E1, E2 = wl.wandering_projection(T1, tols)[1], wl.wandering_projection(T2, tols)[1]
+    E = wl.subspace_intersect(E1, E2, tols)
+    O1, O2 = span_orbit(T1, E, tols), span_orbit(T2, E, tols)
+    E10 = wl.subspace_intersect(E1, orthocomplement(O2, tols), tols)
+    E01 = wl.subspace_intersect(E2, orthocomplement(O1, tols), tols)
+    H10 = span_orbit(T1, E10, tols)
+    H01 = span_orbit(T2, E01, tols)
+    H11 = span_orbit([T1, T2], E, tols)
+    shifts = wl.Subspace.from_columns(amb, np.hstack([H10.basis, H01.basis, H11.basis]), tols)
+    blocks = {"H00": orthocomplement(shifts, tols), "H10": H10, "H01": H01, "H11": H11}
+    kernels = {("H10", "T1"): E10, ("H01", "T2"): E01, ("H11", "T1"): O2, ("H11", "T2"): O1}
+    return blocks, kernels

@@ -485,11 +485,32 @@ def test_wold_pair_joint_kernel_is_E_in_H11_coordinates():
 
 def test_wold_pair_rejects_non_commuting():
     S1 = wl.build_shift_1v(scalar_atoms((0.3, 0.8)), 6)
-    S2 = wl.build_shift_1v(scalar_atoms((0.3, 0.8)), 6)
     # the shift does not doubly commute with itself
     with pytest.raises(wl.AssumptionError):
         wl.wold_pair(S1, S1)
-    del S2
+
+
+def test_wold_pair_rejects_a_commuting_pair_that_does_not_doubly_commute():
+    # T and T^2 commute, and T^2 is again a 2-isometry, but T* T^2 != T^2 T*
+    T = wl.build_shift_1v(scalar_atoms(*THREE_ATOMS), 12)
+    T2 = wl.OperatorModel(T.dom, T.dom, T.matrix @ T.matrix, core_fn=lambda m: T.core(m + 2))
+    wl.certify(T2)
+    with pytest.raises(wl.AssumptionError, match="not doubly commuting"):
+        wl.wold_pair(T, T2)
+
+
+def test_the_E2_leak_of_a_non_reducing_subspace_is_past_the_gate():
+    # the split of E2 = ker T2* by a T2-reducing subspace stays in E2; a
+    # generic subspace of the same dimension leaks out of it
+    T1, T2 = acceptance_7_instance().operators
+    amb = T2.dom
+    E2w = amb.whiten(wl.certify(T2).E.basis)
+    A1w = amb.whiten(wl.certify(T1).orbit.basis)
+    _, leak = decomp._kernel_part(A1w, E2w, wl.DEFAULTS)
+    assert leak < 1e-12
+    generic = wl.random_unitary(amb.dim_total, 9)[:, :A1w.shape[1]]
+    _, leak = decomp._kernel_part(generic, E2w, wl.DEFAULTS)
+    assert leak > wl.DEFAULTS.decomposition
 
 
 def test_wold_pair_blocks_invariant_under_scramble():
@@ -560,15 +581,16 @@ def test_wold_pair_idempotent_on_blocks():
 
 @pytest.fixture
 def wandering_calls(monkeypatch):
-    """The operators that decomp hands to wandering_projection, in call order."""
+    """The operators whose kernel SVD certify runs (``wandering_subspace``),
+    in call order."""
     calls = []
-    real = decomp.wandering_projection
+    real = decomp.wandering_subspace
 
     def counted(T, *args, **kwargs):
         calls.append(T)
         return real(T, *args, **kwargs)
 
-    monkeypatch.setattr(decomp, "wandering_projection", counted)
+    monkeypatch.setattr(decomp, "wandering_subspace", counted)
     return calls
 
 
@@ -614,8 +636,10 @@ def test_wold_pair_certifies_each_operator_once(wandering_calls):
 
 # Dense factorizations with both dimensions at least D / 2, pinned per
 # decomposition.  Each E = ker T* takes one full SVD, an orbit no closing
-# SVD, a complement one complete QR, and a restriction to the whole space no
-# core SVD.
+# SVD, a complement one complete QR (none when it is trivial or everything),
+# and a restriction to the whole space no core SVD.  wold_pair splits by T1
+# and then by T2: no union SVD, and its complements are taken in the
+# coordinates of the blocks of T1.
 
 
 def test_wold_single_dense_factorization_count(dense_factorizations):
@@ -631,14 +655,16 @@ def test_wold_pair_dense_factorization_count_on_a_four_block_pair(dense_factoriz
     T1, T2 = acceptance_7_instance().operators
     dense_factorizations.clear()
     wl.wold_pair(T1, T2)
-    assert dense_factorizations.large(T1.dom.dim_total) == 12   # 17 before the cuts
+    # 12 on the five-orbit route too, 17 before the cuts
+    assert dense_factorizations.large(T1.dom.dim_total) == 12
 
 
 def test_wold_pair_dense_factorization_count_on_a_coordinate_pair(dense_factorizations):
     T1, T2 = _analytic_pair(caps=10)
     dense_factorizations.clear()
     wl.wold_pair(T1, T2)
-    assert dense_factorizations.large(T1.dom.dim_total) == 11   # 20 before the cuts
+    # 11 on the five-orbit route, 20 before the cuts
+    assert dense_factorizations.large(T1.dom.dim_total) == 9
 
 
 def test_wold_pair_builds_its_joint_core_once(monkeypatch):
@@ -670,12 +696,48 @@ def test_scaled_tolerances_get_their_own_certificate(wandering_calls):
     T = wl.build_shift_1v(scalar_atoms(*THREE_ATOMS), 12)
     cert = wl.certify(T)
     assert wl.certify(T) is cert
-    # the orbit, F and L are built on first use only
-    assert not {"orbit", "F", "L"} & set(vars(cert))
+    # the orbit, T_w, F, L and P are built on first use only
+    assert not {"orbit", "Tw", "F", "L", "P"} & set(vars(cert))
     loose = wl.DEFAULTS.scaled(10)
     assert wl.certify(T, loose) is not cert
     assert wandering_calls == [T, T]
     assert set(T.certificates) == {wl.DEFAULTS, loose}
+
+
+def test_decompositions_do_not_build_P():
+    inst = wl.make_single_wold_instance(2, scalar_atoms(*THREE_ATOMS), 16, seed=1,
+                                        scramble_seed=23)
+    T = inst.operators[0]
+    res = wl.wold_single(T)
+    T1, T2 = acceptance_7_instance().operators
+    quad = wl.wold_pair(T1, T2)
+    ops = [T, res.analytic_part, T1, T2] + list(quad.restrictions.values())
+    certs = [cert for op in ops for cert in op.certificates.values()]
+    assert len(certs) == 8      # four operators and four inherited restrictions
+    assert all("P" not in vars(cert) for cert in certs)
+
+
+def test_projection_laws_are_checked_once_on_first_read(monkeypatch):
+    calls = []
+    real = decomp.checked_projector
+
+    def counted(E, *args, **kwargs):
+        calls.append(E)
+        return real(E, *args, **kwargs)
+
+    monkeypatch.setattr(decomp, "checked_projector", counted)
+    T = wl.build_shift_1v(scalar_atoms(*THREE_ATOMS), 12)
+    cert = wl.certify(T)
+    assert calls == []
+    P = cert.P
+    assert cert.P is P and calls == [cert.E]
+    assert not P.flags.writeable
+    # the gate is the one of wandering_projection: the same matrix
+    assert np.array_equal(P, wl.wandering_projection(T)[0].matrix)
+    x = random_core_vector(T, np.random.default_rng(3))
+    wl.check_norm_identity(T, x)
+    wl.check_norm_identity(T, x)
+    assert calls == [cert.E]
 
 
 def test_certificate_is_freed_with_its_operator():
@@ -686,7 +748,7 @@ def test_certificate_is_freed_with_its_operator():
     try:
         wl.check_norm_identity(T, x)
         cert = weakref.ref(T.certificates[wl.DEFAULTS])
-        assert {"orbit", "F", "L"} <= set(vars(cert()))
+        assert {"orbit", "F", "L", "P"} <= set(vars(cert()))
         del T
         assert cert() is None
     finally:

@@ -5,20 +5,24 @@ full SVD, an orbit keeps its accumulated basis, a complement comes from a
 complete QR, and a restriction to the whole space reads its core without an
 SVD.  Orbits and the wandering check of ``wold_single`` run on whitened
 operators, with no per-pass Gram product, triangular solve or SVD norm.
-``tests/reference.py`` keeps the older routes; on the same inputs both must
-give the same subspaces and residuals, to rounding.
+``wold_pair`` splits by T1 and then by T2 with three orbits, where it used
+five.  ``tests/reference.py`` keeps the older routes; on the same inputs
+both must give the same subspaces and residuals, to rounding.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import woldlab as wl
+from woldlab import decomp
 from woldlab.decomp import span_orbit
 from woldlab.operators import orthocomplement, range_complement_projection, restrict_operator
 
 from reference import (
     closing_svd_orbit,
     eigh_complement,
+    five_orbit_pair,
     gram_orbit,
     gram_wandering,
     principal_pair_core,
@@ -136,3 +140,79 @@ def test_span_orbit_whitens_each_operator_once(triangular_solves):
         # ambient-coordinate loop made one solve per pass, 4 and 7 here
         assert orbit.dim > 3 * E.dim
         assert len(triangular_solves) <= n_ops + 1
+
+
+def acceptance_7_pair(k00, caps10, caps01, caps11, seed):
+    """The pair of one case of acceptance test 7."""
+    measures = [wl.random_atomic_measure(1, n, seed=base + seed)
+                for n, base in ((2, 7000), (3, 7100), (2, 7200), (1, 7300))]
+    nu1, nu2, eta1, eta2 = measures
+    return wl.make_four_block_instance(k00, nu1, caps10, nu2, caps01, eta1, eta2, caps11,
+                                       seed=seed, scramble_seed=700 + seed).operators
+
+
+def scrambled_four_block_pair():
+    nu1, nu2 = (wl.random_atomic_measure(1, 2, seed=s) for s in (31, 32))
+    return wl.make_four_block_instance(2, nu1, 6, nu2, 5, *wl.random_measure_pair(1, 2, seed=33),
+                                       (4, 3), seed=34, scramble_seed=35).operators
+
+
+PAIRS = {
+    "acceptance 7, first case": lambda: acceptance_7_pair(3, 8, 7, (5, 4), 1),
+    "acceptance 7, second case": lambda: acceptance_7_pair(6, 24, 20, (11, 10), 2),
+    "coordinate pair, caps 8": lambda: wl.build_pair_2v(*wl.random_measure_pair(1, 2, seed=8),
+                                                        8, 8),
+    "coordinate pair, caps 10": lambda: wl.build_pair_2v(*wl.random_measure_pair(2, 2, seed=10),
+                                                         10, 10),
+    "scrambled four-block pair": scrambled_four_block_pair,
+}
+
+
+@pytest.mark.parametrize("name", list(PAIRS))
+def test_wold_pair_matches_the_five_orbit_route(name):
+    T1, T2 = PAIRS[name]()
+    quad = wl.wold_pair(T1, T2)
+    blocks, kernels = five_orbit_pair(T1, T2)
+    assert quad.block_dims() == tuple(S.dim for S in blocks.values())
+    for bname, S in blocks.items():
+        assert getattr(quad, bname).distance(S) <= TOL, bname
+    for key, K in kernels.items():
+        H = getattr(quad, key[0])
+        if H.dim == 0:
+            assert K.dim == 0, key
+            continue
+        inherited = quad.restrictions[key].certificates[wl.DEFAULTS].E
+        assert inherited.dim == K.dim, key
+        assert wl.Subspace(H.ambient, H.basis @ inherited.basis).distance(K) <= TOL, key
+
+
+def test_wold_pair_grows_three_orbits(monkeypatch):
+    calls = []
+    real = decomp._whitened_orbit
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(decomp, "_whitened_orbit", counted)
+    wl.wold_pair(*scrambled_four_block_pair())
+    # [E1]_T1, [K11]_T2 and [K01]_T2; the five-orbit route grew five
+    assert len(calls) == 3
+
+
+def test_each_operator_is_whitened_once(monkeypatch):
+    calls = []
+    real = decomp._whitened_operator
+
+    def counted(T):
+        calls.append(T)
+        return real(T)
+
+    monkeypatch.setattr(decomp, "_whitened_operator", counted)
+    T1, T2 = scrambled_four_block_pair()
+    wl.wold_single(T1)
+    # the orbit of ker T1* and the wandering check read the certificate's T_w
+    assert calls == [T1]
+    wl.wold_pair(T1, T2)
+    # [E1]_T1 is the certificate's orbit; both orbits under T2 share its T_w
+    assert calls == [T1, T2]
