@@ -39,5 +39,5 @@ for caps in (16, 32, 64):
     err = max(abs(wl.fourier_coefficient(got, n)[0, 0] - (1.0 if n == 0 else 0.0))
               for n in range(-8, 9))
     print(f"  {caps:3d} | {err:.3e}")
-print("(already at the rounding floor: the atomic spectral data of the")
-print(" truncated defect isometry reproduces the density's moments exactly)")
+print("(already at the rounding floor: the atoms of the orbit-moment")
+print(" dilation reproduce the density's moments exactly)")

@@ -83,7 +83,7 @@ def _task_wold_single(inst: Instance, params, tols):
     residuals = dict(result.residuals)
     residuals["dim_H0"] = result.H0.dim
     residuals["dim_H1"] = result.H1.dim
-    score = max(v for k, v in residuals.items() if k.startswith(("orth", "compl", "wander")))
+    score = max(residuals[k] for k in result.GATED)
     out = result.to_json_dict()
     out["residuals"] = residuals
     return out, score
@@ -118,8 +118,7 @@ def _task_wold_pair(inst: Instance, params, tols):
     reference = inst.truth.get("measures") if isinstance(inst.truth.get("measures"), dict) else None
     out = quad.to_json_dict(reference_measures=reference,
                             K=int(params.get("fourier_order", 8)), tols=tols)
-    score = max(quad.residuals[k] for k in
-                ("orthogonality", "completeness", "invariance", "kernel_reducing"))
+    score = max(quad.residuals[k] for k in quad.GATED)
     return out, score
 
 

@@ -41,7 +41,8 @@ class Tolerances:
     orthonormal: float = 1e-8
     #: left inverses reject condition numbers above this
     condition_max: float = 1e10
-    #: least-squares fit of the defect-space isometry
+    #: Toeplitz test of the orbit-moment table, and least-squares fit of
+    #: the shift isometry of its factor (both relative)
     tilde_residual: float = 1e-6
     #: residual bound on recovered decompositions
     decomposition: float = 1e-6

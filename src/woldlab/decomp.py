@@ -2,10 +2,11 @@
 
 A single 2-isometry splits into a unitary part on the stable range and a
 shift part generated by the wandering subspace; the shift part is
-classified by a circle measure extracted from the spectral data of the
-defect-space isometry.  A doubly commuting pair splits the space four
-ways, with one measure per single-shift block and a pair of measures for
-the jointly analytic block.
+classified by a circle measure whose moments are Gram pairings of the
+orbit of the wandering subspace, turned into atoms by a small Toeplitz
+dilation.  A doubly commuting pair splits the space four ways, with one
+measure per single-shift block and a pair of measures for the jointly
+analytic block.
 """
 
 from __future__ import annotations
@@ -30,11 +31,11 @@ from .operators import (
     _defect_form,
     _euclidean_span,
     _numerical_rank,
+    _psd_rank_mask,
     _whitened_operator,
     _whitened_projector,
     adjoint,
     checked_projector,
-    defect_operator,
     doubly_commuting_residual,
     joint_core,
     left_inverse,
@@ -115,16 +116,14 @@ class Certificate:
     gated by :func:`woldlab.operators.checked_projector`) on first use.
     By the Wold-type theorem H = H0 ⊕ [E]_T, T is analytic exactly when
     the orbit fills the space.  T is held weakly, so the memo on T (see
-    :func:`certify`) is freed with it.  An ``inherited`` certificate
-    belongs to a restriction to a block built as an orbit: its E was
-    handed down and its orbit is the block.
+    :func:`certify`) is freed with it.  The decompositions certify only the
+    operators they are given, never a restriction.
     """
 
     defect: float
     E: Subspace
     tols: Tolerances
     op: weakref.ref
-    inherited: bool = False
 
     @cached_property
     def P(self) -> np.ndarray:
@@ -139,8 +138,6 @@ class Certificate:
     @cached_property
     def orbit(self) -> Subspace:
         amb = self.E.ambient
-        if self.inherited:
-            return Subspace.full(amb)
         basis = _whitened_orbit([self.Tw], amb.whiten(self.E.basis), self.tols)
         return Subspace(amb, amb.unwhiten(basis), self.tols)
 
@@ -155,7 +152,7 @@ class Certificate:
         return left_inverse(self.op(), tols=self.tols).matrix
 
     def require_analytic(self) -> "Certificate":
-        if not self.inherited and self.orbit.dim != self.E.ambient.dim_total:
+        if self.orbit.dim != self.E.ambient.dim_total:
             raise AssumptionError(
                 "operator is not analytic: the orbit of ker T* is not the whole space"
             )
@@ -167,64 +164,34 @@ def certify(T: OperatorModel, tols: Tolerances = DEFAULTS) -> Certificate:
     """The certificate of T under ``tols``: built on the first request,
     then read from ``T.certificates``.  Raises ``AssumptionError`` unless T
     is a 2-isometry within tolerance."""
-    return T.certificates.get(tols) or _certificate(T, tols)
-
-
-def _certificate(T: OperatorModel, tols: Tolerances, E: Subspace = None) -> Certificate:
-    """Gate the defect of T, then build and memoize its certificate.  E is
-    ker T* when a decomposition hands it down (in T's coordinates), and
-    is computed otherwise."""
-    defect = two_isometry_defect(T, tols=tols)
-    if defect > tols.two_isometry:
-        raise AssumptionError(
-            f"two-isometry defect {defect:.3e} exceeds tolerance {tols.two_isometry:.1e}"
-        )
-    inherited = E is not None
-    if not inherited:
+    cert = T.certificates.get(tols)
+    if cert is None:
+        defect = two_isometry_defect(T, tols=tols)
+        if defect > tols.two_isometry:
+            raise AssumptionError(
+                f"two-isometry defect {defect:.3e} exceeds tolerance {tols.two_isometry:.1e}"
+            )
         E = wandering_subspace(T, tols=tols)
-    cert = T.certificates[tols] = Certificate(float(defect), E, tols, weakref.ref(T), inherited)
+        cert = T.certificates[tols] = Certificate(float(defect), E, tols, weakref.ref(T))
     return cert
 
 
 # ---------------------------------------------------------------------------
-# defect-space isometry and measure extraction
+# measure extraction from orbit moments
 # ---------------------------------------------------------------------------
 
-def _tilde_pieces(T: OperatorModel, tols: Tolerances):
-    """Unitary model of the defect-space isometry D x -> D T x.
-
-    The map is fit by least squares over safe-core columns, completed
-    deterministically on any unreached directions, then projected to the
-    closest unitary via its singular factors.  Returns (Ut, Dspace, D).
-    """
-    D, Dspace = defect_operator(T, tols=tols)
-    k = Dspace.dim
-    if k == 0:
-        return np.zeros((0, 0), dtype=complex), Dspace, D
-    C = T.core_basis()
-    X = Dspace.coords(D.matrix @ C)
-    Y = Dspace.coords(D.matrix @ (T.matrix @ C))
-    Ux, sx, Vhx = np.linalg.svd(X, full_matrices=False)
-    rank = _numerical_rank(sx, tols)
-    if rank == 0:
-        raise ConvergenceError("defect images of the safe core vanish; caps too small")
-    pinv = (Vhx[:rank].conj().T / sx[:rank]) @ Ux[:, :rank].conj().T
-    Tt = Y @ pinv
-    lsq = float(np.linalg.norm(Tt @ X - Y, 2) / max(1.0, np.linalg.norm(Y, 2)))
-    if lsq > tols.tilde_residual:
-        raise ConvergenceError(
-            f"defect-space isometry fit residual {lsq:.3e} exceeds tolerance; caps too small"
-        )
-    if rank < k:
-        # directions of the defect space never reached by safe-core images:
-        # send the untouched orthocomplement isometrically onto the
-        # orthocomplement of the image, matching SVD order (deterministic).
-        dom_extra = sla.null_space(Ux[:, :rank].conj().T)
-        img_extra = sla.null_space((Tt @ Ux[:, :rank]).conj().T)
-        r = min(dom_extra.shape[1], img_extra.shape[1])
-        Tt = Tt + img_extra[:, :r] @ dom_extra[:, :r].conj().T
-    Uu, _, Vhu = np.linalg.svd(Tt)
-    return Uu @ Vhu, Dspace, D
+def _powers(Tw: np.ndarray, Kw: np.ndarray) -> list:
+    """[K_w, T_w K_w, T_w^2 K_w, ...] in whitened coordinates, up to the
+    last power the truncation has not annihilated (squared norm above
+    _EPS^2 times dim K)."""
+    powers = [Kw]
+    cur = Kw
+    for _ in range(Kw.shape[0] + 1):
+        cur = Tw @ cur
+        if np.vdot(cur, cur).real <= _EPS**2 * Kw.shape[1]:
+            break
+        powers.append(cur)
+    return powers
 
 
 def _cluster_angles(angles: np.ndarray, tol: float):
@@ -232,56 +199,99 @@ def _cluster_angles(angles: np.ndarray, tol: float):
     if angles.size == 0:
         return []
     order = np.argsort(angles)
-    clusters = [[order[0]]]
-    for idx in order[1:]:
-        if angles[idx] - angles[clusters[-1][-1]] < tol:
-            clusters[-1].append(idx)
-        else:
-            clusters.append([idx])
-    if len(clusters) > 1:
-        first, last = clusters[0], clusters[-1]
-        if angles[first[0]] + 2 * np.pi - angles[last[-1]] < tol:
-            clusters[0] = last + first
-            clusters.pop()
+    clusters = np.split(order, np.flatnonzero(np.diff(angles[order]) >= tol) + 1)
+    if len(clusters) > 1 and angles[order[0]] + 2 * np.pi - angles[order[-1]] < tol:
+        clusters[0] = np.concatenate([clusters.pop(), clusters[0]])
     return clusters
 
 
-@one_blas_thread
-def extract_measure(T: OperatorModel, compress_to: Subspace = None,
-                    tols: Tolerances = DEFAULTS) -> CircleMeasure:
-    """Classifying measure of an analytic 2-isometry.
+def _orbit_measure(powers: list, tols: Tolerances) -> CircleMeasure:
+    """The measure whose moments the powers V_m = T^m E of a kernel carry.
 
-    Analyticity is certified by the orbit of the wandering subspace
-    E = ker T* filling the space (see :class:`Certificate`; a restriction
-    that a decomposition built inherits it).  The unitary model of the
-    defect-space isometry is diagonalized; each eigenvalue cluster at
-    angle theta contributes an atom (theta, W) with W the compression of
-    (D Pi_theta D) to E (or to ``compress_to`` when given, e.g. the joint
-    kernel for pairs).  Weights are Hermitian PSD by construction.
+    Their Gram G gives the table M[m, p] = G[m+1, p+1] - G[m, p]
+    = <D T^p E, D T^m E> (D^2 = T*T - I), which is mu_hat(m - p) until the
+    truncation cuts a power: the depth K is the last at which the leading
+    blocks of M are Toeplitz.  The Toeplitz matrix of mu_hat(0..K), from the
+    first block row (deeper blocks subtract large Gram entries), has rank
+    r; its leading block of depth k = min(K, 2 ceil(r/d)), grown until the
+    first k blocks hold rank r, is factored as R^H R.  The shift
+    v_j -> v_{j+1} of R's column blocks is then an isometry: it is fit by
+    least squares, completed and made unitary, and each eigenvalue cluster
+    at theta gives an atom (theta, W), W its spectral projection
+    compressed to v_0.
     """
-    E = certify(T, tols).require_analytic().E
-    if compress_to is None:
-        compress_to = E
-    e_dim = compress_to.dim
-    Ut, Dspace, D = _tilde_pieces(T, tols)
-    if Dspace.dim == 0:
-        return CircleMeasure.zero(e_dim)
+    d, n = powers[0].shape[1], len(powers) - 1
+    if d == 0 or n == 0:
+        return CircleMeasure.zero(d)
+    V = np.hstack(powers)
+    G = V.conj().T @ V
+    M = G[d:, d:] - G[:-d, :-d]
+    jump = np.abs(M[d:, d:] - M[:-d, :-d]).reshape(n - 1, d, n - 1, d).max(axis=(1, 3))
+    bad = jump > tols.tilde_residual * max(1.0, float(np.max(np.abs(M))))
+    levels = np.maximum.outer(np.arange(n - 1), np.arange(n - 1))[bad]
+    K = int(levels.min()) if levels.size else n - 1
+    row = M[:d, :(K + 1) * d].reshape(d, K + 1, d).transpose(1, 0, 2)
+    coeffs = np.concatenate([row[:0:-1].conj().transpose(0, 2, 1), row])  # lags -K..K
+    lags = K - np.subtract.outer(np.arange(K + 1), np.arange(K + 1))  # K + p - m
+    toep = coeffs[lags].transpose(0, 2, 1, 3).reshape((K + 1) * d, (K + 1) * d)
+
+    def rank(k):
+        return int(_psd_rank_mask(np.linalg.eigvalsh(toep[:k * d, :k * d]), tols).sum())
+
+    r = rank(K + 1)
+    if r == 0:
+        return CircleMeasure.zero(d)
+    if K == 0:
+        raise ConvergenceError("orbit moments are not Toeplitz past depth 0; caps too small")
+    k = min(K, 2 * -(-r // d))
+    while k < K and rank(k) < r:
+        k += 1
+    lam, W = np.linalg.eigh(toep[:(k + 1) * d, :(k + 1) * d])
+    keep = _psd_rank_mask(lam, tols)
+    R = np.sqrt(lam[keep])[:, None] * W[:, keep].conj().T
+    X, Y = R[:, :k * d], R[:, d:]
+    # X holds mu_hat(0) != 0 on its diagonal, so its rank is at least one
+    Ux, sx, Vhx = np.linalg.svd(X, full_matrices=False)
+    q = _numerical_rank(sx, tols)
+    Ut = Y @ (Vhx[:q].conj().T / sx[:q]) @ Ux[:, :q].conj().T
+    lsq = float(np.linalg.norm(Ut @ X - Y, 2) / max(1.0, np.linalg.norm(Y, 2)))
+    if lsq > tols.tilde_residual:
+        raise ConvergenceError(
+            f"moment shift isometry fit residual {lsq:.3e} exceeds tolerance; caps too small"
+        )
+    if q < R.shape[0]:
+        # send the directions no v_j reaches onto the orthocomplement of the
+        # image, matching SVD order (deterministic)
+        dom_extra = sla.null_space(Ux[:, :q].conj().T)
+        img_extra = sla.null_space((Ut @ Ux[:, :q]).conj().T)
+        m = min(dom_extra.shape[1], img_extra.shape[1])
+        Ut = Ut + img_extra[:, :m] @ dom_extra[:, :m].conj().T
+    Uu, _, Vhu = np.linalg.svd(Ut)
     # Schur of a (numerically) unitary matrix: orthonormal eigenvectors
-    Tschur, Q = sla.schur(Ut, output="complex")
-    eigs = np.diag(Tschur)
-    angles = np.mod(np.angle(eigs), 2 * np.pi)
-    # row i of Y pairs the i-th Schur vector of the defect space with D E
-    Y = (Dspace.basis @ Q).conj().T @ (T.dom.gram @ (D.matrix @ compress_to.basis))
+    Tschur, Q = sla.schur(Uu @ Vhu, output="complex")
+    angles = np.mod(np.angle(np.diag(Tschur)), 2 * np.pi)
+    Yv = Q.conj().T @ R[:, :d]  # row i pairs the i-th Schur vector with v_0
     atoms = []
     for cluster in _cluster_angles(angles, tols.atom_cluster):
-        Yc = Y[np.array(cluster, dtype=int)]
-        W = Yc.conj().T @ Yc
+        Yc = Yv[cluster]
         angs = angles[cluster]
         if angs.max() - angs.min() > np.pi:  # seam-straddling cluster
             angs = np.where(angs > np.pi, angs - 2 * np.pi, angs)
-        theta = float(np.mean(angs)) % (2 * np.pi)
-        atoms.append((theta, W))
-    return CircleMeasure(dim=e_dim, atoms=tuple(atoms))
+        atoms.append((float(np.mean(angs)) % (2 * np.pi), Yc.conj().T @ Yc))
+    return CircleMeasure(dim=d, atoms=tuple(atoms))
+
+
+@one_blas_thread
+def extract_measure(T: OperatorModel, tols: Tolerances = DEFAULTS) -> CircleMeasure:
+    """Classifying measure of an analytic 2-isometry.
+
+    Analyticity is certified by the orbit of the wandering subspace
+    E = ker T* filling the space (see :class:`Certificate`).  The measure
+    is read from the orbit moments of E under the certificate's T_w
+    (:func:`_orbit_measure`).
+    """
+    cert = certify(T, tols).require_analytic()
+    return _orbit_measure(_powers(cert.Tw, T.dom.whiten(cert.E.basis)), tols)
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +391,10 @@ def check_two_variable_identity(T1: OperatorModel, T2: OperatorModel, x,
 class SingleWold:
     """Unitary/analytic splitting of a single 2-isometry."""
 
+    #: the residuals gated at ``tols.decomposition``
+    GATED = ("orthogonality", "completeness", "wandering", "H0_unitarity",
+             "H0_invariance", "H1_invariance")
+
     H0: Subspace
     H1: Subspace
     unitary_part: OperatorModel
@@ -422,8 +436,9 @@ def wold_single(T: OperatorModel, tols: Tolerances = DEFAULTS,
     certified by its invariance and the unitarity of T on it, which
     together force it into the stable range; H1 by its invariance and the
     wandering property.  E and H1 are read from the :class:`Certificate`
-    of T.  Then the classifying measure of the analytic part is extracted;
-    the analytic part inherits E, so it is not certified again.
+    of T.  The powers T_w^n E_w give both the wandering residual and the
+    classifying measure of the analytic part (:func:`_orbit_measure`), so
+    the analytic part is not certified.
     """
     cert = certify(T, tols)
     amb = T.dom
@@ -444,25 +459,15 @@ def wold_single(T: OperatorModel, tols: Tolerances = DEFAULTS,
         unitarity_residual(unitary_part, margin=0, tols=tols) if H0.dim else 0.0
     )
     # wandering property: <T^n w, w'> = 0 for n >= 1, until the truncation
-    # has annihilated T^n E (Gram norm at most _EPS times that of E); in
-    # whitened coordinates the pairing is E_w^H T_w^n E_w
-    wander = 0.0
-    if E.dim:
-        cur = amb.whiten(E.basis)
-        Ewh = cur.conj().T
-        cross = []
-        for _ in range(amb.dim_total + 1):
-            cur = cert.Tw @ cur
-            if np.vdot(cur, cur).real <= _EPS**2 * E.dim:
-                break
-            cross.append(Ewh @ cur)
-        if cross:
-            wander = float(np.max(np.linalg.norm(np.stack(cross), 2, axis=(1, 2))))
-    residuals["wandering"] = wander
+    # has annihilated T^n E; in whitened coordinates the pairing is
+    # E_w^H T_w^n E_w
+    powers = _powers(cert.Tw, amb.whiten(E.basis))
+    Ewh = powers[0].conj().T
+    cross = [Ewh @ P for P in powers[1:]]
+    residuals["wandering"] = (float(np.max(np.linalg.norm(np.stack(cross), 2, axis=(1, 2))))
+                              if cross else 0.0)
 
-    worst = max(residuals["orthogonality"], residuals["completeness"], wander,
-                residuals["H0_unitarity"], residuals["H0_invariance"],
-                residuals["H1_invariance"])
+    worst = max(residuals[k] for k in SingleWold.GATED)
     if not dims_ok or worst > tols.decomposition:
         raise ConvergenceError(
             f"single Wold decomposition residual {worst:.3e} above tolerance "
@@ -470,8 +475,7 @@ def wold_single(T: OperatorModel, tols: Tolerances = DEFAULTS,
         )
 
     if extract and H1.dim:
-        _certificate(analytic_part, tols, Subspace(analytic_part.dom, H1.coords(E.basis), tols))
-        extracted = extract_measure(analytic_part, tols=tols)
+        extracted = _orbit_measure(powers, tols)
     else:
         extracted = CircleMeasure.zero(E.dim)
     return SingleWold(H0=H0, H1=H1, unitary_part=unitary_part,
@@ -549,6 +553,10 @@ def build_V(T1: OperatorModel, T2: OperatorModel, target: GradedPolySpace,
 @dataclass
 class QuadrupleDecomposition:
     """Four-way splitting of a doubly commuting 2-isometric pair."""
+
+    #: the residuals gated at ``tols.decomposition``
+    GATED = ("orthogonality", "completeness", "invariance", "kernel_reducing", "E2_leak",
+             "unitarity_H00_T1", "unitarity_H00_T2", "unitarity_H01_T1", "unitarity_H10_T2")
 
     H00: Subspace
     H10: Subspace
@@ -632,9 +640,10 @@ def wold_pair(T1: OperatorModel, T2: OperatorModel, tols: Tolerances = DEFAULTS,
     kernel-reducing identities and the E2 leak, and extracts the
     classifying measures nu1, nu2 (single-shift blocks) and eta1, eta2
     (jointly analytic block, compressed to the joint kernel E = E1 ∩ E2).
-    Each extracted restriction inherits its ker*: P_H10 E1 in H10, K01 in
-    H01, and in H11 P_H11 E1 = [E]_T2 for T1 and K11 = [E]_T1 for T2.  No
-    projector P of a certificate is built.
+    Each is read from the orbit moments of a kernel under an ambient
+    whitened operator (:func:`_orbit_measure`): nu1 from P_H10 E1 under
+    T1, nu2 from K01 under T2, and eta1, eta2 from E under T1 and T2.  No
+    restriction is certified and no projector P of a certificate is built.
     """
     amb = T1.dom
     if T2.dom.dim_total != amb.dim_total:
@@ -682,13 +691,11 @@ def wold_pair(T1: OperatorModel, T2: OperatorModel, tols: Tolerances = DEFAULTS,
             invariance = max(invariance, R.info["invariance_leak"])
     residuals["invariance"] = invariance
 
-    unit = {}
     for bname, oname in [("H00", "T1"), ("H00", "T2"), ("H01", "T1"), ("H10", "T2")]:
         R = restrictions.get((bname, oname))
-        unit[f"unitarity_{bname}_{oname}"] = (
+        residuals[f"unitarity_{bname}_{oname}"] = (
             unitarity_residual(R, margin=0, tols=tols) if R is not None else 0.0
         )
-    residuals.update(unit)
 
     # kernel-reducing checks: ker T_i* is invariant under T_j and T_j*.
     # The adjoint is only trustworthy on the safe core, so test kernel
@@ -708,33 +715,24 @@ def wold_pair(T1: OperatorModel, T2: OperatorModel, tols: Tolerances = DEFAULTS,
     # the parts of E2 in the blocks of T1 stay in E2 when the blocks reduce T2
     residuals["E2_leak"] = max(leak11, leak01)
 
-    worst = max(ortho, residuals["completeness"], invariance, lemma_a, residuals["E2_leak"],
-                max(unit.values()) if unit else 0.0)
+    worst = max(residuals[k] for k in QuadrupleDecomposition.GATED)
     if total_dim != amb.dim_total or worst > tols.decomposition:
         raise ConvergenceError(
             f"pair decomposition residual {worst:.3e} above tolerance "
             f"(dims {tuple(S.dim for S in blocks.values())} vs {amb.dim_total})"
         )
 
-    # the kernel of each extracted restriction, in its block's coordinates
+    # each measure's kernel and operator, in ambient whitened coordinates
+    Ew = amb.whiten(E.basis)
     kernels = {
-        "nu1": ("H10", "T1", _euclidean_span(H10w.conj().T @ E1w, tols)),
-        "nu2": ("H01", "T2", H01w.conj().T @ K01w),
-        "eta1": ("H11", "T1", _euclidean_span(H11w.conj().T @ E1w, tols)),
-        "eta2": ("H11", "T2", H11w.conj().T @ K11w),
+        "nu1": (cert1.Tw, _kernel_part(H10w, E1w, tols)[0]),
+        "nu2": (cert2.Tw, K01w),
+        "eta1": (cert1.Tw, Ew),
+        "eta2": (cert2.Tw, Ew),
     }
-    # H11 reduces both operators, so the joint kernel of its restrictions
-    # is E = E1 ∩ E2 in block coordinates
-    joint = H11w.conj().T @ amb.whiten(E.basis)
-    measures = {}
-    for name, (bname, oname, K) in kernels.items():
-        if not (extract and blocks[bname].dim):
-            measures[name] = CircleMeasure.zero(E.dim if bname == "H11" else K.shape[1])
-            continue
-        R = restrictions[(bname, oname)]
-        _certificate(R, tols, Subspace(R.dom, K, tols))
-        compress_to = Subspace(R.dom, joint, tols) if bname == "H11" else None
-        measures[name] = extract_measure(R, compress_to=compress_to, tols=tols)
+    measures = {name: _orbit_measure(_powers(Tw, Kw), tols) if extract
+                else CircleMeasure.zero(Kw.shape[1])
+                for name, (Tw, Kw) in kernels.items()}
 
     return QuadrupleDecomposition(**blocks, measures=measures, restrictions=restrictions,
                                   residuals=residuals)

@@ -95,12 +95,6 @@ class Subspace:
         return cls(ambient, orthonormal_columns(ambient, X, tols), tols)
 
     @classmethod
-    def full(cls, ambient: HilbertSpace) -> "Subspace":
-        if ambient.identity_space():
-            return cls(ambient, np.eye(ambient.dim_total, dtype=complex))
-        return cls.from_columns(ambient, np.eye(ambient.dim_total))
-
-    @classmethod
     def trivial(cls, ambient: HilbertSpace) -> "Subspace":
         return cls(ambient, np.zeros((ambient.dim_total, 0), dtype=complex))
 
@@ -538,7 +532,9 @@ def checked_projector(E: Subspace, tols: Tolerances = DEFAULTS) -> tuple:
     G = E.ambient.gram
     idem = np.max(np.abs(Pm @ Pm - Pm)) if Pm.size else 0.0
     herm = np.max(np.abs(G @ Pm - Pm.conj().T @ G)) if Pm.size else 0.0
-    scale = max(1.0, float(np.linalg.norm(G, 2)))
+    # the largest entry of G is at most its spectral norm, so this scale
+    # never loosens the gate, and it needs no SVD
+    scale = max(1.0, float(np.max(np.abs(G))))
     if max(idem, herm / scale) > tols.projection_law:
         raise AssumptionError(
             f"wandering projection failed its laws (idem {idem:.2e}, herm {herm:.2e})"
@@ -566,6 +562,15 @@ def wandering_projection(T: OperatorModel, tols: Tolerances = DEFAULTS) -> tuple
     return P, E
 
 
+def _psd_rank_mask(lam: np.ndarray, tols: Tolerances) -> np.ndarray:
+    """Which eigenvalues of a PSD form count as rank: those above
+    ``rank_rtol`` times the largest and ``two_isometry`` times the largest
+    (at least 1), the band in which certify accepts a defect, so that no
+    eigensolver noise is kept as rank."""
+    top = float(lam.max(initial=0.0))
+    return lam > max(tols.rank_rtol * top, tols.two_isometry * max(1.0, top))
+
+
 def defect_operator(T: OperatorModel, tols: Tolerances = DEFAULTS) -> tuple:
     """(D, Dspace): PSD square root of T*T - I on the safe core.
 
@@ -574,10 +579,9 @@ def defect_operator(T: OperatorModel, tols: Tolerances = DEFAULTS) -> tuple:
     Eigenvalues in [-two_isometry_tol, 0) are clamped; anything more
     negative disqualifies T as a 2-isometry candidate.  The band is the
     one at which :func:`woldlab.decomp.certify` accepts T, so an operator
-    it certified is never rejected here.  It is symmetric: eigenvalues up
-    to two_isometry_tol (relative to the largest, at least 1) or up to
-    rank_rtol times the largest count as zero, so the rank of D is not
-    decided by rounding.  D acts as zero on the core complement.
+    it certified is never rejected here.  It is symmetric: the rank of D
+    is cut by :func:`_psd_rank_mask`.  D acts as zero on the core
+    complement.
     """
     if not T.is_square:
         raise ValueError("defect_operator needs a square operator")
@@ -597,9 +601,7 @@ def defect_operator(T: OperatorModel, tols: Tolerances = DEFAULTS) -> tuple:
             "not a 2-isometry candidate"
         )
     lam = np.clip(lam, 0.0, None)
-    # rank decision on the eigenvalues of T*T - I, in the band of the clamp
-    # above: the square root would amplify eigensolver noise past the floor
-    keep = lam > max(tols.rank_rtol * lam.max(initial=0.0), tols.two_isometry * lam_scale)
+    keep = _psd_rank_mask(lam, tols)
     lam = np.where(keep, lam, 0.0)
     roots = np.sqrt(lam)
     DB = (V * roots) @ V.conj().T

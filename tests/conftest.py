@@ -6,6 +6,7 @@ import scipy.linalg as sla
 from hypothesis import settings
 
 import woldlab as wl
+from woldlab.measures import fourier_coefficients
 
 # one fixed sequence of examples and no example database, so that property
 # tests draw the same inputs on every run
@@ -78,3 +79,12 @@ def random_poly(caps, dim, rng):
 
 def scalar_atoms(*pairs):
     return wl.CircleMeasure.from_scalar_atoms(pairs)
+
+
+def assert_same_moments(got, ref, K=8, tol=1e-10):
+    """Equal Fourier coefficients for |n| <= K.  Pass the depth a truncation
+    determines as K: past it, a density is completed by atoms that each
+    extraction route chooses its own way."""
+    assert got.dim == ref.dim
+    if got.dim:
+        assert np.max(np.abs(fourier_coefficients(got, K) - fourier_coefficients(ref, K))) < tol

@@ -6,10 +6,17 @@ tests call them directly.
 """
 
 import numpy as np
+import scipy.linalg as sla
 
 import woldlab as wl
+from woldlab._blas import one_blas_thread
 from woldlab.decomp import span_orbit
-from woldlab.operators import _principal_pairs, orthocomplement, orthonormal_columns
+from woldlab.operators import (
+    _numerical_rank,
+    _principal_pairs,
+    orthocomplement,
+    orthonormal_columns,
+)
 
 
 def apply_to_subspace(T, S, tols=wl.DEFAULTS):
@@ -96,7 +103,7 @@ def stable_range(T, max_iter=None, tols=wl.DEFAULTS):
     if not T.is_square:
         raise ValueError("stable_range needs a square operator")
     max_iter = T.dom.dim_total + 2 if max_iter is None else max_iter
-    S = wl.Subspace.full(T.dom)
+    S = wl.Subspace.from_columns(T.dom, np.eye(T.dom.dim_total))
     dims = [S.dim]
     for _ in range(max_iter):
         S = apply_to_subspace(T, S, tols)
@@ -327,3 +334,112 @@ def five_orbit_pair(T1, T2, tols=wl.DEFAULTS):
     blocks = {"H00": orthocomplement(shifts, tols), "H10": H10, "H01": H01, "H11": H11}
     kernels = {("H10", "T1"): E10, ("H01", "T2"): E01, ("H11", "T1"): O2, ("H11", "T2"): O1}
     return blocks, kernels
+
+
+# The measure extraction that the pipeline used before it read the measures
+# from orbit moments: the defect operator D, a unitary model of the
+# defect-space isometry D x -> D T x fit on safe-core columns, and its
+# spectral data paired with D E.  tests/test_decomp.py and
+# tests/test_dense_passes.py compare the two routes.
+
+
+def _tilde_pieces(T, tols=wl.DEFAULTS):
+    """Unitary model of the defect-space isometry D x -> D T x.
+
+    The map is fit by least squares over safe-core columns, completed
+    deterministically on any unreached directions, then projected to the
+    closest unitary via its singular factors.  Returns (Ut, Dspace, D).
+    """
+    D, Dspace = wl.defect_operator(T, tols=tols)
+    k = Dspace.dim
+    if k == 0:
+        return np.zeros((0, 0), dtype=complex), Dspace, D
+    C = T.core_basis()
+    X = Dspace.coords(D.matrix @ C)
+    Y = Dspace.coords(D.matrix @ (T.matrix @ C))
+    Ux, sx, Vhx = np.linalg.svd(X, full_matrices=False)
+    rank = _numerical_rank(sx, tols)
+    if rank == 0:
+        raise wl.ConvergenceError("defect images of the safe core vanish; caps too small")
+    pinv = (Vhx[:rank].conj().T / sx[:rank]) @ Ux[:, :rank].conj().T
+    Tt = Y @ pinv
+    lsq = float(np.linalg.norm(Tt @ X - Y, 2) / max(1.0, np.linalg.norm(Y, 2)))
+    if lsq > tols.tilde_residual:
+        raise wl.ConvergenceError(
+            f"defect-space isometry fit residual {lsq:.3e} exceeds tolerance; caps too small"
+        )
+    if rank < k:
+        dom_extra = sla.null_space(Ux[:, :rank].conj().T)
+        img_extra = sla.null_space((Tt @ Ux[:, :rank]).conj().T)
+        r = min(dom_extra.shape[1], img_extra.shape[1])
+        Tt = Tt + img_extra[:, :r] @ dom_extra[:, :r].conj().T
+    Uu, _, Vhu = np.linalg.svd(Tt)
+    return Uu @ Vhu, Dspace, D
+
+
+def loop_cluster_angles(angles, tol):
+    """``decomp._cluster_angles`` one sorted angle at a time: an angle joins
+    the last cluster when it is within ``tol`` of that cluster's last
+    angle, and the first and last clusters merge across the 2*pi seam."""
+    if angles.size == 0:
+        return []
+    order = np.argsort(angles)
+    clusters = [[order[0]]]
+    for idx in order[1:]:
+        if angles[idx] - angles[clusters[-1][-1]] < tol:
+            clusters[-1].append(idx)
+        else:
+            clusters.append([idx])
+    if len(clusters) > 1:
+        first, last = clusters[0], clusters[-1]
+        if angles[first[0]] + 2 * np.pi - angles[last[-1]] < tol:
+            clusters[0] = last + first
+            clusters.pop()
+    return clusters
+
+
+def defect_route_measure(T, compress_to=None, tols=wl.DEFAULTS):
+    """``extract_measure`` by the defect-space isometry of T itself: each
+    eigenvalue cluster at angle theta of the unitary model contributes an
+    atom (theta, W), W the compression of (D Pi_theta D) to E = ker T*, or
+    to ``compress_to`` when given (the joint kernel, for the restrictions
+    of a pair to its jointly analytic block)."""
+    E = wl.certify(T, tols).require_analytic().E
+    if compress_to is None:
+        compress_to = E
+    Ut, Dspace, D = _tilde_pieces(T, tols)
+    if Dspace.dim == 0:
+        return wl.CircleMeasure.zero(compress_to.dim)
+    Tschur, Q = sla.schur(Ut, output="complex")
+    angles = np.mod(np.angle(np.diag(Tschur)), 2 * np.pi)
+    Y = (Dspace.basis @ Q).conj().T @ (T.dom.gram @ (D.matrix @ compress_to.basis))
+    atoms = []
+    for cluster in loop_cluster_angles(angles, tols.atom_cluster):
+        Yc = Y[np.array(cluster, dtype=int)]
+        angs = angles[cluster]
+        if angs.max() - angs.min() > np.pi:
+            angs = np.where(angs > np.pi, angs - 2 * np.pi, angs)
+        atoms.append((float(np.mean(angs)) % (2 * np.pi), Yc.conj().T @ Yc))
+    return wl.CircleMeasure(dim=compress_to.dim, atoms=tuple(atoms))
+
+
+@one_blas_thread
+def fresh_restriction_measures(T1, T2, quad, tols=wl.DEFAULTS):
+    """The four measures of ``quad`` by the defect route, each on a fresh
+    restriction of T1 or T2 to its block (certified anew, so its kernel is
+    ker R* from an SVD); the two on H11 are compressed to the joint kernel
+    E = ker T1* ∩ ker T2* in H11 coordinates.  The principal angles of that
+    intersection are all zero, so its basis is fixed only by rounding; one
+    BLAS thread, as in ``wold_pair``, gives the same basis."""
+    E = wl.subspace_intersect(wl.certify(T1, tols).E, wl.certify(T2, tols).E, tols)
+    out = {}
+    for name, bname, T in (("nu1", "H10", T1), ("nu2", "H01", T2),
+                           ("eta1", "H11", T1), ("eta2", "H11", T2)):
+        H = getattr(quad, bname)
+        if H.dim == 0:
+            out[name] = wl.CircleMeasure.zero(E.dim if bname == "H11" else 0)
+            continue
+        R = wl.restrict_operator(T, H, tols)
+        joint = wl.Subspace(R.dom, H.coords(E.basis), tols) if bname == "H11" else None
+        out[name] = defect_route_measure(R, compress_to=joint, tols=tols)
+    return out

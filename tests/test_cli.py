@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import woldlab as wl
-from woldlab import decomp
+from woldlab import cli, decomp
 from woldlab.cli import main, run
 
 from conftest import scalar_atoms
@@ -94,6 +94,25 @@ def test_tol_scale_reaches_wold_pair_verdicts(tmp_path, monkeypatch):
     assert seen == [wl.DEFAULTS.scaled(10)] * 2
     verdicts = json.loads(out.read_text())["tasks"][0]["result"]["verdicts"]
     assert {k: v["equal"] for k, v in verdicts.items()} == {"eta1": True, "eta2": True}
+
+
+def test_decomposition_tasks_score_every_gated_residual():
+    # every residual the decomposition gates at tols.decomposition, with the
+    # invariance and unitarity entries of each block
+    mu = scalar_atoms((0.7, 0.9), (2.9, 0.5))
+    single = wl.make_single_wold_instance(2, mu, 12, seed=1, scramble_seed=2)
+    out, score = cli._task_wold_single(single, {}, wl.DEFAULTS)
+    for key in ("orthogonality", "completeness", "wandering", "H0_unitarity",
+                "H0_invariance", "H1_invariance"):
+        assert score >= out["residuals"][key], key
+    pair = wl.make_four_block_instance(2, mu, 6, scalar_atoms((1.3, 0.8)), 5,
+                                       *wl.random_measure_pair(1, 2, seed=3), (4, 3),
+                                       seed=4, scramble_seed=5)
+    out, score = cli._task_wold_pair(pair, {}, wl.DEFAULTS)
+    assert all(out["block_dims"])
+    for key in ("orthogonality", "completeness", "invariance", "kernel_reducing", "E2_leak",
+                "unitarity_H00_T1", "unitarity_H00_T2", "unitarity_H01_T1", "unitarity_H10_T2"):
+        assert score >= out["residuals"][key], key
 
 
 def test_negative_weight_config_exits_one(tmp_path, capsys):

@@ -6,8 +6,10 @@ complete QR, and a restriction to the whole space reads its core without an
 SVD.  Orbits and the wandering check of ``wold_single`` run on whitened
 operators, with no per-pass Gram product, triangular solve or SVD norm.
 ``wold_pair`` splits by T1 and then by T2 with three orbits, where it used
-five.  ``tests/reference.py`` keeps the older routes; on the same inputs
-both must give the same subspaces and residuals, to rounding.
+five, and reads its measures from orbit moments, where it fit a
+defect-space isometry on each certified restriction.
+``tests/reference.py`` keeps the older routes; on the same inputs both
+must give the same subspaces, residuals and measures, to rounding.
 """
 
 import numpy as np
@@ -19,10 +21,13 @@ from woldlab import decomp
 from woldlab.decomp import span_orbit
 from woldlab.operators import orthocomplement, range_complement_projection, restrict_operator
 
+from conftest import assert_same_moments
 from reference import (
     closing_svd_orbit,
     eigh_complement,
+    defect_route_measure,
     five_orbit_pair,
+    fresh_restriction_measures,
     gram_orbit,
     gram_wandering,
     principal_pair_core,
@@ -84,6 +89,13 @@ def check_wandering(T):
     assert abs(wander - gram_wandering(T, wl.certify(T).E)) < WANDER_TOL
 
 
+def check_pair_measures(T1, T2, K):
+    quad = wl.wold_pair(T1, T2)
+    fresh = fresh_restriction_measures(T1, T2, quad)
+    for name, mu in quad.measures.items():
+        assert_same_moments(mu, fresh[name], K)
+
+
 @settings(max_examples=12)
 @given(seed=seeds, k=st.integers(0, 3), n_atoms=st.integers(1, 3), density=st.booleans(),
        caps=st.integers(2, 16))
@@ -92,6 +104,8 @@ def test_single_routes_match_on_scrambled_unitary_plus_shift(seed, k, n_atoms, d
     inst = wl.make_single_wold_instance(k, mu, caps, seed=seed, scramble_seed=seed + 1)
     check_routes(inst.operators, seed)
     check_wandering(inst.operators[0])
+    res = wl.wold_single(inst.operators[0])
+    assert_same_moments(res.extracted, defect_route_measure(res.analytic_part), min(8, caps - 1))
 
 
 @settings(max_examples=6)
@@ -104,6 +118,7 @@ def test_pair_routes_match_on_scrambled_four_block_pairs(seed, k00):
     check_routes(inst.operators, seed)
     for T in inst.operators:
         check_wandering(T)
+    check_pair_measures(*inst.operators, 8)
 
 
 @settings(max_examples=8)
@@ -113,6 +128,8 @@ def test_pair_routes_match_on_coordinate_pairs(seed, d, n_atoms, caps):
     check_routes(pair, seed)
     # the second operator, at cap caps - 1, is not certified on its core
     check_wandering(pair[0])
+    if caps >= 3:
+        check_pair_measures(*pair, min(8, caps - 2))
 
 
 def test_restriction_to_the_whole_space_reads_its_core_without_an_svd(dense_factorizations):
@@ -170,20 +187,20 @@ PAIRS = {
 
 @pytest.mark.parametrize("name", list(PAIRS))
 def test_wold_pair_matches_the_five_orbit_route(name):
+    # blocks against the five-orbit route; measures against the defect route
+    # on each fresh restriction, with the kernel dimensions of the five-orbit
+    # route (the H11 measures are compressed to the joint kernel)
     T1, T2 = PAIRS[name]()
     quad = wl.wold_pair(T1, T2)
     blocks, kernels = five_orbit_pair(T1, T2)
     assert quad.block_dims() == tuple(S.dim for S in blocks.values())
     for bname, S in blocks.items():
         assert getattr(quad, bname).distance(S) <= TOL, bname
-    for key, K in kernels.items():
-        H = getattr(quad, key[0])
-        if H.dim == 0:
-            assert K.dim == 0, key
-            continue
-        inherited = quad.restrictions[key].certificates[wl.DEFAULTS].E
-        assert inherited.dim == K.dim, key
-        assert wl.Subspace(H.ambient, H.basis @ inherited.basis).distance(K) <= TOL, key
+    assert quad.measures["nu1"].dim == kernels[("H10", "T1")].dim
+    assert quad.measures["nu2"].dim == kernels[("H01", "T2")].dim
+    fresh = fresh_restriction_measures(T1, T2, quad)
+    for name, mu in quad.measures.items():
+        assert_same_moments(mu, fresh[name], 8)
 
 
 def test_wold_pair_grows_three_orbits(monkeypatch):

@@ -261,6 +261,25 @@ def test_wandering_projection_model_shift():
     np.testing.assert_allclose(G @ P.matrix, P.matrix.conj().T @ G, atol=1e-10)
 
 
+@pytest.mark.parametrize("size, raises", [(1e-6, True), (1e-12, False)])
+def test_projection_laws_reject_a_gram_with_a_skew_part(size, raises):
+    # G = I + S with S skew-Hermitian and zero on the diagonal: E spans the
+    # first two unit vectors, where S vanishes, so E passes the
+    # orthonormality check, but the Gram adjoint of P = E E^H G differs from
+    # P by 2 S off the diagonal blocks
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    S = np.zeros((6, 6), dtype=complex)
+    S[2:, :2] = size * X / np.max(np.abs(X))
+    S[:2, 2:] = -S[2:, :2].conj().T
+    E = wl.Subspace(wl.HilbertSpace(np.eye(6) + S), np.eye(6)[:, :2])
+    if raises:
+        with pytest.raises(wl.AssumptionError, match="laws"):
+            operators.checked_projector(E)
+    else:
+        operators.checked_projector(E)
+
+
 def test_wandering_projection_unitary_is_zero():
     U = wl.unitary_operator(wl.random_unitary(4, 33))
     P, E = wl.wandering_projection(U)
