@@ -16,6 +16,7 @@ from woldlab.space import EuclideanSpace
 
 from conftest import assert_same_moments, random_core_vector, scalar_atoms
 from reference import (
+    _tilde_pieces,
     defect_route_measure,
     fresh_restriction_measures,
     kernel_intersection_identity,
@@ -142,6 +143,27 @@ def test_stable_range_max_iter_exhausted():
 
 
 # -- measure extraction from orbit moments ---------------------------------------
+
+
+# The defect route in tests/reference.py is the cross-check for
+# extract_measure; its unitary model of D x -> D T x keeps the atom angles.
+
+
+def test_tilde_single_atom_is_unimodular_scalar():
+    theta0, w = 1.3, 0.9
+    T = wl.build_shift_1v(scalar_atoms((theta0, w)), 16)
+    Tt, _, _ = _tilde_pieces(T, wl.DEFAULTS)
+    assert Tt.shape == (1, 1)
+    val = Tt[0, 0]
+    assert abs(abs(val) - 1.0) < 1e-10
+    # round-trip angle convention: the eigenvalue angle is the atom angle
+    assert np.angle(val) == pytest.approx(theta0, abs=1e-8)
+
+
+def test_tilde_isometry_trivial_for_isometry():
+    T = wl.build_shift_1v(wl.CircleMeasure.zero(1), 8)
+    Tt, _, _ = _tilde_pieces(T, wl.DEFAULTS)
+    assert Tt.shape == (0, 0)
 
 
 def test_extract_single_atom_round_trip():
