@@ -32,12 +32,12 @@ support = np.argwhere(np.abs(image.coeffs) > 1e-9)
 print(f"  V(T1^3 T2^2 a) is supported on bidegrees {[tuple(s[:2]) for s in support]}")
 
 print("\nextraction for the classical Dirichlet shift (density measure):")
-print(" caps | max |mu_hat(n) - delta| over |n| <= 8")
+print(" caps | atoms | density | max |mu_hat(n) - delta| over |n| <= 8")
 for caps in (16, 32, 64):
     T = wl.build_shift_1v(wl.CircleMeasure.lebesgue(1), caps)
     got = wl.extract_measure(T)
     err = max(abs(wl.fourier_coefficient(got, n)[0, 0] - (1.0 if n == 0 else 0.0))
               for n in range(-8, 9))
-    print(f"  {caps:3d} | {err:.3e}")
-print("(already at the rounding floor: the atoms of the orbit-moment")
-print(" dilation reproduce the density's moments exactly)")
+    print(f"  {caps:3d} | {len(got.atoms):5d} | {got.density[0, 0].real:.12f} | {err:.3e}")
+print("(density 1 and no atoms at every caps: the constant density is the")
+print(" repeated bottom eigenvalue of the moment Toeplitz matrix)")

@@ -3,10 +3,11 @@
 A single 2-isometry splits into a unitary part on the stable range and a
 shift part generated by the wandering subspace; the shift part is
 classified by a circle measure whose moments are Gram pairings of the
-orbit of the wandering subspace, turned into atoms by a small Toeplitz
-dilation.  A doubly commuting pair splits the space four ways, with one
-measure per single-shift block and a pair of measures for the jointly
-analytic block.
+orbit of the wandering subspace.  A constant density is read off the
+bottom of their Toeplitz matrix (Pisarenko), and the rest is turned into
+atoms by a small Toeplitz dilation.  A doubly commuting pair splits the
+space four ways, with one measure per single-shift block and a pair of
+measures for the jointly analytic block.
 """
 
 from __future__ import annotations
@@ -211,14 +212,22 @@ def _orbit_measure(powers: list, tols: Tolerances) -> CircleMeasure:
     Their Gram G gives the table M[m, p] = G[m+1, p+1] - G[m, p]
     = <D T^p E, D T^m E> (D^2 = T*T - I), which is mu_hat(m - p) until the
     truncation cuts a power: the depth K is the last at which the leading
-    blocks of M are Toeplitz.  The Toeplitz matrix of mu_hat(0..K), from the
-    first block row (deeper blocks subtract large Gram entries), has rank
-    r; its leading block of depth k = min(K, 2 ceil(r/d)), grown until the
-    first k blocks hold rank r, is factored as R^H R.  The shift
-    v_j -> v_{j+1} of R's column blocks is then an isometry: it is fit by
-    least squares, completed and made unitary, and each eigenvalue cluster
-    at theta gives an atom (theta, W), W its spectral projection
-    compressed to v_0.
+    blocks of M are Toeplitz.  The Toeplitz matrix of mu_hat(0..K) is built
+    from the first block row (deeper blocks subtract large Gram entries).
+
+    A constant density c I adds c I to it (Pisarenko).  When its smallest
+    eigenvalue counts as rank and more than d eigenvalues sit within the
+    rank band of :func:`woldlab.operators._psd_rank_mask` above it, c is
+    the mean of that bottom cluster and is subtracted; otherwise c = 0.  The rest, the
+    atom part, has rank r; its leading block of depth k = min(K, 2 ceil(r/d)),
+    grown until the first k blocks hold rank r, is factored as R^H R.  The
+    shift v_j -> v_{j+1} of R's column blocks is then an isometry: it is fit
+    by least squares, completed and made unitary, and each eigenvalue
+    cluster at theta gives an atom (theta, W), W its spectral projection
+    compressed to v_0.  So a scalar or scalar-matrix density comes back as
+    the density c I; a non-scalar density keeps its part above the
+    smallest eigenvalue as atoms, exact to K.  The result must reproduce
+    mu_hat(0..K) (:func:`_checked_moments`).
     """
     d, n = powers[0].shape[1], len(powers) - 1
     if d == 0 or n == 0:
@@ -227,20 +236,29 @@ def _orbit_measure(powers: list, tols: Tolerances) -> CircleMeasure:
     G = V.conj().T @ V
     M = G[d:, d:] - G[:-d, :-d]
     jump = np.abs(M[d:, d:] - M[:-d, :-d]).reshape(n - 1, d, n - 1, d).max(axis=(1, 3))
-    bad = jump > tols.tilde_residual * max(1.0, float(np.max(np.abs(M))))
+    scale = max(1.0, float(np.max(np.abs(M))))
+    bad = jump > tols.tilde_residual * scale
     levels = np.maximum.outer(np.arange(n - 1), np.arange(n - 1))[bad]
     K = int(levels.min()) if levels.size else n - 1
     row = M[:d, :(K + 1) * d].reshape(d, K + 1, d).transpose(1, 0, 2)
     coeffs = np.concatenate([row[:0:-1].conj().transpose(0, 2, 1), row])  # lags -K..K
     lags = K - np.subtract.outer(np.arange(K + 1), np.arange(K + 1))  # K + p - m
     toep = coeffs[lags].transpose(0, 2, 1, 3).reshape((K + 1) * d, (K + 1) * d)
+    lam = np.linalg.eigvalsh(toep)
+    # the cluster mean matches c to the rounding of mu_hat(0); lam[0] alone
+    # sits lower by the eigensolver's spread
+    bottom = ~_psd_rank_mask(lam - lam[0], tols)
+    split = bottom.sum() > d and _psd_rank_mask(lam, tols)[0]
+    c = float(np.mean(lam[bottom])) if split else 0.0
+    density = c * np.eye(d)
+    toep -= c * np.eye(len(toep))
 
     def rank(k):
         return int(_psd_rank_mask(np.linalg.eigvalsh(toep[:k * d, :k * d]), tols).sum())
 
-    r = rank(K + 1)
+    r = int(_psd_rank_mask(lam - c, tols).sum())
     if r == 0:
-        return CircleMeasure.zero(d)
+        return _checked_moments(CircleMeasure(d, density=density), row, scale, tols)
     if K == 0:
         raise ConvergenceError("orbit moments are not Toeplitz past depth 0; caps too small")
     k = min(K, 2 * -(-r // d))
@@ -278,7 +296,22 @@ def _orbit_measure(powers: list, tols: Tolerances) -> CircleMeasure:
         if angs.max() - angs.min() > np.pi:  # seam-straddling cluster
             angs = np.where(angs > np.pi, angs - 2 * np.pi, angs)
         atoms.append((float(np.mean(angs)) % (2 * np.pi), Yc.conj().T @ Yc))
-    return CircleMeasure(dim=d, atoms=tuple(atoms))
+    return _checked_moments(CircleMeasure(d, atoms=tuple(atoms), density=density), row, scale,
+                            tols)
+
+
+def _checked_moments(mu: CircleMeasure, row: np.ndarray, scale: float,
+                     tols: Tolerances) -> CircleMeasure:
+    """mu, once its moments mu_hat(0), mu_hat(-1), ... reproduce the first
+    block row of the moment table within ``tols.tilde_residual`` times
+    ``scale`` (max(1, max|M|)); otherwise ``ConvergenceError``."""
+    K = row.shape[0] - 1
+    err = float(np.max(np.abs(fourier_coefficients(mu, K)[K::-1] - row)))
+    if err > tols.tilde_residual * scale:
+        raise ConvergenceError(
+            f"extracted measure misses its orbit moments by {err:.3e}; caps too small"
+        )
+    return mu
 
 
 @one_blas_thread
@@ -288,7 +321,9 @@ def extract_measure(T: OperatorModel, tols: Tolerances = DEFAULTS) -> CircleMeas
     Analyticity is certified by the orbit of the wandering subspace
     E = ker T* filling the space (see :class:`Certificate`).  The measure
     is read from the orbit moments of E under the certificate's T_w
-    (:func:`_orbit_measure`).
+    (:func:`_orbit_measure`): atoms plus a constant density c I, and for a
+    non-scalar density atoms whose moments are exact to the depth of the
+    moment table.
     """
     cert = certify(T, tols).require_analytic()
     return _orbit_measure(_powers(cert.Tw, T.dom.whiten(cert.E.basis)), tols)

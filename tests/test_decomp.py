@@ -239,6 +239,88 @@ def test_extract_lebesgue_fourier_table():
         assert wl.fourier_coefficient(got, n)[0, 0] == pytest.approx(target, abs=1e-12)
 
 
+def with_density(mu, c):
+    return wl.CircleMeasure(mu.dim, atoms=mu.atoms, density=c * np.eye(mu.dim))
+
+
+@pytest.mark.parametrize("caps,c", [(48, 0.5), (96, 0.4)])
+def test_extract_splits_a_constant_density_off_scalar_atoms(caps, c):
+    mu = with_density(scalar_atoms(*THREE_ATOMS), c)
+    got = wl.extract_measure(wl.build_shift_1v(mu, caps))
+    assert len(got.atoms) == 3
+    assert abs(got.density[0, 0] - c) <= 1e-12
+    assert_same_moments(got, mu, K=8, tol=1e-12)
+
+
+@pytest.mark.parametrize("caps", [16, 32, 64])
+def test_extract_lebesgue_is_density_one_with_no_atoms(caps):
+    got = wl.extract_measure(wl.build_shift_1v(wl.CircleMeasure.lebesgue(1), caps))
+    assert got.atoms == ()
+    assert abs(got.density[0, 0] - 1.0) <= 1e-12
+
+
+def test_extract_pure_atoms_have_zero_density():
+    for mu in (scalar_atoms(*THREE_ATOMS), wl.random_atomic_measure(2, 2, seed=14)):
+        got = wl.extract_measure(wl.build_shift_1v(mu, 24))
+        assert len(got.atoms) == len(mu.atoms)
+        assert np.all(got.density == 0)
+
+
+def shared_eigenbasis_atoms():
+    Q = wl.random_unitary(2, 5)
+    return tuple((theta, Q @ np.diag(w) @ Q.conj().T)
+                 for theta, w in ((0.4, (0.9, 0.3)), (2.2, (0.5, 1.2)), (4.1, (0.7, 0.6))))
+
+
+def test_extract_splits_a_scalar_matrix_density_off_matrix_atoms():
+    mu = wl.CircleMeasure(2, atoms=shared_eigenbasis_atoms(), density=0.3 * np.eye(2))
+    got = wl.extract_measure(wl.build_shift_1v(mu, 16))
+    assert len(got.atoms) == 3
+    assert np.max(np.abs(got.density - 0.3 * np.eye(2))) <= 1e-12
+    assert wl.measures_equal_up_to_unitary(mu, got).equal is True
+
+
+def test_extract_non_scalar_density_stays_moment_exact():
+    # out of the split's scope: the part of the density above its smallest
+    # eigenvalue comes back as atoms, with the moments exact to caps - 1
+    mu = wl.CircleMeasure(2, atoms=shared_eigenbasis_atoms(), density=np.diag([0.2, 0.5]))
+    got = wl.extract_measure(wl.build_shift_1v(mu, 16))
+    assert wl.measures_equal_up_to_unitary(mu, got, K=15).equal is True
+
+
+def test_atoms_that_fill_the_depth_keep_no_density():
+    # 7 atoms at caps 8 leave the Toeplitz matrix of mu_hat(0..7) one
+    # eigenvalue at the density, so nothing is split off; at caps 10 three
+    # are, and the class comes back
+    atoms = wl.random_atomic_measure(1, 7, seed=3).atoms
+    mu = wl.CircleMeasure(1, atoms=atoms, density=0.2 * np.eye(1))
+    got = wl.extract_measure(wl.build_shift_1v(mu, 8))
+    assert np.all(got.density == 0)
+    assert_same_moments(got, mu, K=7, tol=1e-12)
+    got = wl.extract_measure(wl.build_shift_1v(mu, 10))
+    assert len(got.atoms) == 7
+    assert abs(got.density[0, 0] - 0.2) <= 1e-12
+
+
+def test_a_measure_that_misses_its_moments_raises(monkeypatch):
+    # merge every angle into one atom: its moments miss the orbit moments
+    T = wl.build_shift_1v(with_density(scalar_atoms(*THREE_ATOMS), 0.4), 16)
+    monkeypatch.setattr(decomp, "_cluster_angles", lambda angles, tol: [np.arange(angles.size)])
+    with pytest.raises(wl.ConvergenceError, match="misses its orbit moments"):
+        wl.extract_measure(T)
+
+
+def test_extraction_factors_atom_sized_matrices(dense_factorizations):
+    # with the density split off, only the eigenvalues of the full Toeplitz
+    # matrix of mu_hat(0..K) are taken at caps size; the dilation of three
+    # atoms factors matrices of at most (2 * 3 + 1) d rows
+    T = wl.build_shift_1v(with_density(scalar_atoms(*THREE_ATOMS), 0.4), 96)
+    decomp.certify(T).require_analytic()
+    dense_factorizations.clear()
+    wl.extract_measure(T)
+    assert len([shape for shape in dense_factorizations if max(shape) > 7]) == 1
+
+
 def test_round_trip_up_to_unitary_random(rng):
     for seed in (3, 4, 5):
         mu = wl.random_atomic_measure(1, 3, seed=seed)
