@@ -48,7 +48,7 @@ from .operators import (
     unitarity_residual,
     wandering_subspace,
 )
-from .space import GradedPolySpace, PolyVector, coordinate_shift_matrix
+from .space import GradedPolySpace, PolyVector
 
 
 def _as_flat(x) -> np.ndarray:
@@ -113,12 +113,15 @@ class Certificate:
 
     The defect and E = ker T* are built with the certificate; the orbit
     [E]_T, the whitened operator T_w = L^H T L^{-H}, the defect form
-    F = T^H G T - G, the left inverse L and P (the Gram projection onto E,
-    gated by :func:`woldlab.operators.checked_projector`) on first use.
-    By the Wold-type theorem H = H0 ⊕ [E]_T, T is analytic exactly when
-    the orbit fills the space.  T is held weakly, so the memo on T (see
-    :func:`certify`) is freed with it.  The decompositions certify only the
-    operators they are given, never a restriction.
+    F = T^H G T - G and the left inverse L on first use.  E is
+    Gram-orthonormal, so its readers take the projection onto it in the
+    coordinates of E: ||P y||^2 = ||E^H G y||^2.  P = E E^H G itself, gated
+    by :func:`woldlab.operators.checked_projector`, is built only when it
+    is read, and no function of the package reads it.  By the Wold-type
+    theorem H = H0 ⊕ [E]_T, T is analytic exactly when the orbit fills the
+    space.  T is held weakly, so the memo on T (see :func:`certify`) is
+    freed with it.  The decompositions certify only the operators they are
+    given, never a restriction.
     """
 
     defect: float
@@ -340,34 +343,64 @@ def extract_measure(T: OperatorModel, tols: Tolerances = DEFAULTS) -> CircleMeas
 _EPS = np.finfo(float).eps
 
 
+def _pairings(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Re <a_j, b_j> for each column pair, as a vector."""
+    return np.einsum("ij,ij->j", A.conj(), B).real
+
+
+def _series(L: np.ndarray, G: np.ndarray, Y: np.ndarray, negligible: float) -> tuple:
+    """(Ys, GYs, k, col): the iterates L^k y of every column y of Y, stacked
+    as the columns of Ys, their images under G, and for each its power k
+    and the column of Y it came from.
+
+    The series of a column stops at its first iterate whose squared Gram
+    norm is at most ``negligible``, and after dim + 1 iterates at most; the
+    columns still running are advanced together, one product with L per
+    power.
+    """
+    cols, gcols, ks, srcs = [], [], [], []
+    col = np.arange(Y.shape[1])
+    for k in range(Y.shape[0] + 1):
+        GY = G @ Y
+        keep = _pairings(Y, GY) > negligible
+        if not keep.any():
+            break
+        if not keep.all():
+            Y, GY, col = Y[:, keep], GY[:, keep], col[keep]
+        cols.append(Y)
+        gcols.append(GY)
+        ks.append(np.full(len(col), k))
+        srcs.append(col)
+        Y = L @ Y
+    if not cols:
+        return Y[:, :0], Y[:, :0], col[:0], col[:0]
+    return np.hstack(cols), np.hstack(gcols), np.concatenate(ks), np.concatenate(srcs)
+
+
 @one_blas_thread
 def check_norm_identity(T: OperatorModel, x, tols: Tolerances = DEFAULTS) -> float:
     """Residual of ||x||^2 = sum_k ||P L^k x||^2 + sum_{k>=1} ||D L^k x||^2.
 
-    Defect terms are evaluated through the exact pairing
-    <(T*T - I) y, y> = ||T y||^2 - ||y||^2, so no square root enters.  The
-    sums terminate because L lowers the total degree; they stop early once
-    the iterate L^k x is negligible (see ``_EPS``).  T must be a 2-isometry
-    whose orbit of ker T* fills the space; P, F and L are read from its
-    :class:`Certificate`.
+    P is the Gram projection onto E = ker T*.  It is read in the
+    coordinates of E: E is Gram-orthonormal, so ||P y||^2 = ||E^H G y||^2,
+    with G y the product the stop rule already forms, and no D x D
+    projector is built.  Defect terms are evaluated through the exact
+    pairing <(T*T - I) y, y> = <F y, y>, F = T^H G T - G, so no square
+    root enters.  The sums terminate because L lowers the total degree;
+    they stop early once the iterate L^k x is negligible (see ``_EPS``).
+    The iterates are stacked (:func:`_series`) and their terms summed in
+    two matrix products.  T must be a 2-isometry whose orbit of ker T*
+    fills the space; E, F and L are read from its :class:`Certificate`.
     """
     cert = certify(T, tols).require_analytic()
-    Pm, F, L = cert.P, cert.F, cert.L
     x = _as_flat(x)
     G = T.dom.gram
     total = float((np.conj(x) @ (G @ x)).real)
-    negligible = _EPS**2 * total
-    acc = 0.0
-    y = x.copy()
-    for k in range(T.dom.dim_total + 1):
-        if float((np.conj(y) @ (G @ y)).real) <= negligible:
-            break
-        py = Pm @ y
-        acc += float((np.conj(py) @ (G @ py)).real)
-        if k >= 1:
-            acc += float((np.conj(y) @ (F @ y)).real)
-        y = L @ y
-    return abs(total - acc)
+    Y, GY, k, _ = _series(cert.L, G, x[:, None], _EPS**2 * total)
+    kernel = cert.E.basis.conj().T @ GY
+    defect = Y[:, k >= 1]
+    acc = np.sum(_pairings(kernel, kernel)) + np.sum(_pairings(defect, cert.F @ defect))
+    return abs(total - float(acc))
 
 
 @one_blas_thread
@@ -375,47 +408,43 @@ def check_two_variable_identity(T1: OperatorModel, T2: OperatorModel, x,
                                 tols: Tolerances = DEFAULTS) -> float:
     """Residual of the two-variable expansion of ||x||^2.
 
-    Four families of terms: joint-kernel projections, single defects
-    against the complementary kernel projection, and the mixed defect.
-    The mixed term <D1^2 D2^2 y, y> is read from F12 = T2^H F1 T2 - F1,
-    which equals (T2 T1)^H G (T1 T2) - T1^H G T1 - T2^H G T2 + G whenever
-    T1 T2 = T2 T1, so every summand is an exact Gram pairing.  P, F and L
-    of each operator are read from its :class:`Certificate`.
+    Over y = L2^n L1^m x, four families of terms: the joint-kernel
+    projections ||P1 P2 y||^2, the single defects <F1 P2 y, P2 y> (m >= 1)
+    and <F2 P1 y, P1 y> (n >= 1), and the mixed defect (m, n >= 1).  The
+    kernel terms are read in the coordinates of the Gram-orthonormal
+    kernels E1 and E2 through three small matrices: with a = E2^H G y and
+    b = E1^H G y, ||P1 P2 y||^2 = ||C a||^2 for C = E1^H G E2, and the
+    single defects are a^H (E2^H F1 E2) a and b^H (E1^H F2 E1) b.  The
+    mixed term <D1^2 D2^2 y, y> is read from F12 = T2^H F1 T2 - F1, which
+    equals (T2 T1)^H G (T1 T2) - T1^H G T1 - T2^H G T2 + G whenever
+    T1 T2 = T2 T1, so every summand is an exact Gram pairing.
+
+    The outer series L1^m x and, for every m at once, the inner series
+    L2^n L1^m x are stacked (:func:`_series`); each stops at its first
+    iterate whose squared Gram norm is at most _EPS^2 ||x||^2 (see
+    ``_EPS``), and the terms are summed in a few matrix products.  No
+    D x D projector is built.  E, F and L of each operator are read from
+    its :class:`Certificate`.
     """
     c1 = certify(T1, tols).require_analytic()
     c2 = certify(T2, tols).require_analytic()
-    P1, F1, L1 = c1.P, c1.F, c1.L
-    P2, F2, L2 = c2.P, c2.F, c2.L
     x = _as_flat(x)
     G = T1.dom.gram
-    F12 = T2.matrix.conj().T @ F1 @ T2.matrix - F1
-    P = P1 @ P2
-
-    def sq(vec, mat=None):
-        mat = G if mat is None else mat
-        return float((np.conj(vec) @ (mat @ vec)).real)
-
-    total = sq(x)
+    total = float((np.conj(x) @ (G @ x)).real)
     negligible = _EPS**2 * total
-    acc = 0.0
-    ym = x.copy()
-    for m in range(T1.dom.dim_total + 1):
-        if sq(ym) <= negligible:
-            break
-        y = ym.copy()
-        for n in range(T2.dom.dim_total + 1):
-            if sq(y) <= negligible:
-                break
-            acc += sq(P @ y)
-            if m >= 1:
-                acc += sq(P2 @ y, F1)
-            if n >= 1:
-                acc += sq(P1 @ y, F2)
-            if m >= 1 and n >= 1:
-                acc += sq(y, F12)
-            y = L2 @ y
-        ym = L1 @ ym
-    return abs(total - acc)
+    outer, _, _, _ = _series(c1.L, G, x[:, None], negligible)
+    Y, GY, n, m = _series(c2.L, G, outer, negligible)
+    E1, E2 = c1.E.basis, c2.E.basis
+    a, b = E2.conj().T @ GY, E1.conj().T @ GY
+    Ca = (E1.conj().T @ (G @ E2)) @ a
+    a1, b2 = a[:, m >= 1], b[:, n >= 1]
+    mixed = Y[:, (m >= 1) & (n >= 1)]
+    F12 = T2.matrix.conj().T @ c1.F @ T2.matrix - c1.F
+    acc = (np.sum(_pairings(Ca, Ca))
+           + np.sum(_pairings(a1, (E2.conj().T @ (c1.F @ E2)) @ a1))
+           + np.sum(_pairings(b2, (E1.conj().T @ (c2.F @ E1)) @ b2))
+           + np.sum(_pairings(mixed, F12 @ mixed)))
+    return abs(total - float(acc))
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +551,21 @@ def wold_single(T: OperatorModel, tols: Tolerances = DEFAULTS,
 # model map V
 # ---------------------------------------------------------------------------
 
+def _shift_rows(rows: np.ndarray, target: GradedPolySpace, var: int) -> np.ndarray:
+    """Z @ rows for the coordinate shift Z of ``target`` in variable ``var``
+    (:func:`woldlab.space.coordinate_shift_matrix`), as an exact row shift:
+    the rows of bidegree (m, n) move to (m + 1, n) or (m, n + 1), the top
+    degree falls out and degree 0 is zero."""
+    M1, M2 = target.caps
+    src = rows.reshape(M1 + 1, M2 + 1, target.dim, -1)
+    out = np.zeros_like(src)
+    if var == 1:
+        out[1:] = src[:-1]
+    else:
+        out[:, 1:] = src[:, :-1]
+    return out.reshape(rows.shape)
+
+
 @one_blas_thread
 def build_V(T1: OperatorModel, T2: OperatorModel, target: GradedPolySpace,
             tols: Tolerances = DEFAULTS) -> OperatorModel:
@@ -529,8 +573,15 @@ def build_V(T1: OperatorModel, T2: OperatorModel, target: GradedPolySpace,
 
     For a doubly commuting analytic pair this is an isometry onto the
     Dirichlet-type space of the extracted measure pair, intertwining the
-    pair with the coordinate shifts.  Isometry and intertwining residuals
-    over the safe core are recorded in ``info``.
+    pair with the coordinate shifts.  P is the Gram projection onto the
+    joint kernel E = ker T1* ∩ ker T2*, read in the coordinates of E: the
+    rows of bidegree (m, n) are r_{m,n} = E^H G L1^m L2^n.  They follow
+    the recurrence r_{m+1,0} = r_{m,0} L1 from r_{0,0} = E^H G, then
+    r_{m,n+1} = r_{m,n} L2 for every m in one product, so no D x D power
+    of L1 or L2 is formed.  Isometry (on 50 seeded core vectors, in one
+    product) and intertwining residuals over the safe core are recorded in
+    ``info``; the coordinate shifts act as exact row shifts
+    (:func:`_shift_rows`).
     """
     c1 = certify(T1, tols).require_analytic()
     c2 = certify(T2, tols).require_analytic()
@@ -540,36 +591,33 @@ def build_V(T1: OperatorModel, T2: OperatorModel, target: GradedPolySpace,
         raise ValueError(
             f"target coefficient dimension {target.dim} does not match joint kernel {E.dim}"
         )
-    L1, L2 = c1.L, c2.L
     M1, M2 = target.caps
-    rows = np.zeros((target.dim_total, amb.dim_total), dtype=complex)
-    row_proj = E.basis.conj().T @ amb.gram
-    cur_m = np.eye(amb.dim_total, dtype=complex)
+    D = amb.dim_total
+    rows = np.empty((target.dim_total, D), dtype=complex)
+    grid = rows.reshape(M1 + 1, M2 + 1, target.dim, D)
+    # block holds the rows r_{m,n} of every m, in the order of m
+    block = np.empty(((M1 + 1) * target.dim, D), dtype=complex)
+    cur = E.basis.conj().T @ amb.gram
     for m in range(M1 + 1):
-        cur = cur_m
-        for n in range(M2 + 1):
-            start = target.flat_index(m, n)
-            rows[start:start + target.dim] = row_proj @ cur
-            cur = L2 @ cur
-        cur_m = L1 @ cur_m
+        block[m * target.dim:(m + 1) * target.dim] = cur
+        if m < M1:
+            cur = cur @ c1.L
+    for n in range(M2 + 1):
+        grid[:, n] = block.reshape(M1 + 1, target.dim, D)
+        if n < M2:
+            block = block @ c2.L
     V = OperatorModel(amb, target, rows)
 
     core = joint_core(T1, T2, None, tols)
-    rng = np.random.default_rng(0)
-    iso = 0.0
-    for _ in range(50):
-        if core.dim == 0:
-            break
-        c = rng.standard_normal(core.dim) + 1j * rng.standard_normal(core.dim)
-        x = core.basis @ c
-        vx = rows @ x
-        nx = float((np.conj(x) @ (amb.gram @ x)).real)
-        nvx = float((np.conj(vx) @ (target.gram @ vx)).real)
-        iso = max(iso, abs(nvx - nx) / (1.0 + nx))
-    Z1 = coordinate_shift_matrix(target, 1)
-    Z2 = coordinate_shift_matrix(target, 2)
-    inter1 = OperatorModel(amb, target, rows @ T1.matrix - Z1 @ rows)
-    inter2 = OperatorModel(amb, target, rows @ T2.matrix - Z2 @ rows)
+    # 50 seeded probes, each drawing its real and then its imaginary part
+    z = np.random.default_rng(0).standard_normal((50, 2, core.dim))
+    X = core.basis @ (z[:, 0] + 1j * z[:, 1]).T
+    VX = rows @ X
+    nx = _pairings(X, amb.gram @ X)
+    nvx = _pairings(VX, target.gram @ VX)
+    iso = float(np.max(np.abs(nvx - nx) / (1.0 + nx)))
+    inter1 = OperatorModel(amb, target, rows @ T1.matrix - _shift_rows(rows, target, 1))
+    inter2 = OperatorModel(amb, target, rows @ T2.matrix - _shift_rows(rows, target, 2))
     res1 = operator_norm(inter1, core)
     res2 = operator_norm(inter2, core)
     V.info.update({"isometry": iso, "intertwine_1": res1, "intertwine_2": res2})

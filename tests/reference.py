@@ -199,8 +199,109 @@ def loop_shift_matrix(space, var):
     return T
 
 
+@one_blas_thread
 def loop_model_rows(T1, T2, target, tols=wl.DEFAULTS):
-    """The coefficient rows of ``build_V``, written one row at a time."""
+    """The coefficient rows of ``build_V``, written one row at a time.
+
+    They follow the recurrence of ``build_V`` with the same products:
+    r_{m+1,0} = r_{m,0} L1 from r_{0,0} = E^H G, then
+    r_{m,n+1} = r_{m,n} L2 for every m at once.  One BLAS thread, as in
+    ``build_V``, gives the same basis of the joint kernel E."""
+    c1, c2 = wl.certify(T1, tols), wl.certify(T2, tols)
+    amb = T1.dom
+    E = wl.subspace_intersect(c1.E, c2.E, tols)
+    M1, M2 = target.caps
+    d = target.dim
+    rows = np.zeros((target.dim_total, amb.dim_total), dtype=complex)
+    first = [E.basis.conj().T @ amb.gram]
+    for _ in range(M1):
+        first.append(first[-1] @ c1.L)
+    block = np.vstack(first)
+    for n in range(M2 + 1):
+        for m in range(M1 + 1):
+            for k in range(d):
+                rows[target.flat_index(m, n, k), :] = block[m * d + k]
+        if n < M2:
+            block = block @ c2.L
+    return rows
+
+
+# The norm identities and the model map as the pipeline computed them
+# before it read kernel projections in the coordinates of the kernel: the
+# identities apply the certificate's D x D projectors P (and P1 P2) to
+# every iterate, one vector at a time, and the model map multiplies E^H G
+# by a D x D product of powers of L2 and L1 once per bidegree.  They run on
+# one BLAS thread, as the package does, so the joint kernel E has the same
+# basis.  tests/test_dense_passes.py compares the two routes.
+
+
+@one_blas_thread
+def projector_norm_identity(T, x, tols=wl.DEFAULTS):
+    """``check_norm_identity`` through the D x D projector P onto ker T*:
+    sum_k ||P L^k x||^2 + sum_{k>=1} <F L^k x, L^k x>, one iterate at a time."""
+    cert = wl.certify(T, tols).require_analytic()
+    Pm, F, L = cert.P, cert.F, cert.L
+    x = np.asarray(x, dtype=complex).reshape(-1)
+    G = T.dom.gram
+    total = float((np.conj(x) @ (G @ x)).real)
+    negligible = np.finfo(float).eps**2 * total
+    acc = 0.0
+    y = x.copy()
+    for k in range(T.dom.dim_total + 1):
+        if float((np.conj(y) @ (G @ y)).real) <= negligible:
+            break
+        py = Pm @ y
+        acc += float((np.conj(py) @ (G @ py)).real)
+        if k >= 1:
+            acc += float((np.conj(y) @ (F @ y)).real)
+        y = L @ y
+    return abs(total - acc)
+
+
+@one_blas_thread
+def projector_two_variable_identity(T1, T2, x, tols=wl.DEFAULTS):
+    """``check_two_variable_identity`` through the D x D projectors P1, P2
+    and P1 P2, one iterate y = L2^n L1^m x at a time."""
+    c1 = wl.certify(T1, tols).require_analytic()
+    c2 = wl.certify(T2, tols).require_analytic()
+    P1, F1, L1 = c1.P, c1.F, c1.L
+    P2, F2, L2 = c2.P, c2.F, c2.L
+    x = np.asarray(x, dtype=complex).reshape(-1)
+    G = T1.dom.gram
+    F12 = T2.matrix.conj().T @ F1 @ T2.matrix - F1
+    P = P1 @ P2
+
+    def sq(vec, mat=None):
+        mat = G if mat is None else mat
+        return float((np.conj(vec) @ (mat @ vec)).real)
+
+    total = sq(x)
+    negligible = np.finfo(float).eps**2 * total
+    acc = 0.0
+    ym = x.copy()
+    for m in range(T1.dom.dim_total + 1):
+        if sq(ym) <= negligible:
+            break
+        y = ym.copy()
+        for n in range(T2.dom.dim_total + 1):
+            if sq(y) <= negligible:
+                break
+            acc += sq(P @ y)
+            if m >= 1:
+                acc += sq(P2 @ y, F1)
+            if n >= 1:
+                acc += sq(P1 @ y, F2)
+            if m >= 1 and n >= 1:
+                acc += sq(y, F12)
+            y = L2 @ y
+        ym = L1 @ ym
+    return abs(total - acc)
+
+
+@one_blas_thread
+def power_model_rows(T1, T2, target, tols=wl.DEFAULTS):
+    """The rows of ``build_V`` as E^H G L2^n L1^m, each from a D x D
+    product of powers, one bidegree at a time."""
     c1, c2 = wl.certify(T1, tols), wl.certify(T2, tols)
     amb = T1.dom
     E = wl.subspace_intersect(c1.E, c2.E, tols)
@@ -211,9 +312,8 @@ def loop_model_rows(T1, T2, target, tols=wl.DEFAULTS):
     for m in range(M1 + 1):
         cur = cur_m
         for n in range(M2 + 1):
-            block = row_proj @ cur
-            for k in range(target.dim):
-                rows[target.flat_index(m, n, k), :] = block[k]
+            start = target.flat_index(m, n)
+            rows[start:start + target.dim] = row_proj @ cur
             cur = c2.L @ cur
         cur_m = c1.L @ cur_m
     return rows

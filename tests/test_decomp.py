@@ -421,6 +421,38 @@ def test_two_variable_identity_early_stop_matches_full_sum(rng):
     assert abs(wl.check_two_variable_identity(T1, T2, x) - full) < 1e-14
 
 
+def install_short_kernel(T):
+    """Replace the certificate of T by one whose E misses the first
+    direction of ker T*.  It keeps the true orbit, so T still reads as
+    analytic."""
+    true = wl.certify(T)
+    short = decomp.Certificate(true.defect, wl.Subspace(T.dom, true.E.basis[:, 1:]),
+                               true.tols, weakref.ref(T))
+    vars(short)["orbit"] = true.orbit
+    T.certificates[wl.DEFAULTS] = short
+
+
+def test_a_kernel_missing_a_direction_breaks_the_norm_identity(rng):
+    # d = 2, so ker T* is two-dimensional and keeps one direction
+    T = wl.build_shift_1v(wl.random_atomic_measure(2, 3, seed=5), 12)
+    x = random_core_vector(T, rng)
+    x /= T.dom.norm(x)
+    assert wl.check_norm_identity(T, x) < 1e-12
+    install_short_kernel(T)
+    assert wl.check_norm_identity(T, x) > 1e-4
+
+
+def test_a_kernel_missing_a_direction_breaks_the_two_variable_identity(rng):
+    T1, T2 = wl.build_pair_2v(*wl.random_measure_pair(1, 2, seed=6), 6, 6)
+    core = joint_core(T1, T2, 2)
+    x = core.basis @ (rng.standard_normal(core.dim) + 1j * rng.standard_normal(core.dim))
+    x /= T1.dom.norm(x)
+    assert wl.check_two_variable_identity(T1, T2, x) < 1e-12
+    install_short_kernel(T2)
+    assert wl.certify(T2).E.dim == T2.dom.caps[0]
+    assert wl.check_two_variable_identity(T1, T2, x) > 1e-4
+
+
 # -- model map V ------------------------------------------------------------------
 
 
@@ -873,6 +905,18 @@ def test_decompositions_do_not_build_P():
     assert all("P" not in vars(cert) for cert in certs)
 
 
+def test_norm_identities_and_model_map_do_not_build_P(rng):
+    T = wl.build_shift_1v(scalar_atoms(*THREE_ATOMS), 16)
+    wl.check_norm_identity(T, random_core_vector(T, rng))
+    T1, T2 = _analytic_pair(caps=8)
+    core = joint_core(T1, T2, 4)
+    wl.check_two_variable_identity(T1, T2, core.basis @ rng.standard_normal(core.dim))
+    wl.build_V(T1, T2, wl.build_space(scalar_atoms((0.9, 0.8)), scalar_atoms((4.0, 1.1)), 8, 8))
+    certs = [T.certificates[wl.DEFAULTS], T1.certificates[wl.DEFAULTS],
+             T2.certificates[wl.DEFAULTS]]
+    assert all("L" in vars(cert) and "P" not in vars(cert) for cert in certs)
+
+
 def test_projection_laws_are_checked_once_on_first_read(monkeypatch):
     calls = []
     real = decomp.checked_projector
@@ -904,7 +948,11 @@ def test_certificate_is_freed_with_its_operator():
     try:
         wl.check_norm_identity(T, x)
         cert = weakref.ref(T.certificates[wl.DEFAULTS])
-        assert {"orbit", "F", "L", "P"} <= set(vars(cert()))
+        # the identity reads E in its own coordinates, never P
+        assert {"orbit", "F", "L"} <= set(vars(cert()))
+        assert "P" not in vars(cert())
+        cert().P
+        assert "P" in vars(cert())
         del T
         assert cert() is None
     finally:

@@ -7,7 +7,9 @@ SVD.  Orbits and the wandering check of ``wold_single`` run on whitened
 operators, with no per-pass Gram product, triangular solve or SVD norm.
 ``wold_pair`` splits by T1 and then by T2 with three orbits, where it used
 five, and reads its measures from orbit moments, where it fit a
-defect-space isometry on each certified restriction.
+defect-space isometry on each certified restriction.  The norm identities
+and ``build_V`` read the kernel projections in the coordinates of the
+kernels, where they applied D x D projectors and powers.
 ``tests/reference.py`` keeps the older routes; on the same inputs both
 must give the same subspaces, residuals and measures, to rounding.
 """
@@ -19,7 +21,13 @@ from hypothesis import given, settings, strategies as st
 import woldlab as wl
 from woldlab import decomp
 from woldlab.decomp import span_orbit
-from woldlab.operators import orthocomplement, range_complement_projection, restrict_operator
+from woldlab.operators import (
+    joint_core,
+    orthocomplement,
+    range_complement_projection,
+    restrict_operator,
+)
+from woldlab.space import coordinate_shift_matrix
 
 from conftest import assert_same_moments
 from reference import (
@@ -30,7 +38,10 @@ from reference import (
     fresh_restriction_measures,
     gram_orbit,
     gram_wandering,
+    power_model_rows,
     principal_pair_core,
+    projector_norm_identity,
+    projector_two_variable_identity,
     two_svd_kernel,
 )
 
@@ -233,3 +244,69 @@ def test_each_operator_is_whitened_once(monkeypatch):
     wl.wold_pair(T1, T2)
     # [E1]_T1 is the certificate's orbit; both orbits under T2 share its T_w
     assert calls == [T1, T2]
+
+
+# -- norm identities and the model map in kernel coordinates ----------------
+# Residuals of unit vectors against the P-route, and the rows of build_V
+# against the route through D x D powers.
+
+IDENTITY_TOL = 1e-13
+ROWS_TOL = 1e-12
+
+
+def unit_vector(core, amb, rng):
+    x = core.basis @ (rng.standard_normal(core.dim) + 1j * rng.standard_normal(core.dim))
+    return x / amb.norm(x)
+
+
+def check_norm_identity_route(T, rng, count=3):
+    for _ in range(count):
+        x = unit_vector(T.core_subspace(2), T.dom, rng)
+        assert abs(wl.check_norm_identity(T, x) - projector_norm_identity(T, x)) < IDENTITY_TOL
+
+
+def check_pair_routes(T1, T2, rng, count=3):
+    core = joint_core(T1, T2, 2)
+    for _ in range(count):
+        x = unit_vector(core, T1.dom, rng)
+        got = wl.check_two_variable_identity(T1, T2, x)
+        assert abs(got - projector_two_variable_identity(T1, T2, x)) < IDENTITY_TOL
+    quad = wl.wold_pair(T1, T2)
+    target = wl.build_space(quad.measures["eta1"], quad.measures["eta2"], *T1.dom.caps)
+    rows = wl.build_V(T1, T2, target).matrix
+    ref = power_model_rows(T1, T2, target)
+    assert np.max(np.abs(rows - ref)) <= ROWS_TOL * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("caps", [10, 24, 48])
+def test_norm_identity_matches_the_projector_route_on_shifts(caps, d):
+    mu = wl.random_atomic_measure(d, 3, seed=caps + d, density_scale=0.3)
+    check_norm_identity_route(wl.build_shift_1v(mu, caps), np.random.default_rng(caps))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("caps", [(5, 4), (8, 8)])
+def test_pair_identity_and_model_rows_match_the_projector_routes(caps, d):
+    pair = wl.build_pair_2v(*wl.random_measure_pair(d, 2, seed=sum(caps) + d), *caps)
+    check_pair_routes(*pair, np.random.default_rng(d))
+
+
+@settings(max_examples=8)
+@given(seed=seeds, d=st.integers(1, 2), n_atoms=st.integers(1, 3), caps=st.integers(3, 6))
+def test_kernel_coordinate_routes_match_on_small_caps(seed, d, n_atoms, caps):
+    rng = np.random.default_rng(seed)
+    mu = wl.random_atomic_measure(d, n_atoms, seed=seed, density_scale=0.3)
+    check_norm_identity_route(wl.build_shift_1v(mu, 2 * caps), rng)
+    check_pair_routes(*wl.build_pair_2v(*wl.random_measure_pair(d, n_atoms, seed=seed),
+                                        caps, caps), rng)
+
+
+def test_model_map_shifts_rows_exactly():
+    T1, T2 = wl.build_pair_2v(*wl.random_measure_pair(2, 2, seed=3), 5, 4)
+    quad = wl.wold_pair(T1, T2)
+    target = wl.build_space(quad.measures["eta1"], quad.measures["eta2"], *T1.dom.caps)
+    rows = wl.build_V(T1, T2, target).matrix
+    for var in (1, 2):
+        assert np.array_equal(decomp._shift_rows(rows, target, var),
+                              coordinate_shift_matrix(target, var) @ rows)
