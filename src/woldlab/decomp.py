@@ -32,17 +32,12 @@ from .operators import (
     _defect_form,
     _euclidean_span,
     _numerical_rank,
+    _norm2,
     _psd_rank_mask,
-    _whitened_operator,
-    _whitened_projector,
-    adjoint,
-    checked_projector,
     doubly_commuting_residual,
     joint_core,
     left_inverse,
     operator_norm,
-    orthocomplement,
-    restrict_operator,
     subspace_intersect,
     two_isometry_defect,
     unitarity_residual,
@@ -67,14 +62,15 @@ def span_orbit(ops, S: Subspace, tols: Tolerances = DEFAULTS) -> Subspace:
 
     ``ops`` is one operator or a list of them.  Every shift block of a Wold
     decomposition is such an orbit of a wandering subspace, e.g.
-    H1 = [ker T*]_T.  The operators and S are whitened once and the orbit
-    is grown by :func:`_whitened_orbit`; its basis is unwhitened once at
-    the end, with no closing orthonormalization, and the
-    Gram-orthonormality gate of :class:`Subspace` checks it.
+    H1 = [ker T*]_T.  The orbit is grown by :func:`_whitened_orbit` from
+    the whitened operators (each one's memo ``whitened``) and the whitened
+    S; its basis is unwhitened once at the end, with no closing
+    orthonormalization, and the Gram-orthonormality gate of
+    :class:`Subspace` checks it.
     """
     ops = [ops] if isinstance(ops, OperatorModel) else list(ops)
     amb = S.ambient
-    basis = _whitened_orbit([_whitened_operator(op) for op in ops], amb.whiten(S.basis), tols)
+    basis = _whitened_orbit([op.whitened for op in ops], amb.whiten(S.basis), tols)
     return Subspace(amb, amb.unwhiten(basis), tols)
 
 
@@ -112,12 +108,12 @@ class Certificate:
     """What the pipeline needs of one 2-isometry T, computed once.
 
     The defect and E = ker T* are built with the certificate; the orbit
-    [E]_T, the whitened operator T_w = L^H T L^{-H}, the defect form
-    F = T^H G T - G and the left inverse L on first use.  E is
-    Gram-orthonormal, so its readers take the projection onto it in the
-    coordinates of E: ||P y||^2 = ||E^H G y||^2.  P = E E^H G itself, gated
-    by :func:`woldlab.operators.checked_projector`, is built only when it
-    is read, and no function of the package reads it.  By the Wold-type
+    [E]_T (one call of :func:`span_orbit`), the defect form
+    F = T^H G T - G and the left inverse L on first use.  The whitened
+    operator T_w = L^H T L^{-H} is memoized on T itself
+    (``OperatorModel.whitened``).  E is Gram-orthonormal, so its readers
+    take the projection onto it in the coordinates of E:
+    ||P y||^2 = ||E^H G y||^2, and no projector is built.  By the Wold-type
     theorem H = H0 ⊕ [E]_T, T is analytic exactly when the orbit fills the
     space.  T is held weakly, so the memo on T (see :func:`certify`) is
     freed with it.  The decompositions certify only the operators they are
@@ -130,20 +126,8 @@ class Certificate:
     op: weakref.ref
 
     @cached_property
-    def P(self) -> np.ndarray:
-        P = checked_projector(self.E, self.tols)[0]
-        P.flags.writeable = False
-        return P
-
-    @cached_property
-    def Tw(self) -> np.ndarray:
-        return _whitened_operator(self.op())
-
-    @cached_property
     def orbit(self) -> Subspace:
-        amb = self.E.ambient
-        basis = _whitened_orbit([self.Tw], amb.whiten(self.E.basis), self.tols)
-        return Subspace(amb, amb.unwhiten(basis), self.tols)
+        return span_orbit(self.op(), self.E, self.tols)
 
     @cached_property
     def F(self) -> np.ndarray:
@@ -323,13 +307,13 @@ def extract_measure(T: OperatorModel, tols: Tolerances = DEFAULTS) -> CircleMeas
 
     Analyticity is certified by the orbit of the wandering subspace
     E = ker T* filling the space (see :class:`Certificate`).  The measure
-    is read from the orbit moments of E under the certificate's T_w
+    is read from the orbit moments of E under T_w
     (:func:`_orbit_measure`): atoms plus a constant density c I, and for a
     non-scalar density atoms whose moments are exact to the depth of the
     moment table.
     """
     cert = certify(T, tols).require_analytic()
-    return _orbit_measure(_powers(cert.Tw, T.dom.whiten(cert.E.basis)), tols)
+    return _orbit_measure(_powers(T.whitened, T.dom.whiten(cert.E.basis)), tols)
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +445,6 @@ class SingleWold:
 
     H0: Subspace
     H1: Subspace
-    unitary_part: OperatorModel
-    analytic_part: OperatorModel
     extracted: CircleMeasure
     residuals: dict
 
@@ -475,17 +457,39 @@ class SingleWold:
         }
 
 
-def _orthogonality(A: Subspace, B: Subspace) -> float:
-    if min(A.dim, B.dim) == 0:
-        return 0.0
-    return float(np.linalg.norm(A.basis.conj().T @ (A.ambient.gram @ B.basis), 2))
+def _block_residuals(blocks: dict, ops: dict, unitary) -> tuple:
+    """(orthogonality, completeness, leaks, unitarity) of a splitting of the
+    space into blocks, read in whitened coordinates.
 
-
-def _completeness(blocks, amb) -> float:
-    if not blocks:
-        return 1.0
-    total = sum(_whitened_projector(S) for S in blocks)
-    return float(np.max(np.abs(np.linalg.eigvalsh(total - np.eye(amb.dim_total)))))
+    ``blocks`` maps names to orthonormal bases B_w of the blocks, ``ops``
+    names to whitened operators T_w, and ``unitary`` lists the
+    (block, operator) pairs on which T must be unitary.  With
+    M = B_w^H T_w B_w, the matrix of the restriction of T to the block,
+    ``leaks[block, op]`` is ||T_w B_w - B_w M||, the Gram norm of the part
+    of T(block) outside it, and ``unitarity[block, op]`` is
+    max|eig(M^H M - I)|.  The stacked bases Q give one Gram Q^H Q:
+    orthogonality is the largest norm of its cross blocks, completeness
+    ||Q^H Q - I|| (for a square Q, ||Q Q^H - I||), and at least 1 when Q
+    has fewer columns than rows (the blocks miss a dimension).
+    """
+    Q = np.hstack(list(blocks.values()))
+    D, n = Q.shape
+    QQ = Q.conj().T @ Q
+    edges = np.cumsum([0] + [Bw.shape[1] for Bw in blocks.values()])
+    spans = [slice(a, b) for a, b in zip(edges, edges[1:]) if b > a]
+    ortho = max((_norm2(QQ[a, b]) for a, b in combinations(spans, 2)), default=0.0)
+    QQ -= np.eye(n)
+    complete = max(float(np.max(np.abs(np.linalg.eigvalsh(QQ)), initial=0.0)), float(n < D))
+    leaks, unit = {}, {}
+    for bname, Bw in blocks.items():
+        for oname, Tw in ops.items():
+            TB = Tw @ Bw
+            M = Bw.conj().T @ TB
+            leaks[bname, oname] = _norm2(TB - Bw @ M)
+            if (bname, oname) in unitary:
+                F = M.conj().T @ M - np.eye(M.shape[0])
+                unit[bname, oname] = float(np.max(np.abs(np.linalg.eigvalsh(F)), initial=0.0))
+    return ortho, complete, leaks, unit
 
 
 @one_blas_thread
@@ -499,33 +503,31 @@ def wold_single(T: OperatorModel, tols: Tolerances = DEFAULTS,
     completeness hold by construction and are still reported.  H0 is
     certified by its invariance and the unitarity of T on it, which
     together force it into the stable range; H1 by its invariance and the
-    wandering property.  E and H1 are read from the :class:`Certificate`
-    of T.  The powers T_w^n E_w give both the wandering residual and the
-    classifying measure of the analytic part (:func:`_orbit_measure`), so
-    the analytic part is not certified.
+    wandering property.  All are read from the whitened blocks and T_w
+    (:func:`_block_residuals`); no restricted operator is built.  E and H1
+    are read from the :class:`Certificate` of T.  The powers T_w^n E_w give
+    both the wandering residual and the classifying measure of the
+    analytic part (:func:`_orbit_measure`), so it is not certified.
     """
     cert = certify(T, tols)
     amb = T.dom
     E, H1 = cert.E, cert.orbit
-    H0 = orthocomplement(H1, tols)
+    H1w = amb.whiten(H1.basis)
+    H0w = _complement_within(H1w)
+    H0 = Subspace(amb, amb.unwhiten(H0w), tols)
+    ortho, complete, leaks, unitarity = _block_residuals(
+        {"H0": H0w, "H1": H1w}, {"T": T.whitened}, [("H0", "T")])
 
-    residuals = {"two_isometry_defect": cert.defect}
-    residuals["orthogonality"] = _orthogonality(H0, H1)
-    residuals["completeness"] = _completeness([H0, H1], amb)
     dims_ok = H0.dim + H1.dim == amb.dim_total
-    residuals["dimension_deficit"] = float(amb.dim_total - H0.dim - H1.dim)
-
-    unitary_part = restrict_operator(T, H0, tols)
-    analytic_part = restrict_operator(T, H1, tols)
-    residuals["H0_invariance"] = unitary_part.info["invariance_leak"]
-    residuals["H1_invariance"] = analytic_part.info["invariance_leak"]
-    residuals["H0_unitarity"] = (
-        unitarity_residual(unitary_part, margin=0, tols=tols) if H0.dim else 0.0
-    )
+    residuals = {"two_isometry_defect": cert.defect, "orthogonality": ortho,
+                 "completeness": complete,
+                 "dimension_deficit": float(amb.dim_total - H0.dim - H1.dim),
+                 "H0_invariance": leaks["H0", "T"], "H1_invariance": leaks["H1", "T"],
+                 "H0_unitarity": unitarity["H0", "T"]}
     # wandering property: <T^n w, w'> = 0 for n >= 1, until the truncation
     # has annihilated T^n E; in whitened coordinates the pairing is
     # E_w^H T_w^n E_w
-    powers = _powers(cert.Tw, amb.whiten(E.basis))
+    powers = _powers(T.whitened, amb.whiten(E.basis))
     Ewh = powers[0].conj().T
     cross = [Ewh @ P for P in powers[1:]]
     residuals["wandering"] = (float(np.max(np.linalg.norm(np.stack(cross), 2, axis=(1, 2))))
@@ -542,9 +544,7 @@ def wold_single(T: OperatorModel, tols: Tolerances = DEFAULTS,
         extracted = _orbit_measure(powers, tols)
     else:
         extracted = CircleMeasure.zero(E.dim)
-    return SingleWold(H0=H0, H1=H1, unitary_part=unitary_part,
-                      analytic_part=analytic_part, extracted=extracted,
-                      residuals=residuals)
+    return SingleWold(H0=H0, H1=H1, extracted=extracted, residuals=residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -640,13 +640,14 @@ class QuadrupleDecomposition:
     #: the residuals gated at ``tols.decomposition``
     GATED = ("orthogonality", "completeness", "invariance", "kernel_reducing", "E2_leak",
              "unitarity_H00_T1", "unitarity_H00_T2", "unitarity_H01_T1", "unitarity_H10_T2")
+    #: the (block, operator) pairs on which the operator must be unitary
+    UNITARY = (("H00", "T1"), ("H00", "T2"), ("H01", "T1"), ("H10", "T2"))
 
     H00: Subspace
     H10: Subspace
     H01: Subspace
     H11: Subspace
     measures: dict
-    restrictions: dict
     residuals: dict
 
     def block_dims(self) -> tuple:
@@ -688,8 +689,7 @@ def _kernel_part(Aw: np.ndarray, Ew: np.ndarray, tols: Tolerances) -> tuple:
     rounding.
     """
     Kw = Aw @ _euclidean_span(Aw.conj().T @ Ew, tols)
-    off = Kw - Ew @ (Ew.conj().T @ Kw)
-    return Kw, float(np.linalg.norm(off, 2)) if off.size else 0.0
+    return Kw, _norm2(Kw - Ew @ (Ew.conj().T @ Kw))
 
 
 @one_blas_thread
@@ -718,23 +718,27 @@ def wold_pair(T1: OperatorModel, T2: OperatorModel, tols: Tolerances = DEFAULTS,
     out of E2 is the residual ``E2_leak``: zero when the blocks of T1
     reduce T2.
 
-    Verifies orthogonality, completeness, invariance, the required
-    unitarity of restrictions (which with invariance certifies H00), the
-    kernel-reducing identities and the E2 leak, and extracts the
-    classifying measures nu1, nu2 (single-shift blocks) and eta1, eta2
-    (jointly analytic block, compressed to the joint kernel E = E1 ∩ E2).
-    Each is read from the orbit moments of a kernel under an ambient
-    whitened operator (:func:`_orbit_measure`): nu1 from P_H10 E1 under
-    T1, nu2 from K01 under T2, and eta1, eta2 from E under T1 and T2.  No
-    restriction is certified and no projector P of a certificate is built.
+    Every check reads the whitened operators T_w, where T* is T_w^H, so no
+    adjoint and no restricted operator is built.  The pair must doubly
+    commute on its joint core (:func:`doubly_commuting_residual`).  The
+    blocks' orthogonality, completeness, invariance and the unitarity that
+    each block requires (which with invariance certifies H00) are read
+    from their whitened bases (:func:`_block_residuals`).  The
+    kernel-reducing identities check that ker Ti* is invariant under Tj
+    and Tj* on the joint core.  Then the classifying measures nu1, nu2
+    (single-shift blocks) and eta1, eta2 (jointly analytic block,
+    compressed to the joint kernel E = E1 ∩ E2) are extracted.  Each is
+    read from the orbit moments of a kernel under an ambient whitened
+    operator (:func:`_orbit_measure`): nu1 from P_H10 E1 under T1, nu2
+    from K01 under T2, and eta1, eta2 from E under T1 and T2.  No
+    restriction is certified.
     """
     amb = T1.dom
     if T2.dom.dim_total != amb.dim_total:
         raise ValueError("operators act on different spaces")
     cert1, cert2 = certify(T1, tols), certify(T2, tols)
     core = joint_core(T1, T2, None, tols)
-    T1s, T2s = adjoint(T1).matrix, adjoint(T2).matrix
-    c1, c2 = doubly_commuting_residual(T1, T2, tols=tols, core=core, T1_star=T1s)
+    c1, c2 = doubly_commuting_residual(T1, T2, tols=tols, core=core)
     if max(c1, c2) > tols.doubly_commuting:
         raise AssumptionError(
             f"pair is not doubly commuting within tolerance ({c1:.3e}, {c2:.3e})"
@@ -744,6 +748,7 @@ def wold_pair(T1: OperatorModel, T2: OperatorModel, tols: Tolerances = DEFAULTS,
         "commuting": float(c1), "star_commuting": float(c2),
     }
 
+    T1w, T2w = T1.whitened, T2.whitened
     E1, E2 = cert1.E, cert2.E
     E = subspace_intersect(E1, E2, tols)
     A1w = amb.whiten(cert1.orbit.basis)
@@ -751,49 +756,30 @@ def wold_pair(T1: OperatorModel, T2: OperatorModel, tols: Tolerances = DEFAULTS,
     E1w, E2w = amb.whiten(E1.basis), amb.whiten(E2.basis)
     K11w, leak11 = _kernel_part(A1w, E2w, tols)
     K01w, leak01 = _kernel_part(A0w, E2w, tols)
-    H11w = _whitened_orbit([cert2.Tw], K11w, tols)
-    H01w = _whitened_orbit([cert2.Tw], K01w, tols)
+    H11w = _whitened_orbit([T2w], K11w, tols)
+    H01w = _whitened_orbit([T2w], K01w, tols)
     H10w, H00w = _complement_within(H11w, A1w), _complement_within(H01w, A0w)
-    blocks = {name: Subspace(amb, amb.unwhiten(Bw), tols)
-              for name, Bw in (("H00", H00w), ("H10", H10w), ("H01", H01w), ("H11", H11w))}
+    blocks_w = {"H00": H00w, "H10": H10w, "H01": H01w, "H11": H11w}
+    blocks = {name: Subspace(amb, amb.unwhiten(Bw), tols) for name, Bw in blocks_w.items()}
 
-    ortho = max(_orthogonality(A, B) for A, B in combinations(blocks.values(), 2))
-    residuals["orthogonality"] = ortho
-    residuals["completeness"] = _completeness(list(blocks.values()), amb)
+    ortho, complete, leaks, unitarity = _block_residuals(
+        blocks_w, {"T1": T1w, "T2": T2w}, QuadrupleDecomposition.UNITARY)
+    residuals.update(orthogonality=ortho, completeness=complete)
     total_dim = sum(S.dim for S in blocks.values())
     residuals["dimension_deficit"] = float(amb.dim_total - total_dim)
-
-    restrictions = {}
-    invariance = 0.0
-    for bname, S in blocks.items():
-        for oname, T in (("T1", T1), ("T2", T2)):
-            if S.dim == 0:
-                continue
-            R = restrict_operator(T, S, tols)
-            restrictions[(bname, oname)] = R
-            invariance = max(invariance, R.info["invariance_leak"])
-    residuals["invariance"] = invariance
-
-    for bname, oname in [("H00", "T1"), ("H00", "T2"), ("H01", "T1"), ("H10", "T2")]:
-        R = restrictions.get((bname, oname))
-        residuals[f"unitarity_{bname}_{oname}"] = (
-            unitarity_residual(R, margin=0, tols=tols) if R is not None else 0.0
-        )
+    residuals["invariance"] = max(leaks.values())
+    for bname, oname in QuadrupleDecomposition.UNITARY:
+        residuals[f"unitarity_{bname}_{oname}"] = unitarity[bname, oname]
 
     # kernel-reducing checks: ker T_i* is invariant under T_j and T_j*.
     # The adjoint is only trustworthy on the safe core, so test kernel
     # vectors inside the joint core and measure the leak out of the kernel.
     lemma_a = 0.0
-    for Ei, Tj, Tjs in ((E1, T2, T2s), (E2, T1, T1s)):
-        if Ei.dim == 0:
-            continue
-        Ei_core = subspace_intersect(Ei, core, tols)
-        if Ei_core.dim == 0:
-            continue
-        for M in (Tj.matrix, Tjs):
-            image = M @ Ei_core.basis
-            leak = image - Ei.basis @ Ei.coords(image)
-            lemma_a = max(lemma_a, float(np.linalg.norm(amb.whiten(leak), 2)))
+    for Ei, Eiw, Tjw in ((E1, E1w, T2w), (E2, E2w, T1w)):
+        Xw = amb.whiten(subspace_intersect(Ei, core, tols).basis)
+        for M in (Tjw, Tjw.conj().T):
+            image = M @ Xw
+            lemma_a = max(lemma_a, _norm2(image - Eiw @ (Eiw.conj().T @ image)))
     residuals["kernel_reducing"] = lemma_a
     # the parts of E2 in the blocks of T1 stay in E2 when the blocks reduce T2
     residuals["E2_leak"] = max(leak11, leak01)
@@ -808,17 +794,16 @@ def wold_pair(T1: OperatorModel, T2: OperatorModel, tols: Tolerances = DEFAULTS,
     # each measure's kernel and operator, in ambient whitened coordinates
     Ew = amb.whiten(E.basis)
     kernels = {
-        "nu1": (cert1.Tw, _kernel_part(H10w, E1w, tols)[0]),
-        "nu2": (cert2.Tw, K01w),
-        "eta1": (cert1.Tw, Ew),
-        "eta2": (cert2.Tw, Ew),
+        "nu1": (T1w, _kernel_part(H10w, E1w, tols)[0]),
+        "nu2": (T2w, K01w),
+        "eta1": (T1w, Ew),
+        "eta2": (T2w, Ew),
     }
     measures = {name: _orbit_measure(_powers(Tw, Kw), tols) if extract
                 else CircleMeasure.zero(Kw.shape[1])
                 for name, (Tw, Kw) in kernels.items()}
 
-    return QuadrupleDecomposition(**blocks, measures=measures, restrictions=restrictions,
-                                  residuals=residuals)
+    return QuadrupleDecomposition(**blocks, measures=measures, residuals=residuals)
 
 
 @one_blas_thread

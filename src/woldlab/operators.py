@@ -10,6 +10,8 @@ structural statements hold exactly (to rounding) on the core.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 import scipy.linalg as sla
 
@@ -125,18 +127,13 @@ class Subspace:
 
 
 def _whitened_operator(T: OperatorModel) -> np.ndarray:
-    """T_w = L^H T L^{-H}, the matrix of T in whitened coordinates x_w = L^H x,
-    where the Gram inner product is Euclidean: one product and one
-    triangular solve, and T itself on an identity-Gram space."""
-    sp = T.dom
-    if sp.identity_space():
+    """T_w = L_codom^H T L_dom^{-H}, the matrix of T in whitened coordinates
+    x_w = L^H x, where the Gram inner product is Euclidean: one product and
+    one triangular solve, and T itself between identity-Gram spaces.  Read
+    it through the memo :attr:`OperatorModel.whitened`."""
+    if T.dom.identity_space() and T.codom.identity_space():
         return T.matrix
-    return sla.solve_triangular(sp.chol, sp.whiten(T.matrix).conj().T, lower=True).conj().T
-
-
-def _whitened_projector(S: Subspace) -> np.ndarray:
-    Bw = S.ambient.whiten(S.basis)
-    return Bw @ Bw.conj().T
+    return sla.solve_triangular(T.dom.chol, T.codom.whiten(T.matrix).conj().T, lower=True).conj().T
 
 
 def _principal_pairs(A: np.ndarray, B: np.ndarray, gram: np.ndarray, tols: Tolerances) -> tuple:
@@ -359,7 +356,8 @@ class OperatorModel:
         domain.
 
     The matrix is a read-only copy, so the certificates that
-    :func:`woldlab.decomp.certify` memoizes in ``certificates`` stay valid.
+    :func:`woldlab.decomp.certify` memoizes in ``certificates`` and the
+    whitened matrix memoized in ``whitened`` stay valid.
     """
 
     def __init__(self, dom: HilbertSpace, codom: HilbertSpace, matrix: np.ndarray,
@@ -383,6 +381,15 @@ class OperatorModel:
     @property
     def is_square(self) -> bool:
         return self.dom.dim_total == self.codom.dim_total
+
+    @cached_property
+    def whitened(self) -> np.ndarray:
+        """T_w = L^H T L^{-H} (:func:`_whitened_operator`), read-only,
+        computed on first read.  In these coordinates the Gram inner product
+        is Euclidean, so T* is T_w^H."""
+        Tw = _whitened_operator(self)
+        Tw.flags.writeable = False
+        return Tw
 
     # -- safe core --------------------------------------------------------
 
@@ -410,12 +417,14 @@ def joint_core(T1: OperatorModel, T2: OperatorModel, margin: int = None,
     return core_intersection(T1.core(margin), T2.core(margin), tols).subspace(tols)
 
 
+def _norm2(X: np.ndarray) -> float:
+    """Spectral norm of X, 0 when X is empty."""
+    return float(np.linalg.norm(X, 2)) if X.size else 0.0
+
+
 def operator_norm(A: OperatorModel, domain: Subspace) -> float:
     """Gram operator norm of A with its domain restricted to ``domain``."""
-    M = A.codom.whiten(A.matrix @ domain.basis)
-    if M.size == 0:
-        return 0.0
-    return float(np.linalg.norm(M, 2))
+    return _norm2(A.codom.whiten(A.matrix @ domain.basis))
 
 
 def adjoint(A: OperatorModel) -> OperatorModel:
@@ -469,21 +478,23 @@ def two_isometry_defect(T: OperatorModel, tols: Tolerances = DEFAULTS) -> float:
 
 
 def doubly_commuting_residual(T1: OperatorModel, T2: OperatorModel,
-                              tols: Tolerances = DEFAULTS,
-                              core: Subspace = None, T1_star: np.ndarray = None) -> tuple:
+                              tols: Tolerances = DEFAULTS, core: Subspace = None) -> tuple:
     """(||T1 T2 - T2 T1||, ||T1* T2 - T2 T1*||) on the joint safe core.
 
-    A caller that already holds the joint core or the matrix of
-    ``adjoint(T1)`` passes it in as ``core`` or ``T1_star``.
+    Both are read in whitened coordinates, where T* is T_w^H: with C_w the
+    whitened core basis, the norms of (T1_w T2_w - T2_w T1_w) C_w and
+    (T1_w^H T2_w - T2_w T1_w^H) C_w, applied to C_w one factor at a time,
+    so no adjoint and no D x D product is formed.  A caller that already
+    holds the joint core passes it in as ``core``.
     """
     if T1.dom.dim_total != T2.dom.dim_total:
         raise ValueError("operators act on different spaces")
     if core is None:
         core = joint_core(T1, T2, tols=tols)
-    C1 = OperatorModel(T1.dom, T1.dom, T1.matrix @ T2.matrix - T2.matrix @ T1.matrix)
-    T1s = adjoint(T1).matrix if T1_star is None else T1_star
-    C2 = OperatorModel(T1.dom, T1.dom, T1s @ T2.matrix - T2.matrix @ T1s)
-    return operator_norm(C1, core), operator_norm(C2, core)
+    Cw = T1.dom.whiten(core.basis)
+    A, As, B = T1.whitened, T1.whitened.conj().T, T2.whitened
+    BC = B @ Cw
+    return _norm2(A @ BC - B @ (A @ Cw)), _norm2(As @ BC - B @ (As @ Cw))
 
 
 def left_inverse(T: OperatorModel, tols: Tolerances = DEFAULTS) -> OperatorModel:
@@ -629,10 +640,7 @@ def restrict_operator(T: OperatorModel, S: Subspace, tols: Tolerances = DEFAULTS
         raise ValueError("subspace does not live in the operator domain")
     image = T.matrix @ S.basis
     M = S.coords(image)
-    leak = 0.0
-    if S.dim:
-        residual = image - S.basis @ M
-        leak = float(np.linalg.norm(T.dom.whiten(residual), 2))
+    leak = _norm2(T.dom.whiten(image - S.basis @ M))
     space = S.as_space()
     cores = {}
 

@@ -228,8 +228,9 @@ def loop_model_rows(T1, T2, target, tols=wl.DEFAULTS):
 
 # The norm identities and the model map as the pipeline computed them
 # before it read kernel projections in the coordinates of the kernel: the
-# identities apply the certificate's D x D projectors P (and P1 P2) to
-# every iterate, one vector at a time, and the model map multiplies E^H G
+# identities apply the D x D projectors P (and P1 P2) of
+# ``wandering_projection``, gated by their projection laws, to every
+# iterate, one vector at a time, and the model map multiplies E^H G
 # by a D x D product of powers of L2 and L1 once per bidegree.  They run on
 # one BLAS thread, as the package does, so the joint kernel E has the same
 # basis.  tests/test_dense_passes.py compares the two routes.
@@ -240,7 +241,7 @@ def projector_norm_identity(T, x, tols=wl.DEFAULTS):
     """``check_norm_identity`` through the D x D projector P onto ker T*:
     sum_k ||P L^k x||^2 + sum_{k>=1} <F L^k x, L^k x>, one iterate at a time."""
     cert = wl.certify(T, tols).require_analytic()
-    Pm, F, L = cert.P, cert.F, cert.L
+    Pm, F, L = wl.wandering_projection(T, tols)[0].matrix, cert.F, cert.L
     x = np.asarray(x, dtype=complex).reshape(-1)
     G = T.dom.gram
     total = float((np.conj(x) @ (G @ x)).real)
@@ -264,8 +265,8 @@ def projector_two_variable_identity(T1, T2, x, tols=wl.DEFAULTS):
     and P1 P2, one iterate y = L2^n L1^m x at a time."""
     c1 = wl.certify(T1, tols).require_analytic()
     c2 = wl.certify(T2, tols).require_analytic()
-    P1, F1, L1 = c1.P, c1.F, c1.L
-    P2, F2, L2 = c2.P, c2.F, c2.L
+    P1, F1, L1 = wl.wandering_projection(T1, tols)[0].matrix, c1.F, c1.L
+    P2, F2, L2 = wl.wandering_projection(T2, tols)[0].matrix, c2.F, c2.L
     x = np.asarray(x, dtype=complex).reshape(-1)
     G = T1.dom.gram
     F12 = T2.matrix.conj().T @ F1 @ T2.matrix - F1

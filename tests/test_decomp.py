@@ -625,7 +625,7 @@ def test_wold_pair_joint_kernel_is_E_in_H11_coordinates():
     T1, T2 = acceptance_7_instance().operators
     quad = wl.wold_pair(T1, T2)
     E = wl.subspace_intersect(wl.wandering_projection(T1)[1], wl.wandering_projection(T2)[1])
-    R1, R2 = quad.restrictions[("H11", "T1")], quad.restrictions[("H11", "T2")]
+    R1, R2 = restrict_operator(T1, quad.H11), restrict_operator(T2, quad.H11)
     Ejoint = wl.Subspace(R1.dom, quad.H11.coords(E.basis))
     old = wl.subspace_intersect(wl.wandering_projection(R1)[1], wl.wandering_projection(R2)[1])
     assert Ejoint.dim == E.dim == old.dim == 1
@@ -651,6 +651,24 @@ def test_wold_pair_rejects_a_commuting_pair_that_does_not_doubly_commute():
     wl.certify(T2)
     with pytest.raises(wl.AssumptionError, match="not doubly commuting"):
         wl.wold_pair(T, T2)
+
+
+@settings(max_examples=6)
+@given(seed=st.integers(0, 2**20), k=st.integers(0, 2), n_atoms=st.integers(1, 3),
+       caps=st.integers(3, 10))
+def test_pairs_that_do_not_doubly_commute_raise(seed, k, n_atoms, caps):
+    # T = U_k ⊕ M_z(mu), scrambled, with itself and with T^2: both pairs
+    # commute, and T* commutes with neither T nor T^2 on the shift part.
+    # The 2-isometry defect of T^2 applies T^4 to its core, whose degree-0
+    # slice is kept at every cap, so at caps 3 T^2 is rejected as a
+    # 2-isometry before the pair is checked
+    mu = wl.random_atomic_measure(1, n_atoms, seed=seed)
+    T = wl.make_single_wold_instance(k, mu, caps, seed=seed, scramble_seed=seed + 1).operators[0]
+    T2 = wl.OperatorModel(T.dom, T.dom, T.matrix @ T.matrix, core_fn=lambda m: T.core(m + 2))
+    for pair, reason in (((T, T), "not doubly commuting"),
+                         ((T, T2), "not doubly commuting" if caps >= 4 else "two-isometry")):
+        with pytest.raises(wl.AssumptionError, match=reason):
+            wl.wold_pair(*pair)
 
 
 def test_the_E2_leak_of_a_non_reducing_subspace_is_past_the_gate():
@@ -749,14 +767,13 @@ def test_extracted_measures_add_up_under_direct_sums(seed, caps, n_atoms, densit
 def test_wold_pair_idempotent_on_blocks():
     inst = four_block_fixture()
     quad = wl.wold_pair(*inst.operators)
+    T1, T2 = inst.operators
     # restriction to H10: T1 shift-like, T2 unitary -> only H10 survives
-    R1 = quad.restrictions[("H10", "T1")]
-    R2 = quad.restrictions[("H10", "T2")]
+    R1, R2 = restrict_operator(T1, quad.H10), restrict_operator(T2, quad.H10)
     sub = wl.wold_pair(R1, R2, extract=False)
     assert sub.block_dims() == (0, quad.H10.dim, 0, 0)
     # restriction to H11 is jointly analytic
-    R1 = quad.restrictions[("H11", "T1")]
-    R2 = quad.restrictions[("H11", "T2")]
+    R1, R2 = restrict_operator(T1, quad.H11), restrict_operator(T2, quad.H11)
     sub = wl.wold_pair(R1, R2, extract=False)
     assert sub.block_dims() == (0, 0, 0, quad.H11.dim)
 
@@ -785,16 +802,17 @@ def test_inherited_kernels_match_fresh_wandering_projections():
     # defect route on each fresh restriction, whose ker R* comes from an SVD
     inst = wl.make_single_wold_instance(2, scalar_atoms(*THREE_ATOMS), 16, seed=1,
                                         scramble_seed=23)
-    res = wl.wold_single(inst.operators[0])
-    assert_same_moments(res.extracted, defect_route_measure(res.analytic_part))
+    T = inst.operators[0]
+    res = wl.wold_single(T)
+    assert_same_moments(res.extracted, defect_route_measure(restrict_operator(T, res.H1)))
     T1, T2 = acceptance_7_instance().operators
     quad = wl.wold_pair(T1, T2)
     fresh = fresh_restriction_measures(T1, T2, quad)
     for name, mu in quad.measures.items():
         assert_same_moments(mu, fresh[name])
     # ker (T1|H11)* is [E]_T2 and ker (T2|H11)* is [E]_T1, not the joint kernel E
-    assert wl.certify(quad.restrictions[("H11", "T1")]).E.dim == 5
-    assert wl.certify(quad.restrictions[("H11", "T2")]).E.dim == 6
+    assert wl.certify(restrict_operator(T1, quad.H11)).E.dim == 5
+    assert wl.certify(restrict_operator(T2, quad.H11)).E.dim == 6
 
 
 def test_wold_single_certifies_once(wandering_calls):
@@ -884,25 +902,26 @@ def test_scaled_tolerances_get_their_own_certificate(wandering_calls):
     T = wl.build_shift_1v(scalar_atoms(*THREE_ATOMS), 12)
     cert = wl.certify(T)
     assert wl.certify(T) is cert
-    # the orbit, T_w, F, L and P are built on first use only
-    assert not {"orbit", "Tw", "F", "L", "P"} & set(vars(cert))
+    # the orbit, F, L and the memo T_w on T are built on first use only
+    assert not {"orbit", "F", "L"} & set(vars(cert))
+    assert "whitened" not in vars(T)
     loose = wl.DEFAULTS.scaled(10)
     assert wl.certify(T, loose) is not cert
     assert wandering_calls == [T, T]
     assert set(T.certificates) == {wl.DEFAULTS, loose}
 
 
-def test_decompositions_do_not_build_P():
+def test_decompositions_do_not_build_P(wandering_calls):
+    # a certificate holds no projector; what is left to check is that the
+    # decompositions certify the three operators given and no restriction
     inst = wl.make_single_wold_instance(2, scalar_atoms(*THREE_ATOMS), 16, seed=1,
                                         scramble_seed=23)
     T = inst.operators[0]
-    res = wl.wold_single(T)
+    wl.wold_single(T)
     T1, T2 = acceptance_7_instance().operators
-    quad = wl.wold_pair(T1, T2)
-    ops = [T, res.analytic_part, T1, T2] + list(quad.restrictions.values())
-    certs = [cert for op in ops for cert in op.certificates.values()]
-    assert len(certs) == 3      # the three operators given; no restriction is certified
-    assert all("P" not in vars(cert) for cert in certs)
+    wl.wold_pair(T1, T2)
+    assert wandering_calls == [T, T1, T2]
+    assert all(len(op.certificates) == 1 for op in (T, T1, T2))
 
 
 def test_norm_identities_and_model_map_do_not_build_P(rng):
@@ -914,30 +933,7 @@ def test_norm_identities_and_model_map_do_not_build_P(rng):
     wl.build_V(T1, T2, wl.build_space(scalar_atoms((0.9, 0.8)), scalar_atoms((4.0, 1.1)), 8, 8))
     certs = [T.certificates[wl.DEFAULTS], T1.certificates[wl.DEFAULTS],
              T2.certificates[wl.DEFAULTS]]
-    assert all("L" in vars(cert) and "P" not in vars(cert) for cert in certs)
-
-
-def test_projection_laws_are_checked_once_on_first_read(monkeypatch):
-    calls = []
-    real = decomp.checked_projector
-
-    def counted(E, *args, **kwargs):
-        calls.append(E)
-        return real(E, *args, **kwargs)
-
-    monkeypatch.setattr(decomp, "checked_projector", counted)
-    T = wl.build_shift_1v(scalar_atoms(*THREE_ATOMS), 12)
-    cert = wl.certify(T)
-    assert calls == []
-    P = cert.P
-    assert cert.P is P and calls == [cert.E]
-    assert not P.flags.writeable
-    # the gate is the one of wandering_projection: the same matrix
-    assert np.array_equal(P, wl.wandering_projection(T)[0].matrix)
-    x = random_core_vector(T, np.random.default_rng(3))
-    wl.check_norm_identity(T, x)
-    wl.check_norm_identity(T, x)
-    assert calls == [cert.E]
+    assert all("L" in vars(cert) for cert in certs)
 
 
 def test_certificate_is_freed_with_its_operator():
@@ -948,11 +944,7 @@ def test_certificate_is_freed_with_its_operator():
     try:
         wl.check_norm_identity(T, x)
         cert = weakref.ref(T.certificates[wl.DEFAULTS])
-        # the identity reads E in its own coordinates, never P
         assert {"orbit", "F", "L"} <= set(vars(cert()))
-        assert "P" not in vars(cert())
-        cert().P
-        assert "P" in vars(cert())
         del T
         assert cert() is None
     finally:

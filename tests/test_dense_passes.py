@@ -9,8 +9,11 @@ operators, with no per-pass Gram product, triangular solve or SVD norm.
 five, and reads its measures from orbit moments, where it fit a
 defect-space isometry on each certified restriction.  The norm identities
 and ``build_V`` read the kernel projections in the coordinates of the
-kernels, where they applied D x D projectors and powers.
-``tests/reference.py`` keeps the older routes; on the same inputs both
+kernels, where they applied D x D projectors and powers.  The
+decompositions read their block residuals and the doubly-commuting check
+from whitened bases and T_w, where they built restricted operators and
+Gram adjoints.  ``tests/reference.py`` keeps the older routes, and
+``restrict_operator`` and ``adjoint`` stay public; on the same inputs both
 must give the same subspaces, residuals and measures, to rounding.
 """
 
@@ -19,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import woldlab as wl
-from woldlab import decomp
+from woldlab import decomp, operators
 from woldlab.decomp import span_orbit
 from woldlab.operators import (
     joint_core,
@@ -114,9 +117,11 @@ def test_single_routes_match_on_scrambled_unitary_plus_shift(seed, k, n_atoms, d
     mu = wl.random_atomic_measure(1, n_atoms, seed=seed, density_scale=0.4 * density)
     inst = wl.make_single_wold_instance(k, mu, caps, seed=seed, scramble_seed=seed + 1)
     check_routes(inst.operators, seed)
-    check_wandering(inst.operators[0])
-    res = wl.wold_single(inst.operators[0])
-    assert_same_moments(res.extracted, defect_route_measure(res.analytic_part), min(8, caps - 1))
+    T = inst.operators[0]
+    check_wandering(T)
+    res = wl.wold_single(T)
+    assert_same_moments(res.extracted, defect_route_measure(restrict_operator(T, res.H1)),
+                        min(8, caps - 1))
 
 
 @settings(max_examples=6)
@@ -228,22 +233,123 @@ def test_wold_pair_grows_three_orbits(monkeypatch):
     assert len(calls) == 3
 
 
-def test_each_operator_is_whitened_once(monkeypatch):
+@pytest.fixture
+def whitenings(monkeypatch):
+    """The operators whose whitened matrix T_w is computed, in call order."""
     calls = []
-    real = decomp._whitened_operator
+    real = operators._whitened_operator
 
     def counted(T):
         calls.append(T)
         return real(T)
 
-    monkeypatch.setattr(decomp, "_whitened_operator", counted)
+    monkeypatch.setattr(operators, "_whitened_operator", counted)
+    return calls
+
+
+def test_each_operator_is_whitened_once(whitenings):
     T1, T2 = scrambled_four_block_pair()
     wl.wold_single(T1)
-    # the orbit of ker T1* and the wandering check read the certificate's T_w
-    assert calls == [T1]
+    # the orbit of ker T1*, the block checks and the wandering check read
+    # the memo on T1
+    assert whitenings == [T1]
+    assert not T1.whitened.flags.writeable
     wl.wold_pair(T1, T2)
-    # [E1]_T1 is the certificate's orbit; both orbits under T2 share its T_w
-    assert calls == [T1, T2]
+    # the doubly-commuting check, the orbits under T2 and every block check
+    # share the two memos
+    assert whitenings == [T1, T2]
+
+
+# -- block residuals and the doubly-commuting check in whitened coordinates --
+# The decompositions read every block residual from the whitened block
+# bases and T_w, and T* as T_w^H, where they built restricted operators and
+# Gram adjoints.  Both routes give the same values; where a value is at
+# rounding, they agree to ROUTE_TOL * floor.
+
+ROUTE_TOL = 1e-10
+ROTATION = 1e-3
+
+
+def assert_close(got, ref, floor):
+    assert abs(got - ref) <= ROUTE_TOL * max(abs(ref), floor), (got, ref)
+
+
+def rotated_blocks(quad, amb, eps=ROTATION):
+    """The whitened block bases of ``quad`` with the first basis vectors of
+    H10 and H11 rotated into each other by the angle ``eps``: still an
+    orthonormal splitting of the space, but H10 and H11 leak O(eps) out of
+    themselves under both operators."""
+    Bw = {name: amb.whiten(getattr(quad, name).basis) for name in ("H00", "H10", "H01", "H11")}
+    u, v = Bw["H10"][:, 0].copy(), Bw["H11"][:, 0].copy()
+    Bw["H10"][:, 0] = np.cos(eps) * u + np.sin(eps) * v
+    Bw["H11"][:, 0] = -np.sin(eps) * u + np.cos(eps) * v
+    return Bw
+
+
+def test_block_residuals_match_the_restriction_route():
+    T1, T2 = scrambled_four_block_pair()
+    amb = T1.dom
+    ops = {"T1": T1, "T2": T2}
+    Bw = rotated_blocks(wl.wold_pair(T1, T2), amb)
+    # every pair is checked for unitarity: T1 on H10 and both on H11 are not unitary
+    pairs = [(b, o) for b in Bw for o in ops]
+    ortho, complete, leaks, unitarity = decomp._block_residuals(
+        Bw, {o: T.whitened for o, T in ops.items()}, pairs)
+    for b, o in pairs:
+        R = restrict_operator(ops[o], wl.Subspace(amb, amb.unwhiten(Bw[b])))
+        assert_close(leaks[b, o], R.info["invariance_leak"], ROTATION)
+        assert_close(unitarity[b, o], wl.unitarity_residual(R, margin=0), ROTATION)
+    for b, o in (("H10", "T1"), ("H10", "T2"), ("H11", "T1"), ("H11", "T2")):
+        assert leaks[b, o] > ROTATION / 2
+    assert min(unitarity["H10", "T1"], unitarity["H11", "T1"], unitarity["H11", "T2"]) > 0.5
+    # the rotation keeps the splitting orthonormal: ||Q Q^H - I|| is at rounding
+    Q = np.hstack(list(Bw.values()))
+    sums = np.max(np.abs(np.linalg.eigvalsh(Q @ Q.conj().T - np.eye(amb.dim_total))))
+    assert_close(complete, sums, ROTATION)
+    assert max(ortho, complete) < 1e-13
+    # a block that misses a dimension leaves the splitting incomplete
+    Bw["H00"] = Bw["H00"][:, 1:]
+    ortho, complete, _, _ = decomp._block_residuals(Bw, {"T1": T1.whitened}, [])
+    assert complete >= 1 and ortho < 1e-13
+
+
+def adjoint_route_residuals(T1, T2):
+    """||[T1, T2]|| and ||[T1*, T2]|| on the joint core, through the Gram
+    adjoint of T1 in ambient coordinates."""
+    amb, core = T1.dom, joint_core(T1, T2)
+    T1s = wl.adjoint(T1).matrix
+    return tuple(wl.operator_norm(wl.OperatorModel(amb, amb, A @ T2.matrix - T2.matrix @ A), core)
+                 for A in (T1.matrix, T1s))
+
+
+def test_doubly_commuting_residual_matches_the_adjoint_route():
+    T = wl.build_shift_1v(wl.random_atomic_measure(1, 3, seed=4), 12)
+    T2 = wl.OperatorModel(T.dom, T.dom, T.matrix @ T.matrix, core_fn=lambda m: T.core(m + 2))
+    pairs = [(T, T2), scrambled_four_block_pair()]
+    for A, B in pairs:
+        for got, ref in zip(wl.doubly_commuting_residual(A, B), adjoint_route_residuals(A, B)):
+            assert_close(got, ref, 1e-3)
+    # T and T^2 commute but do not doubly commute; the four-block pair does both
+    comm, star = wl.doubly_commuting_residual(T, T2)
+    assert comm < 1e-13 and star > 1
+    assert max(wl.doubly_commuting_residual(*pairs[1])) < 1e-13
+
+
+def test_decompositions_build_no_restriction_or_adjoint(monkeypatch, whitenings):
+    calls = []
+    for module in (decomp, operators):
+        for name in ("restrict_operator", "unitarity_residual", "adjoint"):
+            def counted(*args, _name=name, **kwargs):
+                calls.append(_name)
+                raise AssertionError(f"{_name} called")
+
+            monkeypatch.setattr(module, name, counted, raising=False)
+    T1, T2 = scrambled_four_block_pair()
+    wl.wold_single(T1)
+    wl.wold_single(T2)
+    wl.wold_pair(T1, T2)
+    assert calls == []
+    assert whitenings == [T1, T2]
 
 
 # -- norm identities and the model map in kernel coordinates ----------------
