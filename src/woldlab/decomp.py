@@ -84,9 +84,10 @@ def _whitened_orbit(Tw: list, Sw: np.ndarray, tols: Tolerances) -> np.ndarray:
     added, projects the images off the basis twice (one Gram-Schmidt pass
     loses orthogonality in proportion to the cancellation, a second
     restores it to rounding) and keeps their rank-revealed part, cut as
-    :func:`orthonormal_columns` cuts.  The loop ends when a pass adds
-    nothing or the basis fills the space, so it needs no iteration cap.
-    The basis grows in one D x D buffer.
+    :func:`orthonormal_columns` cuts (a single image column is normalized
+    by its norm, with no SVD).  The loop ends when a pass adds nothing or
+    the basis fills the space, so it needs no iteration cap.  The basis
+    grows in one D x D buffer.
     """
     D = Sw.shape[0]
     basis = np.empty((D, D), dtype=complex)
@@ -96,7 +97,8 @@ def _whitened_orbit(Tw: list, Sw: np.ndarray, tols: Tolerances) -> np.ndarray:
         images = np.hstack([T @ basis[:, start:end] for T in Tw])
         B = basis[:, :end]
         for _ in range(2):
-            images -= B @ (B.conj().T @ images)
+            # B^H images, conjugating the thin images rather than B
+            images -= B @ (B.T @ images.conj()).conj()
         new = _euclidean_span(images, tols)
         start, end = end, end + new.shape[1]
         basis[:, start:end] = new
@@ -108,8 +110,10 @@ class Certificate:
     """What the pipeline needs of one 2-isometry T, computed once.
 
     The defect and E = ker T* are built with the certificate; the orbit
-    [E]_T (one call of :func:`span_orbit`), the defect form
-    F = T^H G T - G and the left inverse L on first use.  The whitened
+    [E]_T, the defect form F = T^H G T - G and the left inverse L on first
+    use.  The orbit is grown once in whitened coordinates
+    (:func:`_whitened_orbit`): ``orbit_w`` keeps that basis, read-only, for
+    the decompositions, and ``orbit`` is it unwhitened.  The whitened
     operator T_w = L^H T L^{-H} is memoized on T itself
     (``OperatorModel.whitened``).  E is Gram-orthonormal, so its readers
     take the projection onto it in the coordinates of E:
@@ -126,8 +130,16 @@ class Certificate:
     op: weakref.ref
 
     @cached_property
+    def orbit_w(self) -> np.ndarray:
+        T = self.op()
+        basis = _whitened_orbit([T.whitened], T.dom.whiten(self.E.basis), self.tols)
+        basis.flags.writeable = False
+        return basis
+
+    @cached_property
     def orbit(self) -> Subspace:
-        return span_orbit(self.op(), self.E, self.tols)
+        amb = self.E.ambient
+        return Subspace(amb, amb.unwhiten(self.orbit_w), self.tols)
 
     @cached_property
     def F(self) -> np.ndarray:
@@ -168,15 +180,19 @@ def certify(T: OperatorModel, tols: Tolerances = DEFAULTS) -> Certificate:
 # measure extraction from orbit moments
 # ---------------------------------------------------------------------------
 
-def _powers(Tw: np.ndarray, Kw: np.ndarray) -> list:
+def _powers(Tw: np.ndarray, Kw: np.ndarray, tols: Tolerances) -> list:
     """[K_w, T_w K_w, T_w^2 K_w, ...] in whitened coordinates, up to the
-    last power the truncation has not annihilated (squared norm above
-    _EPS^2 times dim K)."""
+    last power the truncation has not annihilated: the loop stops at the
+    first power whose Frobenius norm is at most ``tols.rank_floor``.  By
+    Weyl's bound such a block moves no singular value of the stacked
+    powers past the rank cut, so it adds no direction the cut keeps; T is
+    expansive, so only a power the truncation annihilated gets that
+    small."""
     powers = [Kw]
     cur = Kw
     for _ in range(Kw.shape[0] + 1):
         cur = Tw @ cur
-        if np.vdot(cur, cur).real <= _EPS**2 * Kw.shape[1]:
+        if np.vdot(cur, cur).real <= tols.rank_floor**2:
             break
         powers.append(cur)
     return powers
@@ -313,7 +329,7 @@ def extract_measure(T: OperatorModel, tols: Tolerances = DEFAULTS) -> CircleMeas
     moment table.
     """
     cert = certify(T, tols).require_analytic()
-    return _orbit_measure(_powers(T.whitened, T.dom.whiten(cert.E.basis)), tols)
+    return _orbit_measure(_powers(T.whitened, T.dom.whiten(cert.E.basis), tols), tols)
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +337,26 @@ def extract_measure(T: OperatorModel, tols: Tolerances = DEFAULTS) -> CircleMeas
 # ---------------------------------------------------------------------------
 
 # The series below run over iterates y = L^k x of a left inverse L of an
-# expansive T, so ||L||_G <= 1 and the terms only shrink.  A sum stops once
-# ||y||_G <= _EPS * ||x||_G: the terms left out are then of order
-# _EPS^2 ||x||_G^2, far below the rounding of ||x||_G^2 itself.
+# expansive T, so ||L||_G <= 1 and the terms only shrink.  The terms of one
+# iterate y sum to at most ||T y||_G^2 <= ||T_w||^2 ||y||_G^2, and a series
+# has at most D + 1 of them, so a sum stops at its first iterate with
+# (D + 1) ||T_w||_F^2 ||y||_G^2 <= _EPS ||x||_G^2 (:func:`_negligible`): the
+# terms left out are then below the rounding of ||x||_G^2 itself.  For a
+# doubly commuting pair the terms of one iterate y = L2^n L1^m x sum to at
+# most ||T1 T2 y||_G^2, and the outer and inner series leave out at most
+# (D + 1)^2 iterates, each no larger than the one its series stopped at;
+# so both stop with (D + 1)^2 ||T1_w||_F^2 ||T2_w||_F^2 in place of
+# (D + 1) ||T_w||_F^2.
 _EPS = np.finfo(float).eps
+
+
+def _negligible(total: float, *ops: OperatorModel) -> float:
+    """The squared Gram norm at which a series of iterates of x, with
+    ||x||_G^2 = ``total``, stops under the operators ``ops`` (one, or a
+    pair; see ``_EPS``)."""
+    D = ops[0].dom.dim_total
+    scale = np.prod([(D + 1) * float(np.vdot(T.whitened, T.whitened).real) for T in ops])
+    return _EPS * total / float(scale)
 
 
 def _pairings(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -371,7 +403,9 @@ def check_norm_identity(T: OperatorModel, x, tols: Tolerances = DEFAULTS) -> flo
     projector is built.  Defect terms are evaluated through the exact
     pairing <(T*T - I) y, y> = <F y, y>, F = T^H G T - G, so no square
     root enters.  The sums terminate because L lowers the total degree;
-    they stop early once the iterate L^k x is negligible (see ``_EPS``).
+    they stop at the first iterate L^k x whose squared Gram norm, times
+    (D + 1) ||T_w||_F^2, is at most _EPS ||x||^2, which bounds every term
+    left out (see ``_EPS``), so a series ends about the degree of x.
     The iterates are stacked (:func:`_series`) and their terms summed in
     two matrix products.  T must be a 2-isometry whose orbit of ker T*
     fills the space; E, F and L are read from its :class:`Certificate`.
@@ -380,7 +414,7 @@ def check_norm_identity(T: OperatorModel, x, tols: Tolerances = DEFAULTS) -> flo
     x = _as_flat(x)
     G = T.dom.gram
     total = float((np.conj(x) @ (G @ x)).real)
-    Y, GY, k, _ = _series(cert.L, G, x[:, None], _EPS**2 * total)
+    Y, GY, k, _ = _series(cert.L, G, x[:, None], _negligible(total, T))
     kernel = cert.E.basis.conj().T @ GY
     defect = Y[:, k >= 1]
     acc = np.sum(_pairings(kernel, kernel)) + np.sum(_pairings(defect, cert.F @ defect))
@@ -399,23 +433,27 @@ def check_two_variable_identity(T1: OperatorModel, T2: OperatorModel, x,
     kernels E1 and E2 through three small matrices: with a = E2^H G y and
     b = E1^H G y, ||P1 P2 y||^2 = ||C a||^2 for C = E1^H G E2, and the
     single defects are a^H (E2^H F1 E2) a and b^H (E1^H F2 E1) b.  The
-    mixed term <D1^2 D2^2 y, y> is read from F12 = T2^H F1 T2 - F1, which
-    equals (T2 T1)^H G (T1 T2) - T1^H G T1 - T2^H G T2 + G whenever
-    T1 T2 = T2 T1, so every summand is an exact Gram pairing.
+    mixed term <D1^2 D2^2 y, y> is <F1 T2 y, T2 y> - <F1 y, y>, the pairing
+    with F12 = T2^H F1 T2 - F1, which equals
+    (T2 T1)^H G (T1 T2) - T1^H G T1 - T2^H G T2 + G whenever T1 T2 = T2 T1,
+    so every summand is an exact Gram pairing; it is read on the stacked
+    iterates, and F12 is never formed.
 
     The outer series L1^m x and, for every m at once, the inner series
     L2^n L1^m x are stacked (:func:`_series`); each stops at its first
-    iterate whose squared Gram norm is at most _EPS^2 ||x||^2 (see
-    ``_EPS``), and the terms are summed in a few matrix products.  No
-    D x D projector is built.  E, F and L of each operator are read from
-    its :class:`Certificate`.
+    iterate whose squared Gram norm, times
+    (D + 1)^2 ||T1_w||_F^2 ||T2_w||_F^2, is at most _EPS ||x||^2, which
+    bounds every term left out (see ``_EPS``), and the terms are summed
+    in a few matrix products.  No D x D projector is
+    built, and no product of two D x D matrices is taken.  E, F and L of
+    each operator are read from its :class:`Certificate`.
     """
     c1 = certify(T1, tols).require_analytic()
     c2 = certify(T2, tols).require_analytic()
     x = _as_flat(x)
     G = T1.dom.gram
     total = float((np.conj(x) @ (G @ x)).real)
-    negligible = _EPS**2 * total
+    negligible = _negligible(total, T1, T2)
     outer, _, _, _ = _series(c1.L, G, x[:, None], negligible)
     Y, GY, n, m = _series(c2.L, G, outer, negligible)
     E1, E2 = c1.E.basis, c2.E.basis
@@ -423,11 +461,12 @@ def check_two_variable_identity(T1: OperatorModel, T2: OperatorModel, x,
     Ca = (E1.conj().T @ (G @ E2)) @ a
     a1, b2 = a[:, m >= 1], b[:, n >= 1]
     mixed = Y[:, (m >= 1) & (n >= 1)]
-    F12 = T2.matrix.conj().T @ c1.F @ T2.matrix - c1.F
+    T2mixed = T2.matrix @ mixed
     acc = (np.sum(_pairings(Ca, Ca))
            + np.sum(_pairings(a1, (E2.conj().T @ (c1.F @ E2)) @ a1))
            + np.sum(_pairings(b2, (E1.conj().T @ (c2.F @ E1)) @ b2))
-           + np.sum(_pairings(mixed, F12 @ mixed)))
+           + np.sum(_pairings(T2mixed, c1.F @ T2mixed))
+           - np.sum(_pairings(mixed, c1.F @ mixed)))
     return abs(total - float(acc))
 
 
@@ -465,27 +504,33 @@ def _block_residuals(blocks: dict, ops: dict, unitary) -> tuple:
     names to whitened operators T_w, and ``unitary`` lists the
     (block, operator) pairs on which T must be unitary.  With
     M = B_w^H T_w B_w, the matrix of the restriction of T to the block,
-    ``leaks[block, op]`` is ||T_w B_w - B_w M||, the Gram norm of the part
-    of T(block) outside it, and ``unitarity[block, op]`` is
-    max|eig(M^H M - I)|.  The stacked bases Q give one Gram Q^H Q:
+    ``leaks[block, op]`` is the Gram norm of the part of T(block) outside
+    it, ||T_w B_w - B_w M|| (read from C below), and
+    ``unitarity[block, op]`` is max|eig(M^H M - I)|.  The stacked bases Q give one Gram Q^H Q:
     orthogonality is the largest norm of its cross blocks, completeness
     ||Q^H Q - I|| (for a square Q, ||Q Q^H - I||), and at least 1 when Q
     has fewer columns than rows (the blocks miss a dimension).
+
+    Each operator is compressed once, C = Q^H T_w Q: a block's M is its
+    diagonal block of C, and its leak is the norm of its column block of C
+    without its own rows, which for a unitary Q equals ||T_w B_w - B_w M||.
+    The two differ by at most completeness times ||T_w||, and completeness
+    is gated; a Q that is not square has completeness at least 1.
     """
     Q = np.hstack(list(blocks.values()))
     D, n = Q.shape
     QQ = Q.conj().T @ Q
     edges = np.cumsum([0] + [Bw.shape[1] for Bw in blocks.values()])
-    spans = [slice(a, b) for a, b in zip(edges, edges[1:]) if b > a]
+    spans = [slice(a, b) for a, b in zip(edges, edges[1:])]
     ortho = max((_norm2(QQ[a, b]) for a, b in combinations(spans, 2)), default=0.0)
     QQ -= np.eye(n)
     complete = max(float(np.max(np.abs(np.linalg.eigvalsh(QQ)), initial=0.0)), float(n < D))
     leaks, unit = {}, {}
-    for bname, Bw in blocks.items():
-        for oname, Tw in ops.items():
-            TB = Tw @ Bw
-            M = Bw.conj().T @ TB
-            leaks[bname, oname] = _norm2(TB - Bw @ M)
+    for oname, Tw in ops.items():
+        C = Q.conj().T @ (Tw @ Q)
+        for bname, span in zip(blocks, spans):
+            M = C[span, span]
+            leaks[bname, oname] = _norm2(np.delete(C[:, span], span, axis=0))
             if (bname, oname) in unitary:
                 F = M.conj().T @ M - np.eye(M.shape[0])
                 unit[bname, oname] = float(np.max(np.abs(np.linalg.eigvalsh(F)), initial=0.0))
@@ -498,21 +543,21 @@ def wold_single(T: OperatorModel, tols: Tolerances = DEFAULTS,
     """Split a 2-isometry into unitary and analytic parts and classify.
 
     By the Wold-type theorem H = H0 ⊕ [E]_T with E = ker T* the wandering
-    subspace, so the shift block H1 is the orbit of E (:func:`span_orbit`)
-    and the unitary block H0 is its Gram complement.  Orthogonality and
-    completeness hold by construction and are still reported.  H0 is
-    certified by its invariance and the unitarity of T on it, which
-    together force it into the stable range; H1 by its invariance and the
-    wandering property.  All are read from the whitened blocks and T_w
+    subspace, so the shift block H1 is the orbit of E and the unitary block
+    H0 is its Gram complement.  Orthogonality and completeness hold by
+    construction and are still reported.  H0 is certified by its
+    invariance and the unitarity of T on it, which together force it into
+    the stable range; H1 by its invariance and the wandering property.
+    All are read from the whitened blocks and T_w
     (:func:`_block_residuals`); no restricted operator is built.  E and H1
-    are read from the :class:`Certificate` of T.  The powers T_w^n E_w give
-    both the wandering residual and the classifying measure of the
-    analytic part (:func:`_orbit_measure`), so it is not certified.
+    are read from the :class:`Certificate` of T, H1 also as the whitened
+    basis it was grown in, so H1 is never whitened again.  The powers
+    T_w^n E_w give both the wandering residual and the classifying measure
+    of the analytic part (:func:`_orbit_measure`), so it is not certified.
     """
     cert = certify(T, tols)
     amb = T.dom
-    E, H1 = cert.E, cert.orbit
-    H1w = amb.whiten(H1.basis)
+    E, H1, H1w = cert.E, cert.orbit, cert.orbit_w
     H0w = _complement_within(H1w)
     H0 = Subspace(amb, amb.unwhiten(H0w), tols)
     ortho, complete, leaks, unitarity = _block_residuals(
@@ -527,7 +572,7 @@ def wold_single(T: OperatorModel, tols: Tolerances = DEFAULTS,
     # wandering property: <T^n w, w'> = 0 for n >= 1, until the truncation
     # has annihilated T^n E; in whitened coordinates the pairing is
     # E_w^H T_w^n E_w
-    powers = _powers(T.whitened, amb.whiten(E.basis))
+    powers = _powers(T.whitened, amb.whiten(E.basis), tols)
     Ewh = powers[0].conj().T
     cross = [Ewh @ P for P in powers[1:]]
     residuals["wandering"] = (float(np.max(np.linalg.norm(np.stack(cross), 2, axis=(1, 2))))
@@ -751,7 +796,7 @@ def wold_pair(T1: OperatorModel, T2: OperatorModel, tols: Tolerances = DEFAULTS,
     T1w, T2w = T1.whitened, T2.whitened
     E1, E2 = cert1.E, cert2.E
     E = subspace_intersect(E1, E2, tols)
-    A1w = amb.whiten(cert1.orbit.basis)
+    A1w = cert1.orbit_w
     A0w = _complement_within(A1w)
     E1w, E2w = amb.whiten(E1.basis), amb.whiten(E2.basis)
     K11w, leak11 = _kernel_part(A1w, E2w, tols)
@@ -799,7 +844,7 @@ def wold_pair(T1: OperatorModel, T2: OperatorModel, tols: Tolerances = DEFAULTS,
         "eta1": (T1w, Ew),
         "eta2": (T2w, Ew),
     }
-    measures = {name: _orbit_measure(_powers(Tw, Kw), tols) if extract
+    measures = {name: _orbit_measure(_powers(Tw, Kw, tols), tols) if extract
                 else CircleMeasure.zero(Kw.shape[1])
                 for name, (Tw, Kw) in kernels.items()}
 

@@ -42,9 +42,13 @@ def orthonormal_columns(space: HilbertSpace, X: np.ndarray, tols: Tolerances = D
 
 def _euclidean_span(X: np.ndarray, tols: Tolerances) -> np.ndarray:
     """Orthonormal basis of the column span of X in Euclidean coordinates,
-    cut at :func:`_numerical_rank`."""
+    cut at :func:`_numerical_rank`.  One column needs no SVD: its one
+    singular value is its norm."""
     if X.size == 0:
         return np.zeros((X.shape[0], 0), dtype=complex)
+    if X.shape[1] == 1:
+        s = np.sqrt(np.vdot(X, X).real)
+        return X / s if s > _rank_cut(s, tols) else X[:, :0]
     U, s = _robust_svd(X)
     return U[:, :_numerical_rank(s, tols)]
 
@@ -53,7 +57,13 @@ def _numerical_rank(s: np.ndarray, tols: Tolerances) -> int:
     """Number of the descending singular values ``s`` above the rank cut."""
     if s.size == 0:
         return 0
-    return int(np.sum(s > max(tols.rank_rtol * s[0], tols.rank_floor)))
+    return int(np.sum(s > _rank_cut(s[0], tols)))
+
+
+def _rank_cut(top: float, tols: Tolerances) -> float:
+    """The value a singular value must exceed to count as rank when the
+    largest one is ``top``."""
+    return max(tols.rank_rtol * top, tols.rank_floor)
 
 
 def _robust_svd(W: np.ndarray, full_matrices: bool = False):

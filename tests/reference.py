@@ -14,6 +14,7 @@ from woldlab.decomp import span_orbit
 from woldlab.operators import (
     _numerical_rank,
     _principal_pairs,
+    _robust_svd,
     orthocomplement,
     orthonormal_columns,
 )
@@ -404,6 +405,46 @@ def gram_wandering(T, E):
             break
         wander = max(wander, float(np.linalg.norm(E.basis.conj().T @ Gcur, 2)))
     return wander
+
+
+# The orbit pass and the power loop of the pipeline before a one-column pass
+# was normalized by its norm and the powers stopped at the rank floor.
+# tests/test_dense_passes.py compares them.
+
+
+def svd_step_orbit(Tw, Sw, tols=wl.DEFAULTS):
+    """``decomp._whitened_orbit`` with every pass ending in a rank-revealing
+    SVD of its projected images, also when they are one column."""
+    D = Sw.shape[0]
+    basis = np.empty((D, D), dtype=complex)
+    start, end = 0, Sw.shape[1]
+    basis[:, :end] = Sw
+    while start < end < D:
+        images = np.hstack([T @ basis[:, start:end] for T in Tw])
+        B = basis[:, :end]
+        for _ in range(2):
+            images -= B @ (B.conj().T @ images)
+        U, s = _robust_svd(images)
+        new = U[:, :_numerical_rank(s, tols)]
+        start, end = end, end + new.shape[1]
+        basis[:, start:end] = new
+    return basis[:, :end]
+
+
+def eps_powers(Tw, Kw):
+    """``decomp._powers`` up to the first power whose squared norm is at
+    most eps^2 dim K.  That sits below the rounding of a power the
+    truncation annihilated, so on a scrambled operator it runs D + 1
+    powers."""
+    eps = np.finfo(float).eps
+    powers = [Kw]
+    cur = Kw
+    for _ in range(Kw.shape[0] + 1):
+        cur = Tw @ cur
+        if np.vdot(cur, cur).real <= eps**2 * Kw.shape[1]:
+            break
+        powers.append(cur)
+    return powers
 
 
 # The construction of the four pair blocks that ``wold_pair`` used before it

@@ -421,6 +421,60 @@ def test_two_variable_identity_early_stop_matches_full_sum(rng):
     assert abs(wl.check_two_variable_identity(T1, T2, x) - full) < 1e-14
 
 
+def whitened_left_inverse(T):
+    amb = T.dom
+    return amb.whiten(wl.certify(T).L @ amb.unwhiten(np.eye(amb.dim_total)))
+
+
+def test_left_inverses_of_the_identity_inputs_are_contractions():
+    # the series of the norm identities bound the terms they leave out
+    # through ||L||_G <= 1
+    ops = [wl.build_shift_1v(scalar_atoms(*THREE_ATOMS), caps) for caps in (10, 16)]
+    ops += [wl.build_shift_1v(wl.random_atomic_measure(1, 2, seed=3000 + s), 16) for s in (1, 2)]
+    ops.append(wl.build_shift_1v(wl.random_atomic_measure(2, 3, seed=5), 12))
+    for seed, caps in ((6, 6), (16, 8), (3103, 8), (3104, 8)):
+        ops += wl.build_pair_2v(*wl.random_measure_pair(1, 2, seed=seed), caps, caps)
+    for T in ops:
+        assert np.linalg.norm(whitened_left_inverse(T), 2) <= 1 + 1e-12
+
+
+@pytest.fixture
+def series_lengths(monkeypatch):
+    """(columns in, iterates out) of every ``_series`` call, in call order."""
+    log = []
+    real = decomp._series
+
+    def recorded(L, G, Y, negligible):
+        out = real(L, G, Y, negligible)
+        log.append((Y.shape[1], out[0].shape[1]))
+        return out
+
+    monkeypatch.setattr(decomp, "_series", recorded)
+    return log
+
+
+def test_norm_identity_series_stop_at_the_degree_of_x(rng, series_lengths):
+    # x of degree 20 at caps 24: L^21 x is zero to rounding, and the old stop
+    # at eps^2 ||x||^2 ran all 26 iterates
+    T = wl.build_shift_1v(scalar_atoms(*THREE_ATOMS), 24)
+    x = np.zeros(25, dtype=complex)
+    x[:21] = rng.standard_normal(21) + 1j * rng.standard_normal(21)
+    x /= T.dom.norm(x)
+    assert wl.check_norm_identity(T, x) < 1e-13
+    assert series_lengths == [(1, 21)]
+
+
+def test_two_variable_series_stop_at_the_degree_of_x(rng, series_lengths):
+    # x of bidegree at most (4, 4) at caps 8: 5 outer iterates and 5 inner
+    # ones for each, where the old stop ran 11 and 89
+    T1, T2 = wl.build_pair_2v(*wl.random_measure_pair(1, 2, seed=16), 8, 8)
+    x = np.zeros((9, 9), dtype=complex)
+    x[:5, :5] = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    x = x.reshape(-1) / T1.dom.norm(x.reshape(-1))
+    assert wl.check_two_variable_identity(T1, T2, x) < 1e-13
+    assert series_lengths == [(1, 5), (5, 25)]
+
+
 def install_short_kernel(T):
     """Replace the certificate of T by one whose E misses the first
     direction of ker T*.  It keeps the true orbit, so T still reads as
@@ -853,6 +907,20 @@ def test_wold_single_dense_factorization_count(dense_factorizations):
     wl.wold_single(T)
     # 8 with the defect-space fit on a certified restriction, 10 before the cuts
     assert dense_factorizations.large(T.dom.dim_total) == 5
+
+
+def test_wold_single_factorization_total_does_not_grow_with_caps(dense_factorizations):
+    # every counted factorization, of any size: a pass of the orbit of the
+    # one-dimensional ker T* is one column and takes no SVD, so the count
+    # is the same at D = 19 and D = 67 (28 and 76 with an SVD per pass)
+    counts = []
+    for caps in (16, 64):
+        T = wl.make_single_wold_instance(2, scalar_atoms(*THREE_ATOMS), caps, seed=1,
+                                         scramble_seed=23).operators[0]
+        dense_factorizations.clear()
+        wl.wold_single(T)
+        counts.append(len(dense_factorizations))
+    assert counts == [11, 11]
 
 
 def test_wold_pair_dense_factorization_count_on_a_four_block_pair(dense_factorizations):

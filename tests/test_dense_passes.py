@@ -12,7 +12,9 @@ and ``build_V`` read the kernel projections in the coordinates of the
 kernels, where they applied D x D projectors and powers.  The
 decompositions read their block residuals and the doubly-commuting check
 from whitened bases and T_w, where they built restricted operators and
-Gram adjoints.  ``tests/reference.py`` keeps the older routes, and
+Gram adjoints.  An orbit pass of one column is normalized by its norm,
+where it took an SVD, and the powers of a kernel stop at the rank floor,
+where they ran D + 1.  ``tests/reference.py`` keeps the older routes, and
 ``restrict_operator`` and ``adjoint`` stay public; on the same inputs both
 must give the same subspaces, residuals and measures, to rounding.
 """
@@ -37,6 +39,7 @@ from reference import (
     closing_svd_orbit,
     eigh_complement,
     defect_route_measure,
+    eps_powers,
     five_orbit_pair,
     fresh_restriction_measures,
     gram_orbit,
@@ -45,6 +48,7 @@ from reference import (
     principal_pair_core,
     projector_norm_identity,
     projector_two_variable_identity,
+    svd_step_orbit,
     two_svd_kernel,
 )
 
@@ -260,6 +264,96 @@ def test_each_operator_is_whitened_once(whitenings):
     assert whitenings == [T1, T2]
 
 
+# -- one-column orbit passes and the power stop ------------------------------
+# A pass whose projected images are one column w keeps w / ||w||, where it
+# took an SVD, and the powers of a kernel stop at the first block of
+# Frobenius norm at most rank_floor, where they stopped at eps^2 dim K.
+# Both routes span the same orbit and give the same measures.
+
+ORBIT_TOL = 1e-12
+
+
+def whitened_operator_and_kernel(T):
+    return T.whitened, T.dom.whiten(wl.certify(T).E.basis)
+
+
+def assert_same_span(got, ref, tol=ORBIT_TOL):
+    assert got.shape == ref.shape
+    assert np.linalg.norm(got @ got.conj().T - ref @ ref.conj().T, 2) <= tol
+
+
+@pytest.mark.parametrize("d, caps", [(1, 16), (1, 32), (1, 64), (1, 96), (2, 12)])
+def test_one_column_orbit_passes_match_the_svd_pass(d, caps, dense_factorizations):
+    mu = wl.random_atomic_measure(d, 3, seed=caps, density_scale=0.4)
+    T = wl.make_single_wold_instance(2, mu, caps, seed=caps, scramble_seed=caps + 1).operators[0]
+    Tw, Ew = whitened_operator_and_kernel(T)
+    dense_factorizations.clear()
+    got = decomp._whitened_orbit([Tw], Ew, wl.DEFAULTS)
+    # every pass from a one-dimensional kernel is one column, and none takes an SVD
+    assert (len(dense_factorizations) == 0) == (d == 1)
+    assert got.shape[1] == (caps + 1) * d
+    assert_same_span(got, svd_step_orbit([Tw], Ew))
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_a_one_column_pass_is_cut_at_the_rank_floor_as_the_svd_pass(factor):
+    # T_w sends the kernel direction to factor * rank_floor times a unit
+    # vector orthogonal to it, in a random orthonormal frame
+    floor = wl.DEFAULTS.rank_floor
+    W = wl.random_unitary(5, 7)
+    Tw = factor * floor * W[:, 1:2] @ W[:, :1].conj().T
+    got = decomp._whitened_orbit([Tw], W[:, :1], wl.DEFAULTS)
+    ref = svd_step_orbit([Tw], W[:, :1])
+    assert got.shape[1] == (1 if factor < 1 else 2)
+    assert_same_span(got, ref)
+
+
+def four_block_pair_of_dimension_108():
+    nu1, nu2 = (wl.random_atomic_measure(1, n, seed=s) for n, s in ((2, 41), (3, 42)))
+    eta1, eta2 = wl.random_measure_pair(1, 2, seed=43)
+    return wl.make_four_block_instance(4, nu1, 16, nu2, 14, eta1, eta2, (8, 7),
+                                       seed=44, scramble_seed=45).operators
+
+
+def test_powers_stop_at_the_rank_floor_with_the_same_measures(monkeypatch):
+    kernels = []
+    real = decomp._powers
+
+    def recorded(Tw, Kw, tols):
+        kernels.append((Tw, Kw))
+        return real(Tw, Kw, tols)
+
+    monkeypatch.setattr(decomp, "_powers", recorded)
+    T1, T2 = four_block_pair_of_dimension_108()
+    assert T1.dom.dim_total == 108
+    wl.wold_pair(T1, T2)
+    monkeypatch.undo()
+    depths = []
+    checked = decomp._checked_moments
+
+    def depth_recorded(mu, row, scale, tols):
+        depths.append(row.shape[0] - 1)
+        return checked(mu, row, scale, tols)
+
+    monkeypatch.setattr(decomp, "_checked_moments", depth_recorded)
+    longest = 0
+    for Tw, Kw in kernels:
+        got, ref = decomp._powers(Tw, Kw, wl.DEFAULTS), eps_powers(Tw, Kw)
+        longest = max(longest, len(got))
+        # the older stop runs every power the truncation allows
+        assert len(ref) == 110 or Kw.shape[1] == 0
+        # the powers left out add no direction past the rank cut
+        s = np.linalg.svd(np.hstack(ref), compute_uv=False)
+        assert decomp._numerical_rank(s, wl.DEFAULTS) == sum(P.shape[1] for P in got)
+        depths.clear()
+        mu, mu_ref = decomp._orbit_measure(got, wl.DEFAULTS), decomp._orbit_measure(ref, wl.DEFAULTS)
+        if Kw.shape[1]:
+            K, K_ref = depths
+            assert K == K_ref
+            assert_same_moments(mu, mu_ref, K, 1e-13)
+    assert longest <= 17
+
+
 # -- block residuals and the doubly-commuting check in whitened coordinates --
 # The decompositions read every block residual from the whitened block
 # bases and T_w, and T* as T_w^H, where they built restricted operators and
@@ -274,15 +368,15 @@ def assert_close(got, ref, floor):
     assert abs(got - ref) <= ROUTE_TOL * max(abs(ref), floor), (got, ref)
 
 
-def rotated_blocks(quad, amb, eps=ROTATION):
-    """The whitened block bases of ``quad`` with the first basis vectors of
-    H10 and H11 rotated into each other by the angle ``eps``: still an
-    orthonormal splitting of the space, but H10 and H11 leak O(eps) out of
-    themselves under both operators."""
-    Bw = {name: amb.whiten(getattr(quad, name).basis) for name in ("H00", "H10", "H01", "H11")}
-    u, v = Bw["H10"][:, 0].copy(), Bw["H11"][:, 0].copy()
-    Bw["H10"][:, 0] = np.cos(eps) * u + np.sin(eps) * v
-    Bw["H11"][:, 0] = -np.sin(eps) * u + np.cos(eps) * v
+def rotated_blocks(result, amb, names, first, second, eps=ROTATION):
+    """The whitened bases of the blocks ``names`` of a decomposition, with
+    the first basis vectors of the blocks ``first`` and ``second`` rotated
+    into each other by the angle ``eps``: still an orthonormal splitting of
+    the space, but those two blocks leak O(eps) out of themselves."""
+    Bw = {name: amb.whiten(getattr(result, name).basis) for name in names}
+    u, v = Bw[first][:, 0].copy(), Bw[second][:, 0].copy()
+    Bw[first][:, 0] = np.cos(eps) * u + np.sin(eps) * v
+    Bw[second][:, 0] = -np.sin(eps) * u + np.cos(eps) * v
     return Bw
 
 
@@ -290,7 +384,7 @@ def test_block_residuals_match_the_restriction_route():
     T1, T2 = scrambled_four_block_pair()
     amb = T1.dom
     ops = {"T1": T1, "T2": T2}
-    Bw = rotated_blocks(wl.wold_pair(T1, T2), amb)
+    Bw = rotated_blocks(wl.wold_pair(T1, T2), amb, ("H00", "H10", "H01", "H11"), "H10", "H11")
     # every pair is checked for unitarity: T1 on H10 and both on H11 are not unitary
     pairs = [(b, o) for b in Bw for o in ops]
     ortho, complete, leaks, unitarity = decomp._block_residuals(
@@ -310,6 +404,21 @@ def test_block_residuals_match_the_restriction_route():
     # a block that misses a dimension leaves the splitting incomplete
     Bw["H00"] = Bw["H00"][:, 1:]
     ortho, complete, _, _ = decomp._block_residuals(Bw, {"T1": T1.whitened}, [])
+    assert complete >= 1 and ortho < 1e-13
+    # wold_single's two-block split, rotated: the compression gives the leaks
+    # of the restriction route, and a split that misses a dimension fails
+    # completeness
+    Bw = rotated_blocks(wl.wold_single(T1), amb, ("H0", "H1"), "H0", "H1")
+    ortho, complete, leaks, unitarity = decomp._block_residuals(
+        Bw, {"T": T1.whitened}, [("H0", "T")])
+    for b in Bw:
+        R = restrict_operator(T1, wl.Subspace(amb, amb.unwhiten(Bw[b])))
+        assert_close(leaks[b, "T"], R.info["invariance_leak"], ROTATION)
+    assert min(leaks.values()) > ROTATION / 2 and max(ortho, complete) < 1e-13
+    R = restrict_operator(T1, wl.Subspace(amb, amb.unwhiten(Bw["H0"])))
+    assert_close(unitarity["H0", "T"], wl.unitarity_residual(R, margin=0), ROTATION)
+    Bw["H0"] = Bw["H0"][:, 1:]
+    ortho, complete, _, _ = decomp._block_residuals(Bw, {"T": T1.whitened}, [])
     assert complete >= 1 and ortho < 1e-13
 
 
