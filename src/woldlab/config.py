@@ -16,7 +16,10 @@ class Tolerances:
     #: eigenvalues of nominally-PSD matrices are clamped to zero above this
     psd: float = 1e-10
     #: singular values below rank_rtol * sigma_max (or below the absolute
-    #: floor rank_floor, for unit-scale inputs) count as zero
+    #: floor rank_floor, for unit-scale inputs) count as zero.  The same
+    #: cut reads the diagonal |R_ii| of a column-pivoted QR (ker T* and each
+    #: Wold split), relative to |R_11|, the largest column: for a split,
+    #: the largest power of its kernel rather than one pass of an orbit
     rank_rtol: float = 1e-8
     rank_floor: float = 1e-8
     #: Hermitian / unitary validation of user-supplied matrices

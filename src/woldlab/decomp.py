@@ -28,11 +28,11 @@ from .measures import CircleMeasure, fourier_coefficients
 from .operators import (
     OperatorModel,
     Subspace,
-    _complement_within,
     _defect_form,
     _euclidean_span,
     _numerical_rank,
     _norm2,
+    _pivoted_qr,
     _psd_rank_mask,
     doubly_commuting_residual,
     joint_core,
@@ -60,13 +60,14 @@ def _as_flat(x) -> np.ndarray:
 def span_orbit(ops, S: Subspace, tols: Tolerances = DEFAULTS) -> Subspace:
     """Smallest subspace that contains S and is invariant under ``ops``.
 
-    ``ops`` is one operator or a list of them.  Every shift block of a Wold
-    decomposition is such an orbit of a wandering subspace, e.g.
-    H1 = [ker T*]_T.  The orbit is grown by :func:`_whitened_orbit` from
-    the whitened operators (each one's memo ``whitened``) and the whitened
-    S; its basis is unwhitened once at the end, with no closing
-    orthonormalization, and the Gram-orthonormality gate of
-    :class:`Subspace` checks it.
+    ``ops`` is one operator or a list of them, e.g. the joint orbit
+    [E]_{T1,T2} of a joint kernel.  The orbit is grown by
+    :func:`_whitened_orbit` from the whitened operators (each one's memo
+    ``whitened``) and the whitened S; its basis is unwhitened once at the
+    end, with no closing orthonormalization, and the Gram-orthonormality
+    gate of :class:`Subspace` checks it.  The decompositions do not call
+    it: every shift block they build is the orbit of a kernel under one
+    operator, split off by :func:`_split`.
     """
     ops = [ops] if isinstance(ops, OperatorModel) else list(ops)
     amb = S.ambient
@@ -105,23 +106,71 @@ def _whitened_orbit(Tw: list, Sw: np.ndarray, tols: Tolerances) -> np.ndarray:
     return basis[:, :end]
 
 
+def _powers(Tw: np.ndarray, Kw: np.ndarray, tols: Tolerances) -> list:
+    """[K_w, T_w K_w, T_w^2 K_w, ...] in whitened coordinates, up to the
+    last power the truncation has not annihilated: the loop stops at the
+    first power whose Frobenius norm is at most ``tols.rank_floor``.  By
+    Weyl's bound such a block moves no singular value of the stacked
+    powers past the rank cut, so it adds no direction the cut keeps; T is
+    expansive, so only a power the truncation annihilated gets that
+    small.  The stacked powers span the orbit [K]_T: :func:`_split` cuts
+    their rank, and :func:`_orbit_measure` reads their moments."""
+    powers = [Kw]
+    cur = Kw
+    for _ in range(Kw.shape[0] + 1):
+        cur = Tw @ cur
+        if np.vdot(cur, cur).real <= tols.rank_floor**2:
+            break
+        powers.append(cur)
+    return powers
+
+
+def _split(Tw: np.ndarray, Kw: np.ndarray, tols: Tolerances, Aw: np.ndarray = None) -> tuple:
+    """(H_w, U_w, powers): the Wold split of a block A by T, given the
+    kernel K of T on A, all in whitened coordinates (A the whole space
+    when ``Aw`` is None, else spanned by the orthonormal columns Aw).
+
+    By the Wold-type theorem the shift block is the orbit H = [K]_T and
+    the unitary block is A ⊖ H.  The orbit is spanned by the stacked
+    powers V = [K_w, T_w K_w, ...] of :func:`_powers`; on the model M_z of
+    a Dirichlet-type space their Gram is I plus a positive semidefinite
+    Dirichlet part, so the powers the truncation keeps have
+    sigma_min(V) >= 1 and the ones it annihilated are at rounding.  One
+    complete column-pivoted QR of V in the coordinates of A
+    (:func:`woldlab.operators._pivoted_qr`) cuts the rank at
+    :func:`_numerical_rank` of |diag R|: its leading columns are H and
+    its trailing ones A ⊖ H.  Both are views of one Q; the powers, in
+    ambient whitened coordinates, serve the wandering residual and the
+    measure.
+    """
+    powers = _powers(Tw, Kw, tols)
+    V = np.hstack(powers)
+    if Aw is None:
+        Q, r = _pivoted_qr(V, tols)
+    else:
+        Q, r = _pivoted_qr(Aw.conj().T @ V, tols)
+        Q = Aw @ Q
+    return Q[:, :r], Q[:, r:], powers
+
+
 @dataclass(frozen=True, eq=False)
 class Certificate:
     """What the pipeline needs of one 2-isometry T, computed once.
 
-    The defect and E = ker T* are built with the certificate; the orbit
-    [E]_T, the defect form F = T^H G T - G and the left inverse L on first
-    use.  The orbit is grown once in whitened coordinates
-    (:func:`_whitened_orbit`): ``orbit_w`` keeps that basis, read-only, for
-    the decompositions, and ``orbit`` is it unwhitened.  The whitened
-    operator T_w = L^H T L^{-H} is memoized on T itself
-    (``OperatorModel.whitened``).  E is Gram-orthonormal, so its readers
-    take the projection onto it in the coordinates of E:
-    ||P y||^2 = ||E^H G y||^2, and no projector is built.  By the Wold-type
-    theorem H = H0 ⊕ [E]_T, T is analytic exactly when the orbit fills the
-    space.  T is held weakly, so the memo on T (see :func:`certify`) is
-    freed with it.  The decompositions certify only the operators they are
-    given, never a restriction.
+    The defect and E = ker T* are built with the certificate; the Wold
+    split, the defect form F = T^H G T - G and the left inverse L on first
+    use.  ``split`` is the split of the whole space by T (:func:`_split`
+    with K = E): (H1_w, H0_w, powers), the orbit [E]_T and its complement
+    as whitened bases, views of one Q, and the powers T_w^n E_w, all
+    read-only, for the decompositions and the analyticity check.
+    ``orbit`` is H1_w unwhitened.  The whitened operator
+    T_w = L^H T L^{-H} is memoized on T itself (``OperatorModel.whitened``).
+    E is Gram-orthonormal, so its readers take the projection onto it in
+    the coordinates of E: ||P y||^2 = ||E^H G y||^2, and no projector is
+    built.  By the Wold-type theorem H = H0 ⊕ [E]_T, T is analytic exactly
+    when the orbit fills the space.  T is held weakly, so the memo on T
+    (see :func:`certify`) is freed with it.  The decompositions certify
+    only the operators they are given, never a restriction.
     """
 
     defect: float
@@ -130,16 +179,17 @@ class Certificate:
     op: weakref.ref
 
     @cached_property
-    def orbit_w(self) -> np.ndarray:
+    def split(self) -> tuple:
         T = self.op()
-        basis = _whitened_orbit([T.whitened], T.dom.whiten(self.E.basis), self.tols)
-        basis.flags.writeable = False
-        return basis
+        H1w, H0w, powers = _split(T.whitened, T.dom.whiten(self.E.basis), self.tols)
+        for X in (H1w, H0w, *powers):
+            X.flags.writeable = False
+        return H1w, H0w, powers
 
     @cached_property
     def orbit(self) -> Subspace:
         amb = self.E.ambient
-        return Subspace(amb, amb.unwhiten(self.orbit_w), self.tols)
+        return Subspace(amb, amb.unwhiten(self.split[0]), self.tols)
 
     @cached_property
     def F(self) -> np.ndarray:
@@ -152,7 +202,7 @@ class Certificate:
         return left_inverse(self.op(), tols=self.tols).matrix
 
     def require_analytic(self) -> "Certificate":
-        if self.orbit.dim != self.E.ambient.dim_total:
+        if self.split[0].shape[1] != self.E.ambient.dim_total:
             raise AssumptionError(
                 "operator is not analytic: the orbit of ker T* is not the whole space"
             )
@@ -179,24 +229,6 @@ def certify(T: OperatorModel, tols: Tolerances = DEFAULTS) -> Certificate:
 # ---------------------------------------------------------------------------
 # measure extraction from orbit moments
 # ---------------------------------------------------------------------------
-
-def _powers(Tw: np.ndarray, Kw: np.ndarray, tols: Tolerances) -> list:
-    """[K_w, T_w K_w, T_w^2 K_w, ...] in whitened coordinates, up to the
-    last power the truncation has not annihilated: the loop stops at the
-    first power whose Frobenius norm is at most ``tols.rank_floor``.  By
-    Weyl's bound such a block moves no singular value of the stacked
-    powers past the rank cut, so it adds no direction the cut keeps; T is
-    expansive, so only a power the truncation annihilated gets that
-    small."""
-    powers = [Kw]
-    cur = Kw
-    for _ in range(Kw.shape[0] + 1):
-        cur = Tw @ cur
-        if np.vdot(cur, cur).real <= tols.rank_floor**2:
-            break
-        powers.append(cur)
-    return powers
-
 
 def _cluster_angles(angles: np.ndarray, tol: float):
     """Group indices of nearby angles, merging across the 2*pi seam."""
@@ -324,12 +356,12 @@ def extract_measure(T: OperatorModel, tols: Tolerances = DEFAULTS) -> CircleMeas
     Analyticity is certified by the orbit of the wandering subspace
     E = ker T* filling the space (see :class:`Certificate`).  The measure
     is read from the orbit moments of E under T_w
-    (:func:`_orbit_measure`): atoms plus a constant density c I, and for a
-    non-scalar density atoms whose moments are exact to the depth of the
-    moment table.
+    (:func:`_orbit_measure`), the powers the certificate's split holds:
+    atoms plus a constant density c I, and for a non-scalar density atoms
+    whose moments are exact to the depth of the moment table.
     """
     cert = certify(T, tols).require_analytic()
-    return _orbit_measure(_powers(T.whitened, T.dom.whiten(cert.E.basis), tols), tols)
+    return _orbit_measure(cert.split[2], tols)
 
 
 # ---------------------------------------------------------------------------
@@ -549,16 +581,17 @@ def wold_single(T: OperatorModel, tols: Tolerances = DEFAULTS,
     invariance and the unitarity of T on it, which together force it into
     the stable range; H1 by its invariance and the wandering property.
     All are read from the whitened blocks and T_w
-    (:func:`_block_residuals`); no restricted operator is built.  E and H1
-    are read from the :class:`Certificate` of T, H1 also as the whitened
-    basis it was grown in, so H1 is never whitened again.  The powers
-    T_w^n E_w give both the wandering residual and the classifying measure
-    of the analytic part (:func:`_orbit_measure`), so it is not certified.
+    (:func:`_block_residuals`); no restricted operator is built.  E and
+    the split are read from the :class:`Certificate` of T: H1, H0 and the
+    powers T_w^n E_w come from one pivoted QR of those powers
+    (:func:`_split`), so no block is whitened again.  The powers give both
+    the wandering residual and the classifying measure of the analytic
+    part (:func:`_orbit_measure`), so it is not certified.
     """
     cert = certify(T, tols)
     amb = T.dom
-    E, H1, H1w = cert.E, cert.orbit, cert.orbit_w
-    H0w = _complement_within(H1w)
+    E, H1 = cert.E, cert.orbit
+    H1w, H0w, powers = cert.split
     H0 = Subspace(amb, amb.unwhiten(H0w), tols)
     ortho, complete, leaks, unitarity = _block_residuals(
         {"H0": H0w, "H1": H1w}, {"T": T.whitened}, [("H0", "T")])
@@ -572,7 +605,6 @@ def wold_single(T: OperatorModel, tols: Tolerances = DEFAULTS,
     # wandering property: <T^n w, w'> = 0 for n >= 1, until the truncation
     # has annihilated T^n E; in whitened coordinates the pairing is
     # E_w^H T_w^n E_w
-    powers = _powers(T.whitened, amb.whiten(E.basis), tols)
     Ewh = powers[0].conj().T
     cross = [Ewh @ P for P in powers[1:]]
     residuals["wandering"] = (float(np.max(np.linalg.norm(np.stack(cross), 2, axis=(1, 2))))
@@ -756,10 +788,12 @@ def wold_pair(T1: OperatorModel, T2: OperatorModel, tols: Tolerances = DEFAULTS,
         K11 = P_A1 E2,  H11 = [K11]_T2,  H10 = A1 ⊖ H11,
         K01 = P_A0 E2,  H01 = [K01]_T2,  H00 = A0 ⊖ H01.
 
-    That is three orbits, A1 read from the :class:`Certificate` of T1.
-    Each K is a thin projection of E2 with its rank cut, each ⊖ a complete
-    QR in the coordinates of A1 or A0, and everything runs in whitened
-    coordinates until the blocks are unwhitened.  How far K11 and K01 leak
+    That is three splits (:func:`_split`), each one pivoted QR of the
+    stacked powers of its kernel: A1 and A0 are read from the split of the
+    :class:`Certificate` of T1, and A1 and A0 are split by T2 in their own
+    coordinates.  Each K is a thin projection of E2 with its rank cut, and
+    everything runs in whitened coordinates until the blocks are
+    unwhitened.  How far K11 and K01 leak
     out of E2 is the residual ``E2_leak``: zero when the blocks of T1
     reduce T2.
 
@@ -775,8 +809,8 @@ def wold_pair(T1: OperatorModel, T2: OperatorModel, tols: Tolerances = DEFAULTS,
     compressed to the joint kernel E = E1 ∩ E2) are extracted.  Each is
     read from the orbit moments of a kernel under an ambient whitened
     operator (:func:`_orbit_measure`): nu1 from P_H10 E1 under T1, nu2
-    from K01 under T2, and eta1, eta2 from E under T1 and T2.  No
-    restriction is certified.
+    from K01 under T2 (the powers that split A0), and eta1, eta2 from E
+    under T1 and T2.  No restriction is certified.
     """
     amb = T1.dom
     if T2.dom.dim_total != amb.dim_total:
@@ -796,14 +830,12 @@ def wold_pair(T1: OperatorModel, T2: OperatorModel, tols: Tolerances = DEFAULTS,
     T1w, T2w = T1.whitened, T2.whitened
     E1, E2 = cert1.E, cert2.E
     E = subspace_intersect(E1, E2, tols)
-    A1w = cert1.orbit_w
-    A0w = _complement_within(A1w)
+    A1w, A0w, _ = cert1.split
     E1w, E2w = amb.whiten(E1.basis), amb.whiten(E2.basis)
     K11w, leak11 = _kernel_part(A1w, E2w, tols)
     K01w, leak01 = _kernel_part(A0w, E2w, tols)
-    H11w = _whitened_orbit([T2w], K11w, tols)
-    H01w = _whitened_orbit([T2w], K01w, tols)
-    H10w, H00w = _complement_within(H11w, A1w), _complement_within(H01w, A0w)
+    H11w, H10w, _ = _split(T2w, K11w, tols, A1w)
+    H01w, H00w, powers01 = _split(T2w, K01w, tols, A0w)
     blocks_w = {"H00": H00w, "H10": H10w, "H01": H01w, "H11": H11w}
     blocks = {name: Subspace(amb, amb.unwhiten(Bw), tols) for name, Bw in blocks_w.items()}
 
@@ -836,7 +868,8 @@ def wold_pair(T1: OperatorModel, T2: OperatorModel, tols: Tolerances = DEFAULTS,
             f"(dims {tuple(S.dim for S in blocks.values())} vs {amb.dim_total})"
         )
 
-    # each measure's kernel and operator, in ambient whitened coordinates
+    # each measure's kernel and operator, in ambient whitened coordinates;
+    # nu2 reads the powers of K01 that split A0
     Ew = amb.whiten(E.basis)
     kernels = {
         "nu1": (T1w, _kernel_part(H10w, E1w, tols)[0]),
@@ -844,8 +877,8 @@ def wold_pair(T1: OperatorModel, T2: OperatorModel, tols: Tolerances = DEFAULTS,
         "eta1": (T1w, Ew),
         "eta2": (T2w, Ew),
     }
-    measures = {name: _orbit_measure(_powers(Tw, Kw, tols), tols) if extract
-                else CircleMeasure.zero(Kw.shape[1])
+    measures = {name: _orbit_measure(powers01 if name == "nu2" else _powers(Tw, Kw, tols), tols)
+                if extract else CircleMeasure.zero(Kw.shape[1])
                 for name, (Tw, Kw) in kernels.items()}
 
     return QuadrupleDecomposition(**blocks, measures=measures, residuals=residuals)

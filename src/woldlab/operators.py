@@ -54,7 +54,9 @@ def _euclidean_span(X: np.ndarray, tols: Tolerances) -> np.ndarray:
 
 
 def _numerical_rank(s: np.ndarray, tols: Tolerances) -> int:
-    """Number of the descending singular values ``s`` above the rank cut."""
+    """Number of the values ``s`` above the rank cut, read relative to
+    ``s[0]``: descending singular values, or the diagonal magnitudes
+    |R_ii| of a column-pivoted QR, which do not increase."""
     if s.size == 0:
         return 0
     return int(np.sum(s > _rank_cut(s[0], tols)))
@@ -66,16 +68,29 @@ def _rank_cut(top: float, tols: Tolerances) -> float:
     return max(tols.rank_rtol * top, tols.rank_floor)
 
 
-def _robust_svd(W: np.ndarray, full_matrices: bool = False):
-    """Left singular vectors and values; falls back to the slower QR-based
-    LAPACK driver when divide-and-conquer fails to converge.  With
-    ``full_matrices`` the left factor is square, so its trailing columns
-    span the orthogonal complement of the range of W."""
+def _robust_svd(W: np.ndarray):
+    """Thin left singular vectors and values; falls back to the slower
+    QR-based LAPACK driver when divide-and-conquer fails to converge."""
     try:
-        U, s, _ = np.linalg.svd(W, full_matrices=full_matrices)
+        U, s, _ = np.linalg.svd(W, full_matrices=False)
     except np.linalg.LinAlgError:
-        U, s, _ = sla.svd(W, full_matrices=full_matrices, lapack_driver="gesvd")
+        U, s, _ = sla.svd(W, full_matrices=False, lapack_driver="gesvd")
     return U, s
+
+
+def _pivoted_qr(V: np.ndarray, tols: Tolerances) -> tuple:
+    """(Q, r): the complete Q factor of a column-pivoted QR of V
+    (Businger-Golub) and the numerical rank r of V, read from |diag R| by
+    :func:`_numerical_rank`.  Q[:, :r] spans the range of V and Q[:, r:]
+    its orthogonal complement.  Pivoting puts the largest remaining column
+    first at every step, so |R_11| is the largest column norm and the
+    diagonal does not increase; a V with no rows or no columns has rank 0
+    and Q = I."""
+    n = V.shape[0]
+    if V.size == 0:
+        return np.eye(n, dtype=complex), 0
+    Q, R, _ = sla.qr(V, mode="full", pivoting=True)
+    return Q, _numerical_rank(np.abs(np.diagonal(R)), tols)
 
 
 # ---------------------------------------------------------------------------
@@ -175,26 +190,21 @@ def subspace_intersect(A: Subspace, B: Subspace, tols: Tolerances = DEFAULTS) ->
 
 
 def orthocomplement(S: Subspace, tols: Tolerances = DEFAULTS) -> Subspace:
-    """Gram-orthogonal complement of S, from :func:`_complement_within` of
-    its whitened basis; unwhitened, the complement is Gram-orthonormal.
+    """Gram-orthogonal complement of S: the trailing columns of the
+    complete QR factor of its whitened basis, with no QR when S is trivial
+    or the whole space; unwhitened, the complement is Gram-orthonormal.
     No rank decision is taken: it has dimension D - dim S.
     """
     amb = S.ambient
-    return Subspace(amb, amb.unwhiten(_complement_within(amb.whiten(S.basis))), tols)
-
-
-def _complement_within(Hw: np.ndarray, Aw: np.ndarray = None) -> np.ndarray:
-    """A ⊖ H for H inside A (the whole space when ``Aw`` is None), both
-    given by orthonormal bases in whitened coordinates: the trailing
-    columns of the complete QR factor of H's coordinates in A, with no
-    QR when H is trivial or all of A."""
-    n, k = (Hw.shape[0] if Aw is None else Aw.shape[1]), Hw.shape[1]
+    Bw = amb.whiten(S.basis)
+    n, k = Bw.shape
     if k == 0:
-        return np.eye(n, dtype=complex) if Aw is None else Aw
-    if k == n:
-        return Hw[:, :0]
-    Q, _ = np.linalg.qr(Hw if Aw is None else Aw.conj().T @ Hw, mode="complete")
-    return Q[:, k:] if Aw is None else Aw @ Q[:, k:]
+        Cw = np.eye(n, dtype=complex)
+    elif k == n:
+        Cw = Bw[:, :0]
+    else:
+        Cw = np.linalg.qr(Bw, mode="complete")[0][:, k:]
+    return Subspace(amb, amb.unwhiten(Cw), tols)
 
 
 # ---------------------------------------------------------------------------
@@ -535,14 +545,16 @@ def left_inverse(T: OperatorModel, tols: Tolerances = DEFAULTS) -> OperatorModel
 def wandering_subspace(T: OperatorModel, tols: Tolerances = DEFAULTS) -> Subspace:
     """E = ker T* = ran(T)-perp, the wandering subspace of T.
 
-    One full SVD of the whitened matrix L^H T: its left singular vectors
-    past k, the rank cut of :func:`orthonormal_columns`, unwhiten to a
-    Gram-orthonormal basis of E (the leading k span ran T).  It does not
-    depend on any safe-core choice.
+    One complete column-pivoted QR of the whitened matrix L^H T
+    (:func:`_pivoted_qr`): its Q columns past the rank k, cut at
+    :func:`_numerical_rank` of |diag R|, unwhiten to a Gram-orthonormal
+    basis of E (the leading k span ran T).  No SVD is taken, and T is not
+    whitened on its domain side.  It does not depend on any safe-core
+    choice.
     """
     sp = T.codom
-    U, s = _robust_svd(sp.whiten(T.matrix), full_matrices=True)
-    return Subspace(sp, sp.unwhiten(U[:, _numerical_rank(s, tols):]), tols)
+    Q, k = _pivoted_qr(sp.whiten(T.matrix), tols)
+    return Subspace(sp, sp.unwhiten(Q[:, k:]), tols)
 
 
 def checked_projector(E: Subspace, tols: Tolerances = DEFAULTS) -> tuple:

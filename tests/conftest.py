@@ -29,7 +29,7 @@ class FactorizationLog(list):
 
 #: the factorizations counted: every eigensolver, SVD and QR the package calls
 FACTORIZATIONS = ((np.linalg, ("svd", "eigh", "eigvalsh", "qr")),
-                  (sla, ("svd", "schur", "null_space")))
+                  (sla, ("svd", "qr", "schur", "null_space")))
 
 
 @pytest.fixture

@@ -447,6 +447,18 @@ def eps_powers(Tw, Kw):
     return powers
 
 
+# The kernel of T* as the pipeline read it before it took one pivoted QR:
+# a full SVD.  tests/test_dense_passes.py compares the two.
+
+
+def svd_wandering_subspace(T, tols=wl.DEFAULTS):
+    """``wandering_subspace`` from one full SVD of the whitened L^H T: its
+    left singular vectors past the rank cut of the singular values."""
+    sp = T.codom
+    U, s, _ = np.linalg.svd(sp.whiten(T.matrix))
+    return wl.Subspace(sp, sp.unwhiten(U[:, _numerical_rank(s, tols):]), tols)
+
+
 # The construction of the four pair blocks that ``wold_pair`` used before it
 # split by T1 and then by T2: five orbits, three full complements, two
 # principal-angle intersections and one rank-revealing SVD of the union of

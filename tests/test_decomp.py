@@ -475,14 +475,16 @@ def test_two_variable_series_stop_at_the_degree_of_x(rng, series_lengths):
     assert series_lengths == [(1, 5), (5, 25)]
 
 
-def install_short_kernel(T):
-    """Replace the certificate of T by one whose E misses the first
-    direction of ker T*.  It keeps the true orbit, so T still reads as
+def install_short_kernel(T, X):
+    """Replace the certificate of T by one whose E misses the direction of
+    ker T* that the columns X reach most: the leading left singular
+    vector of E^H G X.  It keeps the true split, so T still reads as
     analytic."""
     true = wl.certify(T)
-    short = decomp.Certificate(true.defect, wl.Subspace(T.dom, true.E.basis[:, 1:]),
+    U, _, _ = np.linalg.svd(true.E.coords(X))
+    short = decomp.Certificate(true.defect, wl.Subspace(T.dom, true.E.basis @ U[:, 1:]),
                                true.tols, weakref.ref(T))
-    vars(short)["orbit"] = true.orbit
+    vars(short)["split"] = true.split
     T.certificates[wl.DEFAULTS] = short
 
 
@@ -492,7 +494,7 @@ def test_a_kernel_missing_a_direction_breaks_the_norm_identity(rng):
     x = random_core_vector(T, rng)
     x /= T.dom.norm(x)
     assert wl.check_norm_identity(T, x) < 1e-12
-    install_short_kernel(T)
+    install_short_kernel(T, T.core_subspace(4).basis)
     assert wl.check_norm_identity(T, x) > 1e-4
 
 
@@ -502,7 +504,7 @@ def test_a_kernel_missing_a_direction_breaks_the_two_variable_identity(rng):
     x = core.basis @ (rng.standard_normal(core.dim) + 1j * rng.standard_normal(core.dim))
     x /= T1.dom.norm(x)
     assert wl.check_two_variable_identity(T1, T2, x) < 1e-12
-    install_short_kernel(T2)
+    install_short_kernel(T2, core.basis)
     assert wl.certify(T2).E.dim == T2.dom.caps[0]
     assert wl.check_two_variable_identity(T1, T2, x) > 1e-4
 
@@ -891,12 +893,16 @@ def test_wold_pair_certifies_each_operator_once(wandering_calls):
 
 
 # Dense factorizations with both dimensions at least D / 2, pinned per
-# decomposition.  Each E = ker T* takes one full SVD, an orbit no closing
-# SVD, a complement one complete QR (none when it is trivial or everything),
-# and a restriction to the whole space no core SVD.  wold_pair splits by T1
-# and then by T2: no union SVD, and its complements are taken in the
-# coordinates of the blocks of T1.  Each measure is read from orbit moments,
-# so no restriction is certified and no defect operator is diagonalized.
+# decomposition, and for a pair also every counted factorization of any
+# size.  Each E = ker T* takes one complete pivoted QR, and each Wold split
+# one more: a pivoted QR of the stacked powers of its kernel gives the
+# orbit and its complement together, where the orbit took one thin SVD
+# per pass of more than one column and the complement a complete QR.
+# wold_pair splits by T1 and then by T2 inside A1 and A0: no union SVD.
+# A split whose orbit fills its block, or is empty, still costs its one
+# QR, so the large count of the coordinate pair rises from 5 to 7 while
+# its total falls.  Each measure is read from orbit moments, so no
+# restriction is certified and no defect operator is diagonalized.
 
 
 def test_wold_single_dense_factorization_count(dense_factorizations):
@@ -930,15 +936,20 @@ def test_wold_pair_dense_factorization_count_on_a_four_block_pair(dense_factoriz
     # 12 with the defect-space fits on certified restrictions, 12 on the
     # five-orbit route too, 17 before the cuts
     assert dense_factorizations.large(T1.dom.dim_total) == 7
+    # 51 with a thin SVD per orbit pass and a QR per complement
+    assert len(dense_factorizations) == 40
 
 
 def test_wold_pair_dense_factorization_count_on_a_coordinate_pair(dense_factorizations):
     T1, T2 = _analytic_pair(caps=10)
     dense_factorizations.clear()
     wl.wold_pair(T1, T2)
-    # 9 with the defect-space fits on certified restrictions, 11 on the
-    # five-orbit route, 20 before the cuts
-    assert dense_factorizations.large(T1.dom.dim_total) == 5
+    # 5 with orbit passes and complements (A0 and H10 are trivial, so no
+    # complement took a QR), 9 with the defect-space fits on certified
+    # restrictions, 11 on the five-orbit route, 20 before the cuts
+    assert dense_factorizations.large(T1.dom.dim_total) == 7
+    # 45 with a thin SVD per orbit pass and a QR per complement
+    assert len(dense_factorizations) == 27
 
 
 def test_wold_pair_builds_its_joint_core_once(monkeypatch):
@@ -971,7 +982,7 @@ def test_scaled_tolerances_get_their_own_certificate(wandering_calls):
     cert = wl.certify(T)
     assert wl.certify(T) is cert
     # the orbit, F, L and the memo T_w on T are built on first use only
-    assert not {"orbit", "F", "L"} & set(vars(cert))
+    assert not {"split", "orbit", "F", "L"} & set(vars(cert))
     assert "whitened" not in vars(T)
     loose = wl.DEFAULTS.scaled(10)
     assert wl.certify(T, loose) is not cert
@@ -1012,7 +1023,7 @@ def test_certificate_is_freed_with_its_operator():
     try:
         wl.check_norm_identity(T, x)
         cert = weakref.ref(T.certificates[wl.DEFAULTS])
-        assert {"orbit", "F", "L"} <= set(vars(cert()))
+        assert {"split", "F", "L"} <= set(vars(cert()))
         del T
         assert cert() is None
     finally:

@@ -14,7 +14,11 @@ decompositions read their block residuals and the doubly-commuting check
 from whitened bases and T_w, where they built restricted operators and
 Gram adjoints.  An orbit pass of one column is normalized by its norm,
 where it took an SVD, and the powers of a kernel stop at the rank floor,
-where they ran D + 1.  ``tests/reference.py`` keeps the older routes, and
+where they ran D + 1.  Each Wold split, the shift block and its
+complement, comes from one pivoted QR of the stacked powers of its
+kernel, where the orbit took a pass loop and the complement a QR, and
+ker T* from one pivoted QR, where it took a full SVD.
+``tests/reference.py`` keeps the older routes, and
 ``restrict_operator`` and ``adjoint`` stay public; on the same inputs both
 must give the same subspaces, residuals and measures, to rounding.
 """
@@ -32,7 +36,7 @@ from woldlab.operators import (
     range_complement_projection,
     restrict_operator,
 )
-from woldlab.space import coordinate_shift_matrix
+from woldlab.space import EuclideanSpace, coordinate_shift_matrix
 
 from conftest import assert_same_moments
 from reference import (
@@ -49,6 +53,7 @@ from reference import (
     projector_norm_identity,
     projector_two_variable_identity,
     svd_step_orbit,
+    svd_wandering_subspace,
     two_svd_kernel,
 )
 
@@ -225,16 +230,20 @@ def test_wold_pair_matches_the_five_orbit_route(name):
 
 def test_wold_pair_grows_three_orbits(monkeypatch):
     calls = []
-    real = decomp._whitened_orbit
+    real = decomp._split
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counted(Tw, Kw, tols, Aw=None):
+        calls.append((Tw, Aw))
+        return real(Tw, Kw, tols, Aw)
 
-    monkeypatch.setattr(decomp, "_whitened_orbit", counted)
-    wl.wold_pair(*scrambled_four_block_pair())
-    # [E1]_T1, [K11]_T2 and [K01]_T2; the five-orbit route grew five
+    monkeypatch.setattr(decomp, "_split", counted)
+    T1, T2 = scrambled_four_block_pair()
+    wl.wold_pair(T1, T2)
+    # [E1]_T1 in the whole space (the certificate of T1), then [K11]_T2 in
+    # A1 and [K01]_T2 in A0; the five-orbit route grew five orbits
     assert len(calls) == 3
+    assert [Tw is T.whitened for (Tw, _), T in zip(calls, (T1, T2, T2))] == [True] * 3
+    assert [Aw is None for _, Aw in calls] == [True, False, False]
 
 
 @pytest.fixture
@@ -316,18 +325,28 @@ def four_block_pair_of_dimension_108():
 
 
 def test_powers_stop_at_the_rank_floor_with_the_same_measures(monkeypatch):
-    kernels = []
-    real = decomp._powers
+    # every kernel whose powers wold_pair takes: the orbit kernels of its
+    # three splits and the measure kernels, whose powers reach
+    # _orbit_measure (K01 is both)
+    kernels, measured = [], []
+    real, real_measure = decomp._powers, decomp._orbit_measure
 
     def recorded(Tw, Kw, tols):
-        kernels.append((Tw, Kw))
-        return real(Tw, Kw, tols)
+        powers = real(Tw, Kw, tols)
+        kernels.append((Tw, Kw, powers))
+        return powers
+
+    def measure_recorded(powers, tols):
+        measured.append(powers)
+        return real_measure(powers, tols)
 
     monkeypatch.setattr(decomp, "_powers", recorded)
+    monkeypatch.setattr(decomp, "_orbit_measure", measure_recorded)
     T1, T2 = four_block_pair_of_dimension_108()
     assert T1.dom.dim_total == 108
     wl.wold_pair(T1, T2)
     monkeypatch.undo()
+    assert len(kernels) == 6 and len(measured) == 4
     depths = []
     checked = decomp._checked_moments
 
@@ -337,14 +356,22 @@ def test_powers_stop_at_the_rank_floor_with_the_same_measures(monkeypatch):
 
     monkeypatch.setattr(decomp, "_checked_moments", depth_recorded)
     longest = 0
-    for Tw, Kw in kernels:
+    for Tw, Kw, powers in kernels:
         got, ref = decomp._powers(Tw, Kw, wl.DEFAULTS), eps_powers(Tw, Kw)
         longest = max(longest, len(got))
         # the older stop runs every power the truncation allows
         assert len(ref) == 110 or Kw.shape[1] == 0
         # the powers left out add no direction past the rank cut
         s = np.linalg.svd(np.hstack(ref), compute_uv=False)
-        assert decomp._numerical_rank(s, wl.DEFAULTS) == sum(P.shape[1] for P in got)
+        rank = decomp._numerical_rank(s, wl.DEFAULTS)
+        if not any(powers is P for P in measured):
+            # an orbit kernel's powers may die unevenly (E1 under T1: the
+            # H11 part of E1 dies before its H10 part), so its dead columns
+            # are kept to the stop and cut by the split
+            got_s = np.linalg.svd(np.hstack(got), compute_uv=False)
+            assert decomp._numerical_rank(got_s, wl.DEFAULTS) == rank
+            continue
+        assert rank == sum(P.shape[1] for P in got)
         depths.clear()
         mu, mu_ref = decomp._orbit_measure(got, wl.DEFAULTS), decomp._orbit_measure(ref, wl.DEFAULTS)
         if Kw.shape[1]:
@@ -352,6 +379,96 @@ def test_powers_stop_at_the_rank_floor_with_the_same_measures(monkeypatch):
             assert K == K_ref
             assert_same_moments(mu, mu_ref, K, 1e-13)
     assert longest <= 17
+
+
+# -- one pivoted QR per Wold split and per ker T* ----------------------------
+# The split of a block by T is the orbit of its kernel and the complement,
+# from one column-pivoted QR of the kernel's stacked powers; ker T* is the
+# trailing Q columns of a pivoted QR of L^H T.  Both give the subspaces of
+# the orbit pass loop, the complete-QR complement and the full SVD, and
+# each cut keeps a direction at twice its threshold and drops one at half.
+
+SPLIT_TOL = 1e-12
+
+
+def check_whole_space_split(T):
+    """The certificate's E against the SVD route, and its split of the
+    whole space against span_orbit and orthocomplement of that E."""
+    amb, cert = T.dom, wl.certify(T)
+    whiten = amb.whiten
+    assert_same_span(whiten(cert.E.basis), whiten(svd_wandering_subspace(T).basis), SPLIT_TOL)
+    H1w, H0w, powers = cert.split
+    orbit = span_orbit(T, cert.E)
+    assert_same_span(H1w, whiten(orbit.basis), SPLIT_TOL)
+    assert_same_span(H0w, whiten(orthocomplement(orbit).basis), SPLIT_TOL)
+    assert powers[0].shape[1] == cert.E.dim
+    return cert
+
+
+@pytest.mark.parametrize("d, caps", [(1, 16), (1, 32), (1, 64), (1, 96), (2, 12)])
+def test_split_and_kernel_match_the_orbit_and_svd_routes(d, caps):
+    mu = wl.random_atomic_measure(d, 3, seed=caps, density_scale=0.4)
+    T = wl.make_single_wold_instance(2, mu, caps, seed=caps, scramble_seed=caps + 1).operators[0]
+    cert = check_whole_space_split(T)
+    assert cert.split[0].shape[1] == (caps + 1) * d
+
+
+def test_pair_splits_match_the_orbit_route():
+    for T in PAIRS["coordinate pair, caps 10"]():
+        check_whole_space_split(T)
+    T1, T2 = four_block_pair_of_dimension_108()
+    cert1 = check_whole_space_split(T1)
+    A1w, A0w, powers = cert1.split
+    # the powers of E1 under T1 die unevenly: the part of E1 in H11 is
+    # annihilated before the part in H10, so the stacked powers have more
+    # columns than rank
+    assert sum(P.shape[1] for P in powers) > A1w.shape[1]
+    # the splits of A1 and A0 by T2 against the orbit pass loop, with the
+    # complement read from the projectors
+    T2w, E2w = whitened_operator_and_kernel(T2)
+    for Aw in (A1w, A0w):
+        Kw, _ = decomp._kernel_part(Aw, E2w, wl.DEFAULTS)
+        Hw, Uw, _ = decomp._split(T2w, Kw, wl.DEFAULTS, Aw)
+        ref = decomp._whitened_orbit([T2w], Kw, wl.DEFAULTS)
+        assert_same_span(Hw, ref, SPLIT_TOL)
+        assert Uw.shape[1] == Aw.shape[1] - ref.shape[1]
+        ref_U = Aw @ Aw.conj().T - ref @ ref.conj().T
+        assert np.linalg.norm(Uw @ Uw.conj().T - ref_U, 2) <= SPLIT_TOL
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_a_split_is_cut_at_the_rank_cut(factor):
+    # K = c w0 and T_w = w0 w0^H / 2 + (factor cut / c) w1 w0^H in a random
+    # orthonormal frame: every power of K is large, and past the pivot K
+    # the powers leave the residual factor * cut along w1, the cut being
+    # the one the largest power, K, sets
+    c, W = 10.0, wl.random_unitary(5, 7)
+    cut = operators._rank_cut(c, wl.DEFAULTS)
+    Tw = 0.5 * W[:, :1] @ W[:, :1].conj().T + (factor * cut / c) * W[:, 1:2] @ W[:, :1].conj().T
+    Hw, Uw, powers = decomp._split(Tw, c * W[:, :1], wl.DEFAULTS)
+    assert len(powers) > 2
+    r = 1 if factor < 1 else 2
+    assert Hw.shape[1] == r == decomp._whitened_orbit([Tw], W[:, :1], wl.DEFAULTS).shape[1]
+    # a direction resolved at the cut carries rounding of order eps c / cut
+    assert_same_span(Hw, W[:, :r], 1e-6)
+    # the complement is the rest of one unitary Q
+    Q = np.hstack([Hw, Uw])
+    assert np.linalg.norm(Q.conj().T @ Q - np.eye(5), 2) < 1e-14
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_a_kernel_is_cut_at_the_rank_cut(factor):
+    # T maps the unit vectors onto 10 w0, 10 w1, 10 w2, factor * cut * w3
+    # and 0, the cut being the one the largest column sets: ker T* keeps
+    # w3 exactly when the cut drops it, as on the SVD route
+    W = wl.random_unitary(5, 8)
+    cut = operators._rank_cut(10.0, wl.DEFAULTS)
+    sp = EuclideanSpace(5)
+    T = wl.OperatorModel(sp, sp, W * np.array([10.0, 10.0, 10.0, factor * cut, 0.0]))
+    E = operators.wandering_subspace(T)
+    k = 3 if factor < 1 else 4
+    assert E.dim == 5 - k == svd_wandering_subspace(T).dim
+    assert_same_span(E.basis, W[:, k:], 1e-6)
 
 
 # -- block residuals and the doubly-commuting check in whitened coordinates --
