@@ -12,6 +12,7 @@ from .measures import (
     CircleMeasure,
     conjugate,
     fourier_coefficient,
+    fourier_coefficients,
     is_positive,
     poisson_integral,
 )

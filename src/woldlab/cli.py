@@ -37,7 +37,7 @@ from .decomp import (
 )
 from .errors import WoldLabError
 from .instances import Instance, InstanceSpec
-from .measures import fourier_coefficient
+from .measures import fourier_coefficients
 from .operators import doubly_commuting_residual, joint_core, two_isometry_defect
 
 
@@ -101,11 +101,9 @@ def _task_round_trip(inst: Instance, params, tols):
     cmp = measures_equal_up_to_unitary(truth[0], result.extracted, K=K, tols=tols)
     # compare after the alignment the comparison found: extracted = U^H truth U
     U = cmp.unitary if cmp.equal else np.eye(result.extracted.dim)
-    err = 0.0
-    for n in range(-K, K + 1):
-        aligned = U.conj().T @ fourier_coefficient(truth[0], n) @ U
-        diff = aligned - fourier_coefficient(result.extracted, n)
-        err = max(err, float(np.max(np.abs(diff))) if diff.size else 0.0)
+    aligned = U.conj().T @ fourier_coefficients(truth[0], K) @ U
+    diff = aligned - fourier_coefficients(result.extracted, K)
+    err = float(np.max(np.abs(diff))) if diff.size else 0.0
     report = {"measure_match": bool(cmp.equal), "fourier_error": err,
               "dim_H0": result.H0.dim, "detail": cmp.detail}
     return report, err if cmp.equal else float("inf")

@@ -181,18 +181,20 @@ def fourier_coefficient(mu: CircleMeasure, n: int) -> np.ndarray:
 def fourier_coefficients(mu: CircleMeasure, K: int) -> np.ndarray:
     """Stacked coefficients mu_hat(n) for n = -K..K, shape (2K + 1, d, d).
 
-    The values of :func:`fourier_coefficient`, from one product of the
-    phases exp(-i n theta_j) with the stacked atom weights.
+    The one Fourier table of the package, filled for all degrees at once.
+    It starts from the density at n = 0 and adds exp(-i n theta_j) W_j
+    over the whole degree array n = 0..K, one atom at a time in the atoms'
+    order: the expression and the order of :func:`fourier_coefficient`, so
+    every entry with n >= 0 equals its value bit for bit.  The negative
+    lags are mirrored as mu_hat(-n) = mu_hat(n)^H.
     """
-    n = np.arange(-K, K + 1)
-    d = mu.dim
-    if mu.atoms:
-        angles = np.array([theta for theta, _ in mu.atoms])
-        weights = np.stack([W for _, W in mu.atoms])
-        table = np.tensordot(np.exp(-1j * np.outer(n, angles)), weights, axes=1)
-    else:
-        table = np.zeros((n.size, d, d), dtype=complex)
-    table[K] += mu.density
+    n = np.arange(K + 1)[:, None, None]
+    table = np.zeros((2 * K + 1, mu.dim, mu.dim), dtype=complex)
+    pos = table[K:]  # a view: mu_hat(0..K)
+    pos[0] = mu.density
+    for theta, W in mu.atoms:
+        pos += np.exp(-1j * n * theta) * W
+    table[:K] = pos[:0:-1].conj().transpose(0, 2, 1)
     return table
 
 

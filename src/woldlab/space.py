@@ -21,7 +21,7 @@ from .config import DEFAULTS, Tolerances
 from .errors import AssumptionError
 from .measures import (
     CircleMeasure,
-    fourier_coefficient,
+    fourier_coefficients,
     require_positive,
     weights_commute,
 )
@@ -180,21 +180,16 @@ class GradedPolySpace(HilbertSpace):
         return np.arange(self.dim_total).reshape(N1 + 1, N2 + 1, self.dim)
 
 
-def _fourier_block_table(mu: CircleMeasure, N: int) -> np.ndarray:
-    """Table F[s + N] = mu_hat(s) for s in [-N, N], shape (2N+1, d, d)."""
-    d = mu.dim
-    tab = np.empty((2 * N + 1, d, d), dtype=complex)
-    for s in range(N + 1):
-        c = fourier_coefficient(mu, s)
-        tab[s + N] = c
-        tab[-s + N] = c.conj().T
-    return tab
-
-
 def _weighted_table(mu: CircleMeasure, N: int) -> np.ndarray:
-    """One-variable factor A[r, c] = (r ^ c) mu_hat(r - c), shape (N+1, N+1, d, d)."""
-    r, c = np.meshgrid(np.arange(N + 1), np.arange(N + 1), indexing="ij")
-    return np.minimum(r, c)[:, :, None, None] * _fourier_block_table(mu, N)[(r - c) + N]
+    """One-variable factor A[r, c] = (r ^ c) mu_hat(r - c), shape (N+1, N+1, d, d).
+
+    The lags r - c index the table of :func:`fourier_coefficients`,
+    filled once for all degrees 0..N atom by atom, and the weights r ^ c
+    are one outer minimum: no loop over the degrees.
+    """
+    deg = np.arange(N + 1)
+    lags = np.subtract.outer(deg, deg) + N
+    return np.minimum.outer(deg, deg)[:, :, None, None] * fourier_coefficients(mu, N)[lags]
 
 
 def build_space(mu1: CircleMeasure, mu2: CircleMeasure, N1: int, N2: int,
@@ -208,7 +203,8 @@ def build_space(mu1: CircleMeasure, mu2: CircleMeasure, N1: int, N2: int,
     The Gram matrix is the expansion of (I + A1) (x) (I + A2) of the two
     one-variable factors A_i = (r ^ c) mu_i_hat(r - c): the Hardy block
     I, A1 on the diagonal of the second degree, A2 on the diagonal of the
-    first degree, and the mixed block A2 A1.
+    first degree, and the mixed block A2 A1.  Each factor reads one
+    Fourier table of its measure, :func:`fourier_coefficients`.
     """
     if mu1.dim != mu2.dim:
         raise AssumptionError("measures must share the coefficient dimension")

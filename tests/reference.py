@@ -30,14 +30,17 @@ def subspace_sum(A, B, tols=wl.DEFAULTS):
     return wl.Subspace.from_columns(A.ambient, np.hstack([A.basis, B.basis]), tols)
 
 
-def fourier_table(mu, K):
-    """All coefficients mu_hat(n) for ``|n| <= K``, keyed by n."""
-    coeffs = {}
-    for n in range(K + 1):
-        c = wl.fourier_coefficient(mu, n)
-        coeffs[n] = c
-        coeffs[-n] = c.conj().T
-    return coeffs
+def loop_fourier_block_table(mu, N):
+    """Table F[s + N] = mu_hat(s) for s in [-N, N], shape (2N+1, d, d),
+    one ``fourier_coefficient`` call per degree and the negative lags
+    mirrored; ``fourier_coefficients`` must reproduce it bit for bit."""
+    d = mu.dim
+    tab = np.empty((2 * N + 1, d, d), dtype=complex)
+    for s in range(N + 1):
+        c = wl.fourier_coefficient(mu, s)
+        tab[s + N] = c
+        tab[-s + N] = c.conj().T
+    return tab
 
 
 def gram_block(mu1, mu2, m, n, p, q):
@@ -144,9 +147,7 @@ def loop_gram(mu1, mu2, N1, N2):
     """
     d = mu1.dim
     D = (N1 + 1) * (N2 + 1) * d
-    tab1, tab2 = fourier_table(mu1, N1), fourier_table(mu2, N2)
-    F1 = np.array([tab1[s] for s in range(-N1, N1 + 1)]).reshape(2 * N1 + 1, d, d)
-    F2 = np.array([tab2[s] for s in range(-N2, N2 + 1)]).reshape(2 * N2 + 1, d, d)
+    F1, F2 = loop_fourier_block_table(mu1, N1), loop_fourier_block_table(mu2, N2)
 
     def blank():
         return np.zeros((N1 + 1, N2 + 1, d, N1 + 1, N2 + 1, d), dtype=complex)

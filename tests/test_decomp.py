@@ -776,6 +776,21 @@ def test_wold_single_is_invariant_under_scrambling(seed, k, n_atoms, density, ca
     assert_same_measures(a.extracted, b.extracted)
 
 
+@settings(max_examples=4)
+@given(seed=st.integers(0, 2**20), k=st.integers(0, 2), n_atoms=st.integers(1, 3),
+       caps=st.integers(6, 10))
+def test_wold_single_is_invariant_under_scrambling_at_d2(seed, k, n_atoms, caps):
+    # at d = 2 the coefficients are invariants only up to one unitary, so the
+    # two scrambles, and the truth, are compared by the unitary verdict alone
+    mu = wl.random_atomic_measure(2, n_atoms, seed=seed)
+    a, b = (wl.wold_single(wl.make_single_wold_instance(k, mu, caps, seed=seed,
+                                                        scramble_seed=s).operators[0])
+            for s in (seed + 1, seed + 2))
+    assert (a.H0.dim, a.H1.dim) == (b.H0.dim, b.H1.dim) == (k, 2 * (caps + 1))
+    assert wl.measures_equal_up_to_unitary(a.extracted, b.extracted).equal is True
+    assert wl.measures_equal_up_to_unitary(mu, a.extracted).equal is True
+
+
 @settings(max_examples=3)
 @given(seed=st.integers(0, 2**20), k00=st.integers(0, 2))
 def test_wold_pair_is_invariant_under_scrambling(seed, k00):

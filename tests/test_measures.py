@@ -4,11 +4,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import woldlab as wl
+from woldlab.instances import random_psd
 from woldlab.measures import fourier_coefficients, require_positive, weights_commute
 
 from conftest import scalar_atoms
+from reference import loop_fourier_block_table
 
 
 def test_fourier_lebesgue_only_constant_mode():
@@ -48,6 +51,25 @@ def test_fourier_table_matches_each_coefficient(mu):
     assert table.shape == (2 * K + 1, mu.dim, mu.dim)
     for n in range(-K, K + 1):
         np.testing.assert_allclose(table[n + K], wl.fourier_coefficient(mu, n), atol=1e-14)
+
+
+@settings(max_examples=40)
+@given(d=st.integers(1, 3), n_atoms=st.integers(0, 5), density=st.booleans(),
+       K=st.integers(0, 100), seed=st.integers(0, 2**20))
+def test_fourier_table_is_the_loop_bit_for_bit(d, n_atoms, density, K, seed):
+    # the table is filled atom by atom over all degrees, in the order of
+    # fourier_coefficient, so it must equal the per-degree loop exactly, not
+    # only to rounding; the weights have no shared eigenbasis
+    mu = wl.random_atomic_measure(d, n_atoms, seed)
+    if density:
+        mu = replace(mu, density=random_psd(d, np.random.default_rng(seed), scale=0.5))
+    table = fourier_coefficients(mu, K)
+    assert table.shape == (2 * K + 1, d, d)
+    assert np.array_equal(table, loop_fourier_block_table(mu, K))
+    for n in range(K + 1):
+        assert np.array_equal(table[K + n], wl.fourier_coefficient(mu, n))
+    # mu_hat(-n) = mu_hat(n)^H exactly, the centre included
+    assert np.array_equal(table[K::-1], table[K:].conj().transpose(0, 2, 1))
 
 
 def test_poisson_lebesgue_is_one(rng):
