@@ -22,10 +22,11 @@ import numpy as np
 import scipy.linalg as sla
 
 from ._blas import one_blas_thread
-from .config import DEFAULTS, Tolerances
+from .config import DEFAULT_CORE_MARGIN, DEFAULTS, Tolerances
 from .errors import AssumptionError, ConvergenceError
 from .measures import CircleMeasure, fourier_coefficients
 from .operators import (
+    IndexCore,
     OperatorModel,
     Subspace,
     _defect_form,
@@ -43,7 +44,7 @@ from .operators import (
     unitarity_residual,
     wandering_subspace,
 )
-from .space import GradedPolySpace, PolyVector
+from .space import GradedPolySpace, PolyVector, coordinate_shift_matrix, factor_spaces
 
 
 def _as_flat(x) -> np.ndarray:
@@ -769,6 +770,73 @@ def _kernel_part(Aw: np.ndarray, Ew: np.ndarray, tols: Tolerances) -> tuple:
     return Kw, _norm2(Kw - Ew @ (Ew.conj().T @ Kw))
 
 
+def _coordinate_pair_space(T1: OperatorModel, T2: OperatorModel) -> Optional[GradedPolySpace]:
+    """The space of a d = 1 coordinate pair (M_z ⊗ I, I ⊗ M_z), or None.
+
+    The pair is recognized from what it is, not from how it was built:
+    both operators act on one :class:`GradedPolySpace` with d = 1 and both
+    caps at least 1, their matrices equal the coordinate shifts of that
+    space entry for entry, and their safe cores at the default margin are
+    its graded index cores of variables 1 and 2.
+    """
+    space = T1.dom
+    if not (isinstance(space, GradedPolySpace) and space.dim == 1 and min(space.caps) >= 1
+            and T1.codom is space and T2.dom is space and T2.codom is space):
+        return None
+    for var, T in ((1, T1), (2, T2)):
+        core = T.core()
+        if not (np.array_equal(T.matrix, coordinate_shift_matrix(space, var))
+                and isinstance(core, IndexCore) and core.transform is None
+                and core.frame is space
+                and np.array_equal(core.index, space.core_indices(DEFAULT_CORE_MARGIN, var))):
+            return None
+    return space
+
+
+def _product_pair(space: GradedPolySpace, tols: Tolerances,
+                  extract: bool) -> QuadrupleDecomposition:
+    """:func:`wold_pair` of the d = 1 coordinate pair of ``space``, one
+    factor at a time: :func:`wold_single` on M_z over each factor space
+    (:func:`woldlab.space.factor_spaces`).  A truncated M_z is nilpotent,
+    so a factor with a unitary block is a fault.  :func:`wold_pair` says
+    what the blocks, measures and residuals are.
+    """
+    singles = []
+    for factor in factor_spaces(space):
+        single = wold_single(OperatorModel(factor, factor, coordinate_shift_matrix(factor, 1)),
+                             tols, extract)
+        if single.H0.dim:
+            raise ConvergenceError(
+                f"a truncated M_z has a unitary block of dimension {single.H0.dim}"
+            )
+        singles.append(single)
+    w1, w2 = singles
+    r1, r2 = w1.residuals, w2.residuals
+    trivial = Subspace.trivial(space)
+    H11 = Subspace(space, np.kron(w1.H1.basis, w2.H1.basis), tols)
+    c1, c2 = r1["completeness"], r2["completeness"]
+    residuals = {
+        "defect_1": r1["two_isometry_defect"], "defect_2": r2["two_isometry_defect"],
+        "commuting": 0.0, "star_commuting": 0.0,
+        "orthogonality": max(r1["orthogonality"], r2["orthogonality"]),
+        "completeness": c1 + c2 + c1 * c2,
+        "dimension_deficit": float(space.dim_total - H11.dim),
+        "invariance": max(r1["H1_invariance"], r2["H1_invariance"]),
+        **{f"unitarity_{b}_{o}": 0.0 for b, o in QuadrupleDecomposition.UNITARY},
+        "kernel_reducing": 0.0, "E2_leak": 0.0,
+    }
+    worst = max(residuals[k] for k in QuadrupleDecomposition.GATED)
+    if H11.dim != space.dim_total or worst > tols.decomposition:
+        raise ConvergenceError(
+            f"pair decomposition residual {worst:.3e} above tolerance "
+            f"(dims (0, 0, 0, {H11.dim}) vs {space.dim_total})"
+        )
+    measures = {"nu1": CircleMeasure.zero(0), "nu2": CircleMeasure.zero(0),
+                "eta1": w1.extracted, "eta2": w2.extracted}
+    return QuadrupleDecomposition(H00=trivial, H10=trivial, H01=trivial, H11=H11,
+                                  measures=measures, residuals=residuals)
+
+
 @one_blas_thread
 def wold_pair(T1: OperatorModel, T2: OperatorModel, tols: Tolerances = DEFAULTS,
               extract: bool = True) -> QuadrupleDecomposition:
@@ -811,10 +879,37 @@ def wold_pair(T1: OperatorModel, T2: OperatorModel, tols: Tolerances = DEFAULTS,
     operator (:func:`_orbit_measure`): nu1 from P_H10 E1 under T1, nu2
     from K01 under T2 (the powers that split A0), and eta1, eta2 from E
     under T1 and T2.  No restriction is certified.
+
+    A d = 1 coordinate pair takes a product route instead
+    (:func:`_product_pair`).  The route is chosen from the input alone
+    (:func:`_coordinate_pair_space`): one graded space with d = 1 and both
+    caps at least 1, matrices equal to its coordinate shifts, and the
+    graded cores of variables 1 and 2.  The space is D(mu1) ⊗ D(mu2) and
+    the pair is (M_z ⊗ I, I ⊗ M_z), so the decomposition is the product of
+    two :func:`wold_single` calls on M_z over the factor spaces, at
+    N_i + 1 rows, and no factorization has D rows.  H11 is spanned by the
+    Kronecker product of the factor orbits and is still gated as a
+    :class:`Subspace` against the assembled Gram; the other blocks are
+    trivial, nu1 and nu2 are zero of dimension 0, and eta1, eta2 are the
+    factors' measures.  Its residuals are read from the factors:
+    ``defect_i`` is the defect of factor i, equal to the dense one in
+    exact arithmetic because the var-i core is a product set;
+    ``completeness`` is c1 + c2 + c1 c2, an upper bound on
+    ||Q^H Q - I|| for Q = Q1 ⊗ Q2; ``orthogonality`` and ``invariance``
+    are the larger of the factors' values; the unitarity entries are 0,
+    their blocks being empty, as on the dense route.  Four are exact
+    zeros: M_z ⊗ I and I ⊗ M_z commute and doubly commute exactly
+    (``commuting``, ``star_commuting``), and ker(M_z* ⊗ I) =
+    ker M_z* ⊗ C^{N2+1} reduces I ⊗ M_z exactly, and likewise with the
+    variables exchanged (``kernel_reducing``, ``E2_leak``).  Every other
+    pair, scrambled, a direct sum or d > 1, takes the dense route.
     """
     amb = T1.dom
     if T2.dom.dim_total != amb.dim_total:
         raise ValueError("operators act on different spaces")
+    space = _coordinate_pair_space(T1, T2)
+    if space is not None:
+        return _product_pair(space, tols, extract)
     cert1, cert2 = certify(T1, tols), certify(T2, tols)
     core = joint_core(T1, T2, None, tols)
     c1, c2 = doubly_commuting_residual(T1, T2, tols=tols, core=core)

@@ -43,7 +43,10 @@ def _clamp_small_negatives(W: np.ndarray, tol_psd: float) -> np.ndarray:
     if lam.size and lam.min() >= 0:
         return W
     clamped = np.where((lam < 0) & (lam >= -tol_psd), 0.0, lam)
-    return (V * clamped) @ V.conj().T
+    W = (V * clamped) @ V.conj().T
+    # the product is Hermitian only to rounding; its Hermitian part is
+    # Hermitian exactly, because floating-point addition commutes
+    return (W + W.conj().T) / 2
 
 
 class PositivityReport(NamedTuple):

@@ -226,6 +226,17 @@ def build_space(mu1: CircleMeasure, mu2: CircleMeasure, N1: int, N2: int,
     return space
 
 
+def factor_spaces(space: GradedPolySpace) -> tuple:
+    """The two one-variable factors of ``space`` as caps-(N1, 0) and
+    caps-(N2, 0) spaces, built from ``space.factors``: a zero second
+    factor adds exact zeros, so their Grams are exactly I + A1 and I + A2.
+    For d = 1 the Gram of ``space`` is the expansion of their Kronecker
+    product (see :func:`build_space`), equal to it to rounding."""
+    A1, A2 = space.factors
+    zero = np.zeros((1, 1, space.dim, space.dim), dtype=complex)
+    return GradedPolySpace(A1, zero), GradedPolySpace(A2, zero)
+
+
 def build_space_1v(mu: CircleMeasure, N: int) -> GradedPolySpace:
     """One-variable space as the degenerate caps (N, 0) bidisc space."""
     return build_space(mu, CircleMeasure.zero(mu.dim), N, 0)

@@ -804,6 +804,60 @@ def test_wold_pair_is_invariant_under_scrambling(seed, k00):
         assert_same_measures(a.measures[name], b.measures[name])
 
 
+# A d = 1 coordinate pair is decomposed one factor at a time; its scrambled
+# twin is the same pair in another basis and takes the dense route.
+
+
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2**20), caps=st.tuples(st.integers(2, 8), st.integers(2, 8)),
+       n_atoms=st.integers(1, 2))
+def test_the_product_route_matches_the_dense_route_on_the_scrambled_twin(seed, caps, n_atoms):
+    pair = wl.build_pair_2v(*wl.random_measure_pair(1, n_atoms, seed=seed), *caps)
+    twin, _ = wl.scramble(pair, seed)
+    assert decomp._coordinate_pair_space(*pair) is pair[0].dom
+    assert decomp._coordinate_pair_space(*twin) is None
+    product, dense = wl.wold_pair(*pair), wl.wold_pair(*twin)
+    D = pair[0].dom.dim_total
+    assert product.block_dims() == dense.block_dims() == (0, 0, 0, D)
+    assert list(product.residuals) == list(dense.residuals)
+    for name in ("eta1", "eta2"):
+        assert_same_moments(product.measures[name], dense.measures[name])
+    for quad in (product, dense):
+        assert max(quad.residuals.values()) <= wl.DEFAULTS.decomposition
+
+
+def _with_core(T, margin_shift):
+    return wl.OperatorModel(T.dom, T.dom, T.matrix, core_fn=lambda m: T.core(m + margin_shift))
+
+
+NOT_PRODUCTS = {
+    "d = 2": lambda: wl.build_pair_2v(*wl.random_measure_pair(2, 2, seed=3), 4, 4),
+    "a cap of 0": lambda: wl.build_pair_2v(*wl.random_measure_pair(1, 2, seed=3), 6, 0),
+    "swapped": lambda: _analytic_pair(caps=6)[::-1],
+    "another core": lambda: (_with_core(_analytic_pair(caps=6)[0], 1), _analytic_pair(caps=6)[1]),
+    "direct sum": lambda: wl.direct_sum([wl.commuting_unitary_pair(2, 4), _analytic_pair(caps=4)]),
+}
+
+
+@pytest.mark.parametrize("name", list(NOT_PRODUCTS))
+def test_only_a_d1_coordinate_pair_takes_the_product_route(name):
+    assert decomp._coordinate_pair_space(*NOT_PRODUCTS[name]()) is None
+
+
+def test_the_product_route_rejects_a_factor_with_a_unitary_block(monkeypatch):
+    # a truncated M_z is nilpotent, so a factor H0 can only come from a fault
+    real = decomp.wold_single
+
+    def with_h0(T, tols, extract):
+        single = real(T, tols, extract)
+        single.H0 = single.H1
+        return single
+
+    monkeypatch.setattr(decomp, "wold_single", with_h0)
+    with pytest.raises(wl.ConvergenceError, match="unitary block"):
+        wl.wold_pair(*_analytic_pair(caps=4))
+
+
 def block_sum(a, b):
     """The d = 2 measure a ⊕ b of two scalar measures."""
     atoms = [(t, np.diag([W[0, 0], 0])) for t, W in a.atoms]
@@ -915,9 +969,12 @@ def test_wold_pair_certifies_each_operator_once(wandering_calls):
 # per pass of more than one column and the complement a complete QR.
 # wold_pair splits by T1 and then by T2 inside A1 and A0: no union SVD.
 # A split whose orbit fills its block, or is empty, still costs its one
-# QR, so the large count of the coordinate pair rises from 5 to 7 while
-# its total falls.  Each measure is read from orbit moments, so no
-# restriction is certified and no defect operator is diagonalized.
+# QR, so the large count of a dense coordinate pair rises from 5 to 7
+# while its total falls.  Each measure is read from orbit moments, so no
+# restriction is certified and no defect operator is diagonalized.  A
+# d = 1 coordinate pair is decomposed one factor at a time, by two
+# wold_single calls on M_z at N_i + 1 rows: no factorization has D rows,
+# and its scrambled twin keeps the dense count.
 
 
 def test_wold_single_dense_factorization_count(dense_factorizations):
@@ -957,13 +1014,26 @@ def test_wold_pair_dense_factorization_count_on_a_four_block_pair(dense_factoriz
 
 def test_wold_pair_dense_factorization_count_on_a_coordinate_pair(dense_factorizations):
     T1, T2 = _analytic_pair(caps=10)
+    D = T1.dom.dim_total
     dense_factorizations.clear()
     wl.wold_pair(T1, T2)
-    # 5 with orbit passes and complements (A0 and H10 are trivial, so no
-    # complement took a QR), 9 with the defect-space fits on certified
-    # restrictions, 11 on the five-orbit route, 20 before the cuts
+    # 7 on the dense route (5 with orbit passes and complements, 9 with the
+    # defect-space fits on certified restrictions, 11 on the five-orbit
+    # route, 20 before the cuts); the product route factors 11 x 11 blocks
+    assert dense_factorizations.large(D) == 0
+    assert max(max(shape) for shape in dense_factorizations) == 11
+    # 27 on the dense route, 45 with a thin SVD per orbit pass and a QR per
+    # complement; here 11 for each factor's wold_single
+    assert len(dense_factorizations) == 22
+
+
+def test_wold_pair_dense_factorization_count_on_a_scrambled_coordinate_pair(
+        dense_factorizations):
+    (T1, T2), _ = wl.scramble(_analytic_pair(caps=10), 11)
+    dense_factorizations.clear()
+    wl.wold_pair(T1, T2)
+    # the scrambled twin is not seen as a product and takes the dense route
     assert dense_factorizations.large(T1.dom.dim_total) == 7
-    # 45 with a thin SVD per orbit pass and a QR per complement
     assert len(dense_factorizations) == 27
 
 

@@ -127,6 +127,21 @@ def test_small_negative_eigenvalues_are_clamped():
     assert mu.atoms[0][1][0, 0] == 0.0
 
 
+def test_clamped_weights_are_exactly_hermitian():
+    # a rank-1 weight v v^H has a zero eigenvalue that the eigensolver
+    # returns as a rounding-sized negative about half the time, so the
+    # weight is rebuilt from its clamped eigendecomposition
+    rng = np.random.default_rng(24)
+    clamped = 0
+    for _ in range(200):
+        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        W = np.outer(v, v.conj())
+        clamped += bool(np.linalg.eigvalsh(W).min() < 0)
+        weight = wl.CircleMeasure(dim=2, atoms=((1.0, W),)).atoms[0][1]
+        assert np.array_equal(weight, weight.conj().T)
+    assert clamped >= 20
+
+
 @pytest.mark.parametrize("w", [0.7, -1e-11, -1e-3],
                          ids=["positive", "inside-clamp-window", "below-clamp-window"])
 def test_scalar_weight_skips_the_eigensolver(w):
