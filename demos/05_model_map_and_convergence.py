@@ -22,9 +22,7 @@ print(f"  isometry residual     {V.info['isometry']:.2e}")
 print(f"  intertwining residual {max(V.info['intertwine_1'], V.info['intertwine_2']):.2e}")
 
 # orbit vectors map to single monomials
-_, E1 = wl.wandering_projection(T1)
-_, E2 = wl.wandering_projection(T2)
-E = wl.subspace_intersect(E1, E2)
+E = wl.subspace_intersect(wl.certify(T1).E, wl.certify(T2).E)
 a = E.basis[:, 0]
 x = np.linalg.matrix_power(T1.matrix, 3) @ np.linalg.matrix_power(T2.matrix, 2) @ a
 image = wl.PolyVector.from_flat(target.caps, target.dim, V.matrix @ x)

@@ -28,17 +28,13 @@ from .space import (
 from .operators import (
     OperatorModel,
     Subspace,
-    adjoint,
     defect_operator,
     doubly_commuting_residual,
     left_inverse,
     operator_norm,
-    orthocomplement,
-    restrict_operator,
     subspace_intersect,
     two_isometry_defect,
     unitarity_residual,
-    wandering_projection,
 )
 from .decomp import (
     Certificate,
@@ -51,7 +47,6 @@ from .decomp import (
     extract_measure,
     measures_equal_up_to_unitary,
     slocinski,
-    span_orbit,
     wold_pair,
     wold_single,
 )

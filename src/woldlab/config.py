@@ -38,8 +38,6 @@ class Tolerances:
     #: subspace intersection keeps principal angles whose cosine is above
     #: 1 - this (eigenvalues of P_A + P_B above 2 - this)
     intersection: float = 1e-8
-    #: a wandering projection P must satisfy P = P^2 = P* to within this
-    projection_law: float = 1e-8
     #: a subspace basis B must satisfy B^H G B = I entrywise to within this
     orthonormal: float = 1e-8
     #: left inverses reject condition numbers above this

@@ -57,56 +57,6 @@ def _as_flat(x) -> np.ndarray:
 # orbit closure and the certificate of one operator
 # ---------------------------------------------------------------------------
 
-@one_blas_thread
-def span_orbit(ops, S: Subspace, tols: Tolerances = DEFAULTS) -> Subspace:
-    """Smallest subspace that contains S and is invariant under ``ops``.
-
-    ``ops`` is one operator or a list of them, e.g. the joint orbit
-    [E]_{T1,T2} of a joint kernel.  The orbit is grown by
-    :func:`_whitened_orbit` from the whitened operators (each one's memo
-    ``whitened``) and the whitened S; its basis is unwhitened once at the
-    end, with no closing orthonormalization, and the Gram-orthonormality
-    gate of :class:`Subspace` checks it.  The decompositions do not call
-    it: every shift block they build is the orbit of a kernel under one
-    operator, split off by :func:`_split`.
-    """
-    ops = [ops] if isinstance(ops, OperatorModel) else list(ops)
-    amb = S.ambient
-    basis = _whitened_orbit([op.whitened for op in ops], amb.whiten(S.basis), tols)
-    return Subspace(amb, amb.unwhiten(basis), tols)
-
-
-@one_blas_thread
-def _whitened_orbit(Tw: list, Sw: np.ndarray, tols: Tolerances) -> np.ndarray:
-    """Orthonormal basis of the orbit of span(Sw) under the whitened
-    operators ``Tw``, in whitened coordinates, where the Gram inner product
-    is Euclidean; Sw has orthonormal columns and stays the leading ones.
-
-    Each pass applies every operator to the directions the last pass
-    added, projects the images off the basis twice (one Gram-Schmidt pass
-    loses orthogonality in proportion to the cancellation, a second
-    restores it to rounding) and keeps their rank-revealed part, cut as
-    :func:`orthonormal_columns` cuts (a single image column is normalized
-    by its norm, with no SVD).  The loop ends when a pass adds nothing or
-    the basis fills the space, so it needs no iteration cap.  The basis
-    grows in one D x D buffer.
-    """
-    D = Sw.shape[0]
-    basis = np.empty((D, D), dtype=complex)
-    start, end = 0, Sw.shape[1]
-    basis[:, :end] = Sw
-    while start < end < D:
-        images = np.hstack([T @ basis[:, start:end] for T in Tw])
-        B = basis[:, :end]
-        for _ in range(2):
-            # B^H images, conjugating the thin images rather than B
-            images -= B @ (B.T @ images.conj()).conj()
-        new = _euclidean_span(images, tols)
-        start, end = end, end + new.shape[1]
-        basis[:, start:end] = new
-    return basis[:, :end]
-
-
 def _powers(Tw: np.ndarray, Kw: np.ndarray, tols: Tolerances) -> list:
     """[K_w, T_w K_w, T_w^2 K_w, ...] in whitened coordinates, up to the
     last power the truncation has not annihilated: the loop stops at the
@@ -314,8 +264,8 @@ def _orbit_measure(powers: list, tols: Tolerances) -> CircleMeasure:
             f"moment shift isometry fit residual {lsq:.3e} exceeds tolerance; caps too small"
         )
     if q < R.shape[0]:
-        # send the directions no v_j reaches onto the orthocomplement of the
-        # image, matching SVD order (deterministic)
+        # send the directions no v_j reaches onto the orthogonal
+        # complement of the image, matching SVD order (deterministic)
         dom_extra = sla.null_space(Ux[:, :q].conj().T)
         img_extra = sla.null_space((Ut @ Ux[:, :q]).conj().T)
         m = min(dom_extra.shape[1], img_extra.shape[1])
@@ -865,8 +815,8 @@ def wold_pair(T1: OperatorModel, T2: OperatorModel, tols: Tolerances = DEFAULTS,
     out of E2 is the residual ``E2_leak``: zero when the blocks of T1
     reduce T2.
 
-    Every check reads the whitened operators T_w, where T* is T_w^H, so no
-    adjoint and no restricted operator is built.  The pair must doubly
+    Every check reads the whitened operators T_w, where T* is T_w^H, so
+    neither T* nor a restricted operator is built.  The pair must doubly
     commute on its joint core (:func:`doubly_commuting_residual`).  The
     blocks' orthogonality, completeness, invariance and the unitarity that
     each block requires (which with invariance certifies H00) are read
@@ -944,7 +894,7 @@ def wold_pair(T1: OperatorModel, T2: OperatorModel, tols: Tolerances = DEFAULTS,
         residuals[f"unitarity_{bname}_{oname}"] = unitarity[bname, oname]
 
     # kernel-reducing checks: ker T_i* is invariant under T_j and T_j*.
-    # The adjoint is only trustworthy on the safe core, so test kernel
+    # T* is only trustworthy on the safe core, so test kernel
     # vectors inside the joint core and measure the leak out of the kernel.
     lemma_a = 0.0
     for Ei, Eiw, Tjw in ((E1, E1w, T2w), (E2, E2w, T1w)):

@@ -1,8 +1,8 @@
 """Gram-aware operator calculus on finite truncations.
 
 Operators are plain matrices acting on coefficient vectors, but every
-norm, adjoint, projection and rank decision is taken in the geometry of
-the ambient Gram matrix.  Identity checks on graded truncations are
+norm, T*, projection and rank decision is taken in the geometry of the
+ambient Gram matrix.  Identity checks on graded truncations are
 restricted to a *safe core* of bidegrees a few steps below the caps: the
 truncation corrupts only the action near the top degrees, and all
 structural statements hold exactly (to rounding) on the core.
@@ -17,7 +17,7 @@ import scipy.linalg as sla
 
 from .config import DEFAULTS, DEFAULT_CORE_MARGIN, Tolerances
 from .errors import AssumptionError, ConvergenceError
-from .space import EuclideanSpace, GradedPolySpace, HilbertSpace
+from .space import GradedPolySpace, HilbertSpace
 
 
 # ---------------------------------------------------------------------------
@@ -133,15 +133,6 @@ class Subspace:
         """Matrix of the Gram-orthogonal projection onto the subspace."""
         return self.basis @ (self.basis.conj().T @ self.ambient.gram)
 
-    def coords(self, X: np.ndarray) -> np.ndarray:
-        """Coordinates of (projections of) ambient vectors in this basis."""
-        return self.basis.conj().T @ (self.ambient.gram @ X)
-
-    def as_space(self) -> EuclideanSpace:
-        """The subspace as a standalone space; the basis is orthonormal, so
-        the restricted gram is the identity."""
-        return EuclideanSpace(self.dim)
-
     def distance(self, other: "Subspace") -> float:
         """Spectral-norm distance of the two Gram-orthogonal projectors."""
         L = self.ambient.chol
@@ -187,24 +178,6 @@ def subspace_intersect(A: Subspace, B: Subspace, tols: Tolerances = DEFAULTS) ->
     amb = A.ambient
     U, s, V = _principal_pairs(A.basis, B.basis, amb.gram, tols)
     return Subspace(amb, (A.basis @ U + B.basis @ V) / np.sqrt(2 * (1 + s)), tols)
-
-
-def orthocomplement(S: Subspace, tols: Tolerances = DEFAULTS) -> Subspace:
-    """Gram-orthogonal complement of S: the trailing columns of the
-    complete QR factor of its whitened basis, with no QR when S is trivial
-    or the whole space; unwhitened, the complement is Gram-orthonormal.
-    No rank decision is taken: it has dimension D - dim S.
-    """
-    amb = S.ambient
-    Bw = amb.whiten(S.basis)
-    n, k = Bw.shape
-    if k == 0:
-        Cw = np.eye(n, dtype=complex)
-    elif k == n:
-        Cw = Bw[:, :0]
-    else:
-        Cw = np.linalg.qr(Bw, mode="complete")[0][:, k:]
-    return Subspace(amb, amb.unwhiten(Cw), tols)
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +344,8 @@ class OperatorModel:
         untruncated counterpart exactly, as a :class:`Core` or as a matrix
         whose columns span it (a coordinate core when each column has one
         nonzero entry).  Graded shifts install an index core here;
-        direct sums, scrambles and restrictions propagate it.  ``None``
-        means the coordinate core of a graded domain, else the whole
-        domain.
+        direct sums and scrambles propagate it.  ``None`` means the
+        coordinate core of a graded domain, else the whole domain.
 
     The matrix is a read-only copy, so the certificates that
     :func:`woldlab.decomp.certify` memoizes in ``certificates`` and the
@@ -447,19 +419,6 @@ def operator_norm(A: OperatorModel, domain: Subspace) -> float:
     return _norm2(A.codom.whiten(A.matrix @ domain.basis))
 
 
-def adjoint(A: OperatorModel) -> OperatorModel:
-    """Gram adjoint A* = G_dom^{-1} A^H G_codom.
-
-    Satisfies <Ax, y> = <x, A*y> for truncation vectors; on graded spaces
-    it reproduces the untruncated adjoint only on the safe core.
-    """
-    Ldom = A.dom.chol
-    rhs = A.matrix.conj().T @ A.codom.gram
-    Y = sla.solve_triangular(Ldom, rhs, lower=True)
-    mat = sla.solve_triangular(Ldom.conj().T, Y, lower=False)
-    return OperatorModel(A.codom, A.dom, mat)
-
-
 # ---------------------------------------------------------------------------
 # 2-isometry checkers
 # ---------------------------------------------------------------------------
@@ -487,7 +446,7 @@ def two_isometry_defect(T: OperatorModel, tols: Tolerances = DEFAULTS) -> float:
     """Operator norm of T*^2 T^2 - 2 T*T + I compressed to the safe core.
 
     The form is T^H F T - F with F = T^H G T - G, a pairing of Gram
-    pairings <T^k x, T^k y>, so no truncated adjoint enters; for graded
+    pairings <T^k x, T^k y>, so no truncated T* enters; for graded
     model shifts the value is zero to rounding because the min-degree
     weights telescope.
     """
@@ -504,7 +463,7 @@ def doubly_commuting_residual(T1: OperatorModel, T2: OperatorModel,
     Both are read in whitened coordinates, where T* is T_w^H: with C_w the
     whitened core basis, the norms of (T1_w T2_w - T2_w T1_w) C_w and
     (T1_w^H T2_w - T2_w T1_w^H) C_w, applied to C_w one factor at a time,
-    so no adjoint and no D x D product is formed.  A caller that already
+    so neither T* nor a D x D product is formed.  A caller that already
     holds the joint core passes it in as ``core``.
     """
     if T1.dom.dim_total != T2.dom.dim_total:
@@ -557,42 +516,12 @@ def wandering_subspace(T: OperatorModel, tols: Tolerances = DEFAULTS) -> Subspac
     return Subspace(sp, sp.unwhiten(Q[:, k:]), tols)
 
 
-def checked_projector(E: Subspace, tols: Tolerances = DEFAULTS) -> tuple:
-    """(P, idempotency, hermiticity): P = E E^H G, the Gram-orthogonal
-    projection onto E, once its laws P = P* = P^2 (Gram adjoint) hold
-    within ``tols.projection_law``; ``AssumptionError`` otherwise."""
-    Pm = E.projector()
-    G = E.ambient.gram
-    idem = np.max(np.abs(Pm @ Pm - Pm)) if Pm.size else 0.0
-    herm = np.max(np.abs(G @ Pm - Pm.conj().T @ G)) if Pm.size else 0.0
-    # the largest entry of G is at most its spectral norm, so this scale
-    # never loosens the gate, and it needs no SVD
-    scale = max(1.0, float(np.max(np.abs(G))))
-    if max(idem, herm / scale) > tols.projection_law:
-        raise AssumptionError(
-            f"wandering projection failed its laws (idem {idem:.2e}, herm {herm:.2e})"
-        )
-    return Pm, float(idem), float(herm)
-
-
 def range_complement_projection(T: OperatorModel, tols: Tolerances = DEFAULTS) -> tuple:
     """(P matrix, E): Gram projection onto ker T* = ran(T)-perp, with range,
-    from :func:`wandering_subspace`; P = E E^H G is Gram self-adjoint and
-    idempotent up to rounding."""
+    from :func:`wandering_subspace`; P = E E^H G satisfies G P = P^H G and
+    P^2 = P up to rounding."""
     E = wandering_subspace(T, tols)
     return E.projector(), E
-
-
-def wandering_projection(T: OperatorModel, tols: Tolerances = DEFAULTS) -> tuple:
-    """(P, E): Gram-orthogonal projection onto ker T* and its range.
-
-    The projection laws are verified before returning
-    (:func:`checked_projector`).
-    """
-    E = wandering_subspace(T, tols)
-    Pm, idem, herm = checked_projector(E, tols)
-    P = OperatorModel(T.dom, T.dom, Pm, info={"idempotency": idem, "hermiticity": herm})
-    return P, E
 
 
 def _psd_rank_mask(lam: np.ndarray, tols: Tolerances) -> np.ndarray:
@@ -642,47 +571,6 @@ def defect_operator(T: OperatorModel, tols: Tolerances = DEFAULTS) -> tuple:
     Dspace = Subspace(T.dom, B @ V[:, keep], tols)
     D = OperatorModel(T.dom, T.dom, Dmat, info={"rank": int(keep.sum())})
     return D, Dspace
-
-
-def restrict_operator(T: OperatorModel, S: Subspace, tols: Tolerances = DEFAULTS) -> OperatorModel:
-    """Compression of T to an invariant subspace, in basis coordinates.
-
-    The restricted space carries the identity gram (the basis is
-    orthonormal).  The safe core of the restriction is the ambient core
-    intersected with the subspace: in S coordinates it is spanned by the
-    right principal vectors V of cosine above 1 - intersection_tol, already
-    orthonormal.  Two cases need no SVD: an ambient core that holds every
-    coordinate holds all of S, so V = I; and when S is the whole space
-    nothing is cut, so V is the coordinates S.coords(B) of the core basis
-    B, orthonormal because S is Gram-unitary.  V is computed once per
-    margin and handed out read-only.
-    How far T(S) leaks out of S is recorded as ``info['invariance_leak']``.
-    """
-    if S.ambient.dim_total != T.dom.dim_total:
-        raise ValueError("subspace does not live in the operator domain")
-    image = T.matrix @ S.basis
-    M = S.coords(image)
-    leak = _norm2(T.dom.whiten(image - S.basis @ M))
-    space = S.as_space()
-    cores = {}
-
-    def restricted_core(margin):
-        if margin not in cores:
-            core = T.core(margin)
-            if isinstance(core, IndexCore) and core.index.size == core.frame.dim_total:
-                V = np.eye(S.dim, dtype=complex)
-            else:
-                B = core.subspace(tols).basis
-                if S.dim == T.dom.dim_total:
-                    V = S.coords(B)
-                else:
-                    _, _, V = _principal_pairs(B, S.basis, T.dom.gram, tols)
-            V.flags.writeable = False  # shared by every caller
-            cores[margin] = SpanCore(space, V, orthonormal=True)
-        return cores[margin]
-
-    return OperatorModel(space, space, M, core_fn=restricted_core,
-                         info={"invariance_leak": leak})
 
 
 def unitarity_residual(T: OperatorModel, margin: int = 0, tols: Tolerances = DEFAULTS) -> float:

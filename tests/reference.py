@@ -10,14 +10,15 @@ import scipy.linalg as sla
 
 import woldlab as wl
 from woldlab._blas import one_blas_thread
-from woldlab.decomp import span_orbit
 from woldlab.operators import (
+    SpanCore,
+    _norm2,
     _numerical_rank,
     _principal_pairs,
     _robust_svd,
-    orthocomplement,
     orthonormal_columns,
 )
+from woldlab.space import EuclideanSpace
 
 
 def apply_to_subspace(T, S, tols=wl.DEFAULTS):
@@ -126,7 +127,7 @@ def kernel_intersection_identity(T1, T2, H10, tols=wl.DEFAULTS):
     E1 = ker T1* and E10 = E1 ∩ H10, the wandering subspace of the block
     on which T1 shifts and T2 is unitary.  0.0 when E10 is trivial.
     """
-    _, E1 = wl.wandering_projection(T1, tols=tols)
+    E1 = wl.certify(T1, tols).E
     E10 = wl.subspace_intersect(E1, H10, tols)
     worst = 0.0
     if E10.dim:
@@ -230,9 +231,9 @@ def loop_model_rows(T1, T2, target, tols=wl.DEFAULTS):
 
 # The norm identities and the model map as the pipeline computed them
 # before it read kernel projections in the coordinates of the kernel: the
-# identities apply the D x D projectors P (and P1 P2) of
-# ``wandering_projection``, gated by their projection laws, to every
-# iterate, one vector at a time, and the model map multiplies E^H G
+# identities apply the D x D projectors P = E E^H G onto the kernels E of
+# the certificates (and P1 P2) to every iterate, one vector at a time,
+# and the model map multiplies E^H G
 # by a D x D product of powers of L2 and L1 once per bidegree.  They run on
 # one BLAS thread, as the package does, so the joint kernel E has the same
 # basis.  tests/test_dense_passes.py compares the two routes.
@@ -243,7 +244,7 @@ def projector_norm_identity(T, x, tols=wl.DEFAULTS):
     """``check_norm_identity`` through the D x D projector P onto ker T*:
     sum_k ||P L^k x||^2 + sum_{k>=1} <F L^k x, L^k x>, one iterate at a time."""
     cert = wl.certify(T, tols).require_analytic()
-    Pm, F, L = wl.wandering_projection(T, tols)[0].matrix, cert.F, cert.L
+    Pm, F, L = cert.E.projector(), cert.F, cert.L
     x = np.asarray(x, dtype=complex).reshape(-1)
     G = T.dom.gram
     total = float((np.conj(x) @ (G @ x)).real)
@@ -267,8 +268,8 @@ def projector_two_variable_identity(T1, T2, x, tols=wl.DEFAULTS):
     and P1 P2, one iterate y = L2^n L1^m x at a time."""
     c1 = wl.certify(T1, tols).require_analytic()
     c2 = wl.certify(T2, tols).require_analytic()
-    P1, F1, L1 = wl.wandering_projection(T1, tols)[0].matrix, c1.F, c1.L
-    P2, F2, L2 = wl.wandering_projection(T2, tols)[0].matrix, c2.F, c2.L
+    P1, F1, L1 = c1.E.projector(), c1.F, c1.L
+    P2, F2, L2 = c2.E.projector(), c2.F, c2.L
     x = np.asarray(x, dtype=complex).reshape(-1)
     G = T1.dom.gram
     F12 = T2.matrix.conj().T @ F1 @ T2.matrix - F1
@@ -322,10 +323,10 @@ def power_model_rows(T1, T2, target, tols=wl.DEFAULTS):
     return rows
 
 
-# The routes below are the ones the pipeline took before its kernels, orbits,
-# complements and restricted cores each lost a dense factorization; the
-# cross-checks in tests/test_operators.py and tests/test_decomp.py compare
-# the current routes with them.
+# The routes below are the ones the pipeline took before its kernels, orbits
+# and complements each lost a dense factorization; the cross-checks in
+# tests/test_operators.py and tests/test_decomp.py compare the current
+# routes with them.
 
 
 def two_svd_kernel(T, tols=wl.DEFAULTS):
@@ -338,8 +339,9 @@ def two_svd_kernel(T, tols=wl.DEFAULTS):
 
 
 def closing_svd_orbit(ops, S, tols=wl.DEFAULTS):
-    """``span_orbit`` with one projection per pass and a closing
-    rank-revealing SVD of the whole accumulated basis."""
+    """The orbit of S under ``ops`` (one operator or a list), with one
+    projection per pass and a closing rank-revealing SVD of the whole
+    accumulated basis."""
     ops = [ops] if isinstance(ops, wl.OperatorModel) else list(ops)
     amb = S.ambient
     basis = frontier = S.basis
@@ -352,8 +354,8 @@ def closing_svd_orbit(ops, S, tols=wl.DEFAULTS):
 
 
 def eigh_complement(S, tols=wl.DEFAULTS):
-    """``orthocomplement`` from the eigenvectors of the D x D whitened
-    projector with eigenvalue below 1/2."""
+    """The Gram-orthogonal complement of S, from the eigenvectors of the
+    D x D whitened projector with eigenvalue below 1/2."""
     amb = S.ambient
     Bw = amb.whiten(S.basis)
     Pw = Bw @ Bw.conj().T
@@ -362,12 +364,48 @@ def eigh_complement(S, tols=wl.DEFAULTS):
     return wl.Subspace(amb, amb.unwhiten(V[:, sel]))
 
 
-def principal_pair_core(T, S, margin, tols=wl.DEFAULTS):
-    """The safe core of ``restrict_operator(T, S)`` in S coordinates, always
-    from the right principal vectors of the ambient core and S, also when
-    S is the whole space."""
-    _, _, V = _principal_pairs(T.core_subspace(margin, tols).basis, S.basis, T.dom.gram, tols)
-    return V
+# The restricted operator and the Gram adjoint, which the pipeline no longer
+# builds: it reads each block residual from the compression of T_w to a
+# whitened block basis, and T* as T_w^H.  tests/test_dense_passes.py compares
+# the two routes, and the defect route of the measures runs on restrictions.
+
+
+def coords(S, X):
+    """Coordinates in the basis of S of the projections of the ambient
+    vectors X onto S."""
+    return S.basis.conj().T @ (S.ambient.gram @ X)
+
+
+def adjoint(A):
+    """Gram adjoint A* = G_dom^{-1} A^H G_codom, by two triangular solves.
+
+    Satisfies <Ax, y> = <x, A*y> for truncation vectors; on graded spaces
+    it reproduces the untruncated adjoint only on the safe core.
+    """
+    Ldom = A.dom.chol
+    Y = sla.solve_triangular(Ldom, A.matrix.conj().T @ A.codom.gram, lower=True)
+    return wl.OperatorModel(A.codom, A.dom, sla.solve_triangular(Ldom.conj().T, Y, lower=False))
+
+
+def restrict_operator(T, S, tols=wl.DEFAULTS):
+    """Compression of T to an invariant subspace S, in the coordinates of
+    its Gram-orthonormal basis, on a space with identity Gram.  Its safe
+    core is the ambient core intersected with S: in S coordinates, the
+    right principal vectors of the two whose cosine is above
+    1 - intersection_tol, already orthonormal.  How far T(S) leaks out of
+    S is ``info['invariance_leak']``."""
+    if S.ambient.dim_total != T.dom.dim_total:
+        raise ValueError("subspace does not live in the operator domain")
+    image = T.matrix @ S.basis
+    M = coords(S, image)
+    leak = _norm2(T.dom.whiten(image - S.basis @ M))
+    space = EuclideanSpace(S.dim)
+
+    def core(margin):
+        _, _, V = _principal_pairs(T.core_subspace(margin, tols).basis, S.basis, T.dom.gram, tols)
+        return SpanCore(space, V, orthonormal=True)
+
+    return wl.OperatorModel(space, space, M, core_fn=core, info={"invariance_leak": leak})
 
 
 # The orbit and wandering loops below work in the ambient Gram geometry, one
@@ -376,9 +414,10 @@ def principal_pair_core(T, S, margin, tols=wl.DEFAULTS):
 
 
 def gram_orbit(ops, S, tols=wl.DEFAULTS):
-    """``span_orbit`` in ambient coordinates: each pass projects its images
-    off the basis through the Gram matrix and orthonormalizes them with
-    ``orthonormal_columns``, and the basis grows by one ``hstack`` a pass."""
+    """The orbit of S under ``ops`` (one operator or a list) in ambient
+    coordinates: each pass projects its images off the basis through the
+    Gram matrix and orthonormalizes them with ``orthonormal_columns``, and
+    the basis grows by one ``hstack`` a pass."""
     ops = [ops] if isinstance(ops, wl.OperatorModel) else list(ops)
     amb = S.ambient
     basis = frontier = S.basis
@@ -408,14 +447,18 @@ def gram_wandering(T, E):
     return wander
 
 
-# The orbit pass and the power loop of the pipeline before a one-column pass
-# was normalized by its norm and the powers stopped at the rank floor.
-# tests/test_dense_passes.py compares them.
+# The orbit pass loop and the power loop of the pipeline before each Wold
+# split took one pivoted QR, a one-column pass was normalized by its norm and
+# the powers stopped at the rank floor.  tests/test_dense_passes.py compares
+# them.
 
 
 def svd_step_orbit(Tw, Sw, tols=wl.DEFAULTS):
-    """``decomp._whitened_orbit`` with every pass ending in a rank-revealing
-    SVD of its projected images, also when they are one column."""
+    """Orthonormal basis of the orbit of span(Sw) under the whitened
+    operators ``Tw``, in whitened coordinates; Sw has orthonormal columns
+    and stays the leading ones.  Each pass projects the images of the
+    directions the last pass added off the basis twice and keeps their
+    rank-revealed part, from an SVD also when they are one column."""
     D = Sw.shape[0]
     basis = np.empty((D, D), dtype=complex)
     start, end = 0, Sw.shape[1]
@@ -477,16 +520,16 @@ def five_orbit_pair(T1, T2, tols=wl.DEFAULTS):
     H00 is the complement of the span of the three shift blocks, and the
     restrictions to H11 inherit [E]_T2 (of T1) and [E]_T1 (of T2)."""
     amb = T1.dom
-    E1, E2 = wl.wandering_projection(T1, tols)[1], wl.wandering_projection(T2, tols)[1]
+    E1, E2 = wl.certify(T1, tols).E, wl.certify(T2, tols).E
     E = wl.subspace_intersect(E1, E2, tols)
-    O1, O2 = span_orbit(T1, E, tols), span_orbit(T2, E, tols)
-    E10 = wl.subspace_intersect(E1, orthocomplement(O2, tols), tols)
-    E01 = wl.subspace_intersect(E2, orthocomplement(O1, tols), tols)
-    H10 = span_orbit(T1, E10, tols)
-    H01 = span_orbit(T2, E01, tols)
-    H11 = span_orbit([T1, T2], E, tols)
+    O1, O2 = gram_orbit(T1, E, tols), gram_orbit(T2, E, tols)
+    E10 = wl.subspace_intersect(E1, eigh_complement(O2, tols), tols)
+    E01 = wl.subspace_intersect(E2, eigh_complement(O1, tols), tols)
+    H10 = gram_orbit(T1, E10, tols)
+    H01 = gram_orbit(T2, E01, tols)
+    H11 = gram_orbit([T1, T2], E, tols)
     shifts = wl.Subspace.from_columns(amb, np.hstack([H10.basis, H01.basis, H11.basis]), tols)
-    blocks = {"H00": orthocomplement(shifts, tols), "H10": H10, "H01": H01, "H11": H11}
+    blocks = {"H00": eigh_complement(shifts, tols), "H10": H10, "H01": H01, "H11": H11}
     kernels = {("H10", "T1"): E10, ("H01", "T2"): E01, ("H11", "T1"): O2, ("H11", "T2"): O1}
     return blocks, kernels
 
@@ -510,8 +553,8 @@ def _tilde_pieces(T, tols=wl.DEFAULTS):
     if k == 0:
         return np.zeros((0, 0), dtype=complex), Dspace, D
     C = T.core_basis()
-    X = Dspace.coords(D.matrix @ C)
-    Y = Dspace.coords(D.matrix @ (T.matrix @ C))
+    X = coords(Dspace, D.matrix @ C)
+    Y = coords(Dspace, D.matrix @ (T.matrix @ C))
     Ux, sx, Vhx = np.linalg.svd(X, full_matrices=False)
     rank = _numerical_rank(sx, tols)
     if rank == 0:
@@ -594,7 +637,7 @@ def fresh_restriction_measures(T1, T2, quad, tols=wl.DEFAULTS):
         if H.dim == 0:
             out[name] = wl.CircleMeasure.zero(E.dim if bname == "H11" else 0)
             continue
-        R = wl.restrict_operator(T, H, tols)
-        joint = wl.Subspace(R.dom, H.coords(E.basis), tols) if bname == "H11" else None
+        R = restrict_operator(T, H, tols)
+        joint = wl.Subspace(R.dom, coords(H, E.basis), tols) if bname == "H11" else None
         out[name] = defect_route_measure(R, compress_to=joint, tols=tols)
     return out

@@ -11,17 +11,19 @@ from hypothesis import assume, event, given, settings, strategies as st
 import woldlab as wl
 from woldlab import decomp, operators
 from woldlab.measures import fourier_coefficients
-from woldlab.operators import joint_core, range_complement_projection, restrict_operator
+from woldlab.operators import joint_core, range_complement_projection
 from woldlab.space import EuclideanSpace
 
 from conftest import assert_same_moments, random_core_vector, scalar_atoms
 from reference import (
     _tilde_pieces,
+    coords,
     defect_route_measure,
     fresh_restriction_measures,
     kernel_intersection_identity,
     loop_cluster_angles,
     loop_model_rows,
+    restrict_operator,
     stable_range,
     three_term_defect,
 )
@@ -49,9 +51,8 @@ def test_stable_range_of_scrambled_direct_sum():
     for k in (1, 3):
         inst = wl.make_single_wold_instance(k, mu, 8, seed=5, scramble_seed=11)
         T = inst.operators[0]
-        _, E = wl.wandering_projection(T)
         assert stable_range(T).dim == k
-        assert wl.span_orbit(T, E).dim == T.dom.dim_total - k
+        assert wl.certify(T).orbit.dim == T.dom.dim_total - k
 
 
 # -- single Wold ---------------------------------------------------------------
@@ -123,17 +124,6 @@ def test_wold_single_rejects_jordan_block():
     J = wl.OperatorModel(sp, sp, np.array([[0.0, 0.0], [1.0, 0.0]]))
     with pytest.raises(wl.AssumptionError):
         wl.wold_single(J)
-
-
-def test_span_orbit_of_one_operator_or_a_list():
-    T1, T2 = wl.build_pair_2v(scalar_atoms((0.9, 0.8)), scalar_atoms((4.0, 1.1)), 5, 4)
-    _, E1 = wl.wandering_projection(T1)
-    _, E2 = wl.wandering_projection(T2)
-    E = wl.subspace_intersect(E1, E2)
-    assert wl.span_orbit(T1, E).dim == 6
-    assert wl.span_orbit(T2, E).dim == 5
-    assert wl.span_orbit([T1, T2], E).dim == T1.dom.dim_total
-    assert wl.span_orbit([T1, T2], wl.Subspace.trivial(T1.dom)).dim == 0
 
 
 def test_stable_range_max_iter_exhausted():
@@ -375,9 +365,7 @@ def test_two_variable_identity_random(rng):
 def test_two_variable_identity_shifted_kernel_vector():
     mu1, mu2 = wl.random_measure_pair(1, 1, seed=26)
     T1, T2 = wl.build_pair_2v(mu1, mu2, 8, 8)
-    _, E1 = wl.wandering_projection(T1)
-    _, E2 = wl.wandering_projection(T2)
-    E = wl.subspace_intersect(E1, E2)
+    E = wl.subspace_intersect(wl.certify(T1).E, wl.certify(T2).E)
     a = E.basis[:, 0]
     x = T1.matrix @ (T2.matrix @ a)
     assert wl.check_two_variable_identity(T1, T2, x) < 1e-9
@@ -481,7 +469,7 @@ def install_short_kernel(T, X):
     vector of E^H G X.  It keeps the true split, so T still reads as
     analytic."""
     true = wl.certify(T)
-    U, _, _ = np.linalg.svd(true.E.coords(X))
+    U, _, _ = np.linalg.svd(coords(true.E, X))
     short = decomp.Certificate(true.defect, wl.Subspace(T.dom, true.E.basis @ U[:, 1:]),
                                true.tols, weakref.ref(T))
     vars(short)["split"] = true.split
@@ -523,9 +511,7 @@ def test_build_V_sends_orbit_vectors_to_monomials():
     quad = wl.wold_pair(T1, T2)
     target = wl.build_space(quad.measures["eta1"], quad.measures["eta2"], *T1.dom.caps)
     V = wl.build_V(T1, T2, target)
-    _, E1 = wl.wandering_projection(T1)
-    _, E2 = wl.wandering_projection(T2)
-    E = wl.subspace_intersect(E1, E2)
+    E = wl.subspace_intersect(wl.certify(T1).E, wl.certify(T2).E)
     a = E.basis[:, 0]
     for m, n in [(0, 0), (2, 1), (3, 3)]:
         x = np.linalg.matrix_power(T1.matrix, m) @ np.linalg.matrix_power(T2.matrix, n) @ a
@@ -680,10 +666,10 @@ def test_wold_pair_joint_kernel_is_E_in_H11_coordinates():
     # the old route intersected ker R1* and ker R2* of the H11 restrictions
     T1, T2 = acceptance_7_instance().operators
     quad = wl.wold_pair(T1, T2)
-    E = wl.subspace_intersect(wl.wandering_projection(T1)[1], wl.wandering_projection(T2)[1])
+    E = wl.subspace_intersect(wl.certify(T1).E, wl.certify(T2).E)
     R1, R2 = restrict_operator(T1, quad.H11), restrict_operator(T2, quad.H11)
-    Ejoint = wl.Subspace(R1.dom, quad.H11.coords(E.basis))
-    old = wl.subspace_intersect(wl.wandering_projection(R1)[1], wl.wandering_projection(R2)[1])
+    Ejoint = wl.Subspace(R1.dom, coords(quad.H11, E.basis))
+    old = wl.subspace_intersect(wl.certify(R1).E, wl.certify(R2).E)
     assert Ejoint.dim == E.dim == old.dim == 1
     assert Ejoint.distance(old) < 1e-10
     for name, R in (("eta1", R1), ("eta2", R2)):

@@ -1,10 +1,10 @@
-"""Kernels, orbits, complements and restricted cores against their older routes.
+"""Kernels, orbits and complements against their older routes.
 
 Each routine lost one dense factorization: the kernel of T* is read from one
-full SVD, an orbit keeps its accumulated basis, a complement comes from a
-complete QR, and a restriction to the whole space reads its core without an
-SVD.  Orbits and the wandering check of ``wold_single`` run on whitened
-operators, with no per-pass Gram product, triangular solve or SVD norm.
+full SVD, an orbit keeps its accumulated basis, and a complement comes from
+a complete QR.  Orbits and the wandering check of ``wold_single`` run on
+whitened operators, with no per-pass Gram product, triangular solve or SVD
+norm.
 ``wold_pair`` splits by T1 and then by T2 with three orbits, where it used
 five, and reads its measures from orbit moments, where it fit a
 defect-space isometry on each certified restriction.  The norm identities
@@ -18,9 +18,9 @@ where they ran D + 1.  Each Wold split, the shift block and its
 complement, comes from one pivoted QR of the stacked powers of its
 kernel, where the orbit took a pass loop and the complement a QR, and
 ker T* from one pivoted QR, where it took a full SVD.
-``tests/reference.py`` keeps the older routes, and
-``restrict_operator`` and ``adjoint`` stay public; on the same inputs both
-must give the same subspaces, residuals and measures, to rounding.
+``tests/reference.py`` keeps the older routes, the restricted operator and
+the Gram adjoint among them; on the same inputs both must give the same
+subspaces, residuals and measures, to rounding.
 """
 
 import numpy as np
@@ -29,17 +29,12 @@ from hypothesis import given, settings, strategies as st
 
 import woldlab as wl
 from woldlab import decomp, operators
-from woldlab.decomp import span_orbit
-from woldlab.operators import (
-    joint_core,
-    orthocomplement,
-    range_complement_projection,
-    restrict_operator,
-)
+from woldlab.operators import joint_core, range_complement_projection
 from woldlab.space import EuclideanSpace, coordinate_shift_matrix
 
 from conftest import assert_same_moments
 from reference import (
+    adjoint,
     closing_svd_orbit,
     eigh_complement,
     defect_route_measure,
@@ -49,9 +44,9 @@ from reference import (
     gram_orbit,
     gram_wandering,
     power_model_rows,
-    principal_pair_core,
     projector_norm_identity,
     projector_two_variable_identity,
+    restrict_operator,
     svd_step_orbit,
     svd_wandering_subspace,
     two_svd_kernel,
@@ -67,14 +62,11 @@ def assert_same(got, ref):
     assert got.distance(ref) < TOL
 
 
-def random_full_space(amb, seed):
-    """The whole of ``amb`` through a random Gram-unitary basis."""
-    return wl.Subspace(amb, amb.unwhiten(wl.random_unitary(amb.dim_total, seed)))
-
-
-def check_routes(ops, seed):
-    """Every rewritten routine on ``ops`` (one operator or a pair) and the
-    subspaces a decomposition builds from them, against its older route."""
+def check_routes(ops):
+    """Every rewritten routine on ``ops`` (one operator or a pair) against
+    its older route: the kernel of each operator, and the split of the
+    whole space by each operator from their joint kernel E, the orbit
+    [E]_T and its complement."""
     amb = ops[0].dom
     kernels = []
     for T in ops:
@@ -84,26 +76,12 @@ def check_routes(ops, seed):
         assert np.max(np.abs(Pm - Pr)) < TOL * max(1.0, np.linalg.norm(amb.gram, 2))
         kernels.append(E)
     E = kernels[0] if len(ops) == 1 else wl.subspace_intersect(*kernels)
-    orbits = [span_orbit(T, E) for T in ops]
-    if len(ops) == 2:
-        orbits.append(span_orbit(list(ops), E))
-        assert_same(orbits[-1], closing_svd_orbit(list(ops), E))
-    for T, orbit in zip(ops, orbits):
+    for T in ops:
+        Hw, Uw, _ = decomp._split(T.whitened, amb.whiten(E.basis), wl.DEFAULTS)
+        orbit = wl.Subspace(amb, amb.unwhiten(Hw))
         assert_same(orbit, closing_svd_orbit(T, E))
         assert_same(orbit, gram_orbit(T, E))
-    if len(ops) == 2:
-        assert_same(orbits[-1], gram_orbit(list(ops), E))
-    for S in orbits + kernels + [wl.Subspace.trivial(amb)]:
-        assert_same(orthocomplement(S), eigh_complement(S))
-    whole = random_full_space(amb, seed)
-    for T in ops:
-        for S in (orbits[-1], orthocomplement(orbits[-1]), whole):
-            if S.dim == 0:
-                continue
-            R = restrict_operator(T, S)
-            for margin in range(4):
-                ref = principal_pair_core(T, S, margin)
-                assert_same(wl.Subspace(R.dom, R.core_basis(margin)), wl.Subspace(R.dom, ref))
+        assert_same(wl.Subspace(amb, amb.unwhiten(Uw)), eigh_complement(orbit))
 
 
 def check_wandering(T):
@@ -125,7 +103,7 @@ def check_pair_measures(T1, T2, K):
 def test_single_routes_match_on_scrambled_unitary_plus_shift(seed, k, n_atoms, density, caps):
     mu = wl.random_atomic_measure(1, n_atoms, seed=seed, density_scale=0.4 * density)
     inst = wl.make_single_wold_instance(k, mu, caps, seed=seed, scramble_seed=seed + 1)
-    check_routes(inst.operators, seed)
+    check_routes(inst.operators)
     T = inst.operators[0]
     check_wandering(T)
     res = wl.wold_single(T)
@@ -140,7 +118,7 @@ def test_pair_routes_match_on_scrambled_four_block_pairs(seed, k00):
     eta1, eta2 = wl.random_measure_pair(1, 2, seed=seed + 3)
     inst = wl.make_four_block_instance(k00, nu1, 5, nu2, 4, eta1, eta2, (3, 3),
                                        seed=seed, scramble_seed=seed + 4)
-    check_routes(inst.operators, seed)
+    check_routes(inst.operators)
     for T in inst.operators:
         check_wandering(T)
     check_pair_measures(*inst.operators, 8)
@@ -150,38 +128,11 @@ def test_pair_routes_match_on_scrambled_four_block_pairs(seed, k00):
 @given(seed=seeds, d=st.integers(1, 2), n_atoms=st.integers(1, 2), caps=st.integers(2, 5))
 def test_pair_routes_match_on_coordinate_pairs(seed, d, n_atoms, caps):
     pair = wl.build_pair_2v(*wl.random_measure_pair(d, n_atoms, seed=seed), caps, caps - 1)
-    check_routes(pair, seed)
+    check_routes(pair)
     # the second operator, at cap caps - 1, is not certified on its core
     check_wandering(pair[0])
     if caps >= 3:
         check_pair_measures(*pair, min(8, caps - 2))
-
-
-def test_restriction_to_the_whole_space_reads_its_core_without_an_svd(dense_factorizations):
-    T1, _ = wl.build_pair_2v(*wl.random_measure_pair(1, 2, seed=5), 6, 6)
-    S = random_full_space(T1.dom, 6)
-    dense_factorizations.clear()
-    R = restrict_operator(T1, S)
-    for margin in range(4):
-        R.core_basis(margin)
-    # nothing is cut, so each core is read in S coordinates with no factorization
-    assert list(dense_factorizations) == []
-
-
-def test_span_orbit_whitens_each_operator_once(triangular_solves):
-    inst = wl.make_four_block_instance(1, wl.random_atomic_measure(1, 2, seed=1), 5,
-                                       wl.random_atomic_measure(1, 2, seed=2), 4,
-                                       *wl.random_measure_pair(1, 2, seed=3), (3, 3),
-                                       seed=4, scramble_seed=5)
-    T1, T2 = inst.operators
-    E = wl.subspace_intersect(wl.certify(T1).E, wl.certify(T2).E)
-    for ops, n_ops in ((T1, 1), ([T1, T2], 2)):
-        triangular_solves.clear()
-        orbit = span_orbit(ops, E)
-        # one whitening per operator and one unwhitening of the basis; the
-        # ambient-coordinate loop made one solve per pass, 4 and 7 here
-        assert orbit.dim > 3 * E.dim
-        assert len(triangular_solves) <= n_ops + 1
 
 
 def acceptance_7_pair(k00, caps10, caps01, caps11, seed):
@@ -274,10 +225,10 @@ def test_each_operator_is_whitened_once(whitenings):
 
 
 # -- one-column orbit passes and the power stop ------------------------------
-# A pass whose projected images are one column w keeps w / ||w||, where it
-# took an SVD, and the powers of a kernel stop at the first block of
+# ``_euclidean_span`` keeps w / ||w|| of one column w, where an orbit pass
+# took an SVD of it, and the powers of a kernel stop at the first block of
 # Frobenius norm at most rank_floor, where they stopped at eps^2 dim K.
-# Both routes span the same orbit and give the same measures.
+# Both routes keep the same directions and give the same measures.
 
 ORBIT_TOL = 1e-12
 
@@ -291,17 +242,35 @@ def assert_same_span(got, ref, tol=ORBIT_TOL):
     assert np.linalg.norm(got @ got.conj().T - ref @ ref.conj().T, 2) <= tol
 
 
+def svd_passes(Tw, Sw):
+    """(images, kept) for every pass of ``svd_step_orbit([Tw], Sw)`` when
+    each pass but the last keeps as many directions as Sw has columns:
+    the images of the last directions kept, projected off the basis, and
+    the directions the SVD pass keeps of them."""
+    ref = svd_step_orbit([Tw], Sw)
+    k = Sw.shape[1]
+    for end in range(k, ref.shape[1] + 1, k):
+        B = ref[:, :end]
+        images = Tw @ ref[:, end - k:end]
+        for _ in range(2):
+            images = images - B @ (B.conj().T @ images)
+        yield images, ref[:, end:end + k]
+
+
 @pytest.mark.parametrize("d, caps", [(1, 16), (1, 32), (1, 64), (1, 96), (2, 12)])
 def test_one_column_orbit_passes_match_the_svd_pass(d, caps, dense_factorizations):
     mu = wl.random_atomic_measure(d, 3, seed=caps, density_scale=0.4)
     T = wl.make_single_wold_instance(2, mu, caps, seed=caps, scramble_seed=caps + 1).operators[0]
     Tw, Ew = whitened_operator_and_kernel(T)
-    dense_factorizations.clear()
-    got = decomp._whitened_orbit([Tw], Ew, wl.DEFAULTS)
-    # every pass from a one-dimensional kernel is one column, and none takes an SVD
-    assert (len(dense_factorizations) == 0) == (d == 1)
-    assert got.shape[1] == (caps + 1) * d
-    assert_same_span(got, svd_step_orbit([Tw], Ew))
+    passes = list(svd_passes(Tw, Ew))
+    # caps passes of d directions each, and a last one that keeps none
+    assert len(passes) == caps + 1 and passes[-1][1].shape[1] == 0
+    for images, kept in passes:
+        dense_factorizations.clear()
+        got = operators._euclidean_span(images, wl.DEFAULTS)
+        # every pass from a one-dimensional kernel is one column, and none takes an SVD
+        assert (len(dense_factorizations) == 0) == (d == 1)
+        assert_same_span(got, kept)
 
 
 @pytest.mark.parametrize("factor", [0.5, 2.0])
@@ -311,10 +280,10 @@ def test_a_one_column_pass_is_cut_at_the_rank_floor_as_the_svd_pass(factor):
     floor = wl.DEFAULTS.rank_floor
     W = wl.random_unitary(5, 7)
     Tw = factor * floor * W[:, 1:2] @ W[:, :1].conj().T
-    got = decomp._whitened_orbit([Tw], W[:, :1], wl.DEFAULTS)
-    ref = svd_step_orbit([Tw], W[:, :1])
-    assert got.shape[1] == (1 if factor < 1 else 2)
-    assert_same_span(got, ref)
+    images, kept = next(svd_passes(Tw, W[:, :1]))
+    got = operators._euclidean_span(images, wl.DEFAULTS)
+    assert got.shape[1] == kept.shape[1] == (0 if factor < 1 else 1)
+    assert_same_span(got, kept)
 
 
 def four_block_pair_of_dimension_108():
@@ -393,14 +362,15 @@ SPLIT_TOL = 1e-12
 
 def check_whole_space_split(T):
     """The certificate's E against the SVD route, and its split of the
-    whole space against span_orbit and orthocomplement of that E."""
+    whole space against the orbit of that E and its complement by the
+    Gram-geometry routes."""
     amb, cert = T.dom, wl.certify(T)
     whiten = amb.whiten
     assert_same_span(whiten(cert.E.basis), whiten(svd_wandering_subspace(T).basis), SPLIT_TOL)
     H1w, H0w, powers = cert.split
-    orbit = span_orbit(T, cert.E)
+    orbit = gram_orbit(T, cert.E)
     assert_same_span(H1w, whiten(orbit.basis), SPLIT_TOL)
-    assert_same_span(H0w, whiten(orthocomplement(orbit).basis), SPLIT_TOL)
+    assert_same_span(H0w, whiten(eigh_complement(orbit).basis), SPLIT_TOL)
     assert powers[0].shape[1] == cert.E.dim
     return cert
 
@@ -429,7 +399,7 @@ def test_pair_splits_match_the_orbit_route():
     for Aw in (A1w, A0w):
         Kw, _ = decomp._kernel_part(Aw, E2w, wl.DEFAULTS)
         Hw, Uw, _ = decomp._split(T2w, Kw, wl.DEFAULTS, Aw)
-        ref = decomp._whitened_orbit([T2w], Kw, wl.DEFAULTS)
+        ref = svd_step_orbit([T2w], Kw)
         assert_same_span(Hw, ref, SPLIT_TOL)
         assert Uw.shape[1] == Aw.shape[1] - ref.shape[1]
         ref_U = Aw @ Aw.conj().T - ref @ ref.conj().T
@@ -448,7 +418,7 @@ def test_a_split_is_cut_at_the_rank_cut(factor):
     Hw, Uw, powers = decomp._split(Tw, c * W[:, :1], wl.DEFAULTS)
     assert len(powers) > 2
     r = 1 if factor < 1 else 2
-    assert Hw.shape[1] == r == decomp._whitened_orbit([Tw], W[:, :1], wl.DEFAULTS).shape[1]
+    assert Hw.shape[1] == r == svd_step_orbit([Tw], W[:, :1]).shape[1]
     # a direction resolved at the cut carries rounding of order eps c / cut
     assert_same_span(Hw, W[:, :r], 1e-6)
     # the complement is the rest of one unitary Q
@@ -543,7 +513,7 @@ def adjoint_route_residuals(T1, T2):
     """||[T1, T2]|| and ||[T1*, T2]|| on the joint core, through the Gram
     adjoint of T1 in ambient coordinates."""
     amb, core = T1.dom, joint_core(T1, T2)
-    T1s = wl.adjoint(T1).matrix
+    T1s = adjoint(T1).matrix
     return tuple(wl.operator_norm(wl.OperatorModel(amb, amb, A @ T2.matrix - T2.matrix @ A), core)
                  for A in (T1.matrix, T1s))
 

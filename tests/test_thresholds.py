@@ -1,11 +1,15 @@
-"""Every numerical threshold of the package lives in ``Tolerances``.
+"""Every numerical threshold of the package lives in ``Tolerances``, and
+every public routine of the package has a reader.
 
 A float literal of at most 1e-6 in ``src/woldlab`` is a threshold that
 ``--tol-scale`` cannot reach.  The scan below fails on any such literal
-outside ``config.py`` that is not on the allowlist, which is empty.
+outside ``config.py`` that is not on the allowlist, which is empty.  A
+second scan fails on any public function or method that neither the
+package, the demos nor the acceptance tests read.
 """
 
 import ast
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +17,11 @@ import pytest
 import scipy.linalg as sla
 
 import woldlab as wl
+from woldlab.decomp import MeasureComparison
 from woldlab.space import EuclideanSpace
 
 PACKAGE = Path(wl.__file__).resolve().parent
+ROOT = PACKAGE.parents[1]
 
 #: (module, enclosing definition, value) of the thresholds that remain: none
 ALLOWED = set()
@@ -51,8 +57,71 @@ def test_the_scan_sees_a_bare_threshold(tmp_path):
     assert small_float_literals(src) == [("A.f", 1e-9), ("A.f", 2.5e-7)]
 
 
+# -- routines with no reader --------------------------------------------------
+
+#: public definitions that nothing reads in the package, the demos or the
+#: acceptance tests: the quadrature oracle of ``poisson_integral``, and the
+#: flat index that tests/reference.py reads
+UNREAD_ALLOWED = {"quadrature_poisson", "GradedPolySpace.flat_index"}
+
+
+def public_definitions(path):
+    """The public module-level functions of ``path``, and the public
+    methods of its public classes as ``Class.method``."""
+    found = []
+    for node in ast.parse(path.read_text()).body:
+        if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                or node.name.startswith("_")):
+            continue
+        if isinstance(node, ast.ClassDef):
+            found += [f"{node.name}.{item.name}" for item in node.body
+                      if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and not item.name.startswith("_")]
+        else:
+            found.append(node.name)
+    return found
+
+
+def names_read(path):
+    """Every name loaded and every attribute read in ``path``."""
+    read = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
+def unread_definitions(package, readers):
+    """The public definitions of the modules of ``package`` whose name no
+    file of ``readers`` reads, sorted."""
+    read = set().union(*(names_read(path) for path in readers))
+    return sorted(name for path in sorted(package.glob("*.py"))
+                  for name in public_definitions(path)
+                  if name.rsplit(".", 1)[-1] not in read)
+
+
+def test_every_public_definition_has_a_reader():
+    readers = ([path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+               + sorted((ROOT / "demos").glob("*.py"))
+               + [Path(__file__).resolve().parent / "test_acceptance.py"])
+    assert set(unread_definitions(PACKAGE, readers)) == UNREAD_ALLOWED
+
+
+def test_the_scan_sees_an_unread_definition(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def used():\n    return 1\n\n\ndef unused():\n    return 2\n\n\n"
+        "class A:\n    def read(self):\n        return 3\n\n"
+        "    def idle(self):\n        return 4\n")
+    (tmp_path / "client.py").write_text("from mod import A, used\n\nused() + A().read()\n")
+    assert unread_definitions(tmp_path, [tmp_path / "client.py"]) == ["A.idle", "unused"]
+
+
+# -- tolerance defaults -------------------------------------------------------
+
+
 def test_moved_thresholds_keep_their_defaults():
-    assert wl.DEFAULTS.projection_law == 1e-8
     assert wl.DEFAULTS.isometric_mass == 1e-8
     assert wl.DEFAULTS.orthonormal == 1e-8
 
@@ -103,6 +172,42 @@ def isometry_edge(multiple):
     return lambda tols: wl.slocinski(grown, V, tols=tols)
 
 
+def measure_match_edge(multiple):
+    """The comparison of a one-atom scalar measure with itself, its weight
+    times 1 + eps, eps = ``multiple`` times the tolerance: every Fourier
+    coefficient moves by eps, and at twice the tolerance the spectra of the
+    generic combinations already differ."""
+    eps = multiple * wl.DEFAULTS.measure_match
+    a = wl.CircleMeasure.from_scalar_atoms([(0.7, 1.0)])
+    b = wl.CircleMeasure.from_scalar_atoms([(0.7, 1.0 + eps)])
+    return lambda tols: wl.measures_equal_up_to_unitary(a, b, tols=tols)
+
+
+def vmap_edge(multiple):
+    """build_V of a coordinate pair onto the model space of its measures,
+    with each atom weight of the first times 1 + eps, eps set so that the
+    isometry residual is ``multiple`` times the bound; the residual is
+    linear in eps to first order, and intertwining stays at rounding."""
+    mu1, mu2 = wl.random_measure_pair(1, 2, seed=3)
+    T1, T2 = wl.build_pair_2v(mu1, mu2, 6, 6)
+
+    def target(eps):
+        grown = wl.CircleMeasure(dim=mu1.dim, density=mu1.density,
+                                 atoms=tuple((t, (1 + eps) * W) for t, W in mu1.atoms))
+        return wl.build_space(grown, mu2, 4, 4)
+
+    # read the residual with the gate itself open
+    ungated = replace(wl.DEFAULTS, vmap=np.inf)
+    probe = 1e-8
+    slope = wl.build_V(T1, T2, target(probe), ungated).info["isometry"] / probe
+    goal = multiple * wl.DEFAULTS.vmap
+    space = target(goal / slope)
+    info = wl.build_V(T1, T2, space, ungated).info
+    assert info["isometry"] == pytest.approx(goal, rel=0.01)
+    assert max(info["intertwine_1"], info["intertwine_2"]) < 1e-3 * goal
+    return lambda tols: wl.build_V(T1, T2, space, tols)
+
+
 def atom_separation_edge(multiple):
     """Two unit atoms ``multiple`` times the separation apart."""
     gap = multiple * wl.DEFAULTS.atom_separation
@@ -111,21 +216,26 @@ def atom_separation_edge(multiple):
 
 
 #: field -> (input at a multiple of its default, error, message, whether
-#: the 0.5x input passes)
+#: the 0.5x input passes); a measure comparison raises nothing (no error
+#: class), its verdict flips
 EDGES = {
     "doubly_commuting": (doubly_commuting_edge, wl.AssumptionError, "not doubly commuting", True),
     "isometry": (isometry_edge, wl.AssumptionError, "not an isometry", True),
     "atom_separation": (atom_separation_edge, ValueError, "not separated", False),
+    "measure_match": (measure_match_edge, (), "", True),
+    "vmap": (vmap_edge, wl.ConvergenceError, "model map residuals", True),
 }
 
 
 def passes(call, tols, error, message):
+    """Whether the gate accepts the input: the call raises no ``error`` with
+    ``message``, and a measure comparison comes back ``True``."""
     try:
-        call(tols)
+        result = call(tols)
     except error as exc:
         assert message in str(exc)
         return False
-    return True
+    return result.equal is True if isinstance(result, MeasureComparison) else True
 
 
 @pytest.mark.parametrize("field", list(EDGES))
