@@ -31,7 +31,6 @@ from .operators import (
     defect_operator,
     doubly_commuting_residual,
     left_inverse,
-    operator_norm,
     subspace_intersect,
     two_isometry_defect,
     unitarity_residual,

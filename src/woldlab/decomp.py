@@ -38,7 +38,6 @@ from .operators import (
     doubly_commuting_residual,
     joint_core,
     left_inverse,
-    operator_norm,
     subspace_intersect,
     two_isometry_defect,
     unitarity_residual,
@@ -521,8 +520,7 @@ def _block_residuals(blocks: dict, ops: dict, unitary) -> tuple:
 
 
 @one_blas_thread
-def wold_single(T: OperatorModel, tols: Tolerances = DEFAULTS,
-                extract: bool = True) -> SingleWold:
+def wold_single(T: OperatorModel, tols: Tolerances = DEFAULTS) -> SingleWold:
     """Split a 2-isometry into unitary and analytic parts and classify.
 
     By the Wold-type theorem H = H0 ⊕ [E]_T with E = ker T* the wandering
@@ -568,7 +566,7 @@ def wold_single(T: OperatorModel, tols: Tolerances = DEFAULTS,
             f"(dims {H0.dim}+{H1.dim} vs {amb.dim_total})"
         )
 
-    if extract and H1.dim:
+    if H1.dim:
         extracted = _orbit_measure(powers, tols)
     else:
         extracted = CircleMeasure.zero(E.dim)
@@ -644,10 +642,9 @@ def build_V(T1: OperatorModel, T2: OperatorModel, target: GradedPolySpace,
     nx = _pairings(X, amb.gram @ X)
     nvx = _pairings(VX, target.gram @ VX)
     iso = float(np.max(np.abs(nvx - nx) / (1.0 + nx)))
-    inter1 = OperatorModel(amb, target, rows @ T1.matrix - _shift_rows(rows, target, 1))
-    inter2 = OperatorModel(amb, target, rows @ T2.matrix - _shift_rows(rows, target, 2))
-    res1 = operator_norm(inter1, core)
-    res2 = operator_norm(inter2, core)
+    res1, res2 = (_norm2(target.whiten((rows @ T.matrix - _shift_rows(rows, target, var))
+                                       @ core.basis))
+                  for var, T in ((1, T1), (2, T2)))
     V.info.update({"isometry": iso, "intertwine_1": res1, "intertwine_2": res2})
     if max(iso, res1, res2) > tols.vmap:
         raise ConvergenceError(
@@ -743,8 +740,7 @@ def _coordinate_pair_space(T1: OperatorModel, T2: OperatorModel) -> Optional[Gra
     return space
 
 
-def _product_pair(space: GradedPolySpace, tols: Tolerances,
-                  extract: bool) -> QuadrupleDecomposition:
+def _product_pair(space: GradedPolySpace, tols: Tolerances) -> QuadrupleDecomposition:
     """:func:`wold_pair` of the d = 1 coordinate pair of ``space``, one
     factor at a time: :func:`wold_single` on M_z over each factor space
     (:func:`woldlab.space.factor_spaces`).  A truncated M_z is nilpotent,
@@ -754,7 +750,7 @@ def _product_pair(space: GradedPolySpace, tols: Tolerances,
     singles = []
     for factor in factor_spaces(space):
         single = wold_single(OperatorModel(factor, factor, coordinate_shift_matrix(factor, 1)),
-                             tols, extract)
+                             tols)
         if single.H0.dim:
             raise ConvergenceError(
                 f"a truncated M_z has a unitary block of dimension {single.H0.dim}"
@@ -788,8 +784,7 @@ def _product_pair(space: GradedPolySpace, tols: Tolerances,
 
 
 @one_blas_thread
-def wold_pair(T1: OperatorModel, T2: OperatorModel, tols: Tolerances = DEFAULTS,
-              extract: bool = True) -> QuadrupleDecomposition:
+def wold_pair(T1: OperatorModel, T2: OperatorModel, tols: Tolerances = DEFAULTS) -> QuadrupleDecomposition:
     """Wold-type decomposition of a doubly commuting pair of 2-isometries.
 
     Recovers the four joint-reducing blocks
@@ -859,7 +854,7 @@ def wold_pair(T1: OperatorModel, T2: OperatorModel, tols: Tolerances = DEFAULTS,
         raise ValueError("operators act on different spaces")
     space = _coordinate_pair_space(T1, T2)
     if space is not None:
-        return _product_pair(space, tols, extract)
+        return _product_pair(space, tols)
     cert1, cert2 = certify(T1, tols), certify(T2, tols)
     core = joint_core(T1, T2, None, tols)
     c1, c2 = doubly_commuting_residual(T1, T2, tols=tols, core=core)
@@ -923,7 +918,6 @@ def wold_pair(T1: OperatorModel, T2: OperatorModel, tols: Tolerances = DEFAULTS,
         "eta2": (T2w, Ew),
     }
     measures = {name: _orbit_measure(powers01 if name == "nu2" else _powers(Tw, Kw, tols), tols)
-                if extract else CircleMeasure.zero(Kw.shape[1])
                 for name, (Tw, Kw) in kernels.items()}
 
     return QuadrupleDecomposition(**blocks, measures=measures, residuals=residuals)

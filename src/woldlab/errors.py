@@ -18,6 +18,7 @@ class AssumptionError(WoldLabError):
 
 
 class ConvergenceError(WoldLabError):
-    """An iterative or rank-revealing computation did not certify
-    (range iteration not stabilizing, condition number too large,
-    least-squares residual above tolerance)."""
+    """A computation did not certify: a decomposition or model-map
+    residual above tolerance, a left inverse conditioned worse than
+    ``condition_max``, or orbit moments that measure extraction cannot
+    reproduce at these caps (not Toeplitz, or a fit above tolerance)."""

@@ -222,13 +222,13 @@ def poisson_integral(mu: CircleMeasure, z: complex) -> np.ndarray:
     return out
 
 
-def is_positive(mu: CircleMeasure, tol_psd: float = None) -> PositivityReport:
-    """Certify that every atom weight and the density are PSD.
+def is_positive(mu: CircleMeasure) -> PositivityReport:
+    """Certify that every atom weight and the density are PSD, to
+    ``mu.tols.psd``, the tolerance the constructor clamped them with.
 
     Returns the verdict together with the worst (most negative)
     eigenvalue encountered across all parts.
     """
-    tol = DEFAULTS.psd if tol_psd is None else tol_psd
     worst = 0.0
     parts = [W for _, W in mu.atoms] + [mu.density]
     for W in parts:
@@ -236,7 +236,7 @@ def is_positive(mu: CircleMeasure, tol_psd: float = None) -> PositivityReport:
             continue
         lam_min = float(W[0, 0].real if W.shape == (1, 1) else np.linalg.eigvalsh(W).min())
         worst = min(worst, lam_min)
-    return PositivityReport(ok=worst >= -tol, min_eigenvalue=worst)
+    return PositivityReport(ok=worst >= -mu.tols.psd, min_eigenvalue=worst)
 
 
 def require_positive(mu: CircleMeasure, what: str = "measure") -> None:

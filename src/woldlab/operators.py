@@ -42,13 +42,9 @@ def orthonormal_columns(space: HilbertSpace, X: np.ndarray, tols: Tolerances = D
 
 def _euclidean_span(X: np.ndarray, tols: Tolerances) -> np.ndarray:
     """Orthonormal basis of the column span of X in Euclidean coordinates,
-    cut at :func:`_numerical_rank`.  One column needs no SVD: its one
-    singular value is its norm."""
+    cut at :func:`_numerical_rank`."""
     if X.size == 0:
         return np.zeros((X.shape[0], 0), dtype=complex)
-    if X.shape[1] == 1:
-        s = np.sqrt(np.vdot(X, X).real)
-        return X / s if s > _rank_cut(s, tols) else X[:, :0]
     U, s = _robust_svd(X)
     return U[:, :_numerical_rank(s, tols)]
 
@@ -145,10 +141,8 @@ class Subspace:
 def _whitened_operator(T: OperatorModel) -> np.ndarray:
     """T_w = L_codom^H T L_dom^{-H}, the matrix of T in whitened coordinates
     x_w = L^H x, where the Gram inner product is Euclidean: one product and
-    one triangular solve, and T itself between identity-Gram spaces.  Read
-    it through the memo :attr:`OperatorModel.whitened`."""
-    if T.dom.identity_space() and T.codom.identity_space():
-        return T.matrix
+    one triangular solve.  Between identity-Gram spaces both are exact, so
+    T_w equals T.  Read it through the memo :attr:`OperatorModel.whitened`."""
     return sla.solve_triangular(T.dom.chol, T.codom.whiten(T.matrix).conj().T, lower=True).conj().T
 
 
@@ -212,7 +206,8 @@ class IndexCore(Core):
     ``transform`` of a scramble (space Gram transform G_frame transform^H).
     In ``frame`` its Gram-orthonormal basis is E_I R^{-1} with
     R^H R = G[I, I]: a Cholesky factorization of a positive definite block,
-    so no rank decision; the transform keeps it Gram-orthonormal."""
+    so no rank decision, and exactly E_I on an identity Gram; the transform
+    keeps it Gram-orthonormal."""
 
     def __init__(self, space: HilbertSpace, index, frame: HilbertSpace = None,
                  transform: np.ndarray = None):
@@ -228,15 +223,10 @@ class IndexCore(Core):
 
     def basis(self, tols: Tolerances = DEFAULTS) -> np.ndarray:
         I, frame = self.index, self.frame
-        if I.size == frame.dim_total:
-            B = np.eye(I.size, dtype=complex)[:, I]
-            if not frame.identity_space():
-                B = frame.unwhiten(B)
-        else:
-            B = np.zeros((frame.dim_total, I.size), dtype=complex)
-            if I.size:
-                R = sla.cholesky(frame.gram[np.ix_(I, I)], lower=False)
-                B[I] = sla.solve_triangular(R, np.eye(I.size), lower=False)
+        B = np.zeros((frame.dim_total, I.size), dtype=complex)
+        if I.size:
+            R = sla.cholesky(frame.gram[np.ix_(I, I)], lower=False)
+            B[I] = sla.solve_triangular(R, np.eye(I.size), lower=False)
         return B if self.transform is None else self.transform @ B
 
 
@@ -414,11 +404,6 @@ def _norm2(X: np.ndarray) -> float:
     return float(np.linalg.norm(X, 2)) if X.size else 0.0
 
 
-def operator_norm(A: OperatorModel, domain: Subspace) -> float:
-    """Gram operator norm of A with its domain restricted to ``domain``."""
-    return _norm2(A.codom.whiten(A.matrix @ domain.basis))
-
-
 # ---------------------------------------------------------------------------
 # 2-isometry checkers
 # ---------------------------------------------------------------------------
@@ -483,7 +468,8 @@ def left_inverse(T: OperatorModel, tols: Tolerances = DEFAULTS) -> OperatorModel
     pseudo-inverse would route preimages through that artificial kernel.
     Constraining preimages to the margin-1 core removes the ambiguity:
     L T = I holds on the core and L reproduces the untruncated left
-    inverse there exactly.
+    inverse there exactly.  No singular value is cut as rank: all are
+    inverted, and sigma_max / sigma_min is gated at ``condition_max``.
     """
     if not T.is_square:
         raise ValueError("left_inverse needs a square operator")
@@ -492,11 +478,10 @@ def left_inverse(T: OperatorModel, tols: Tolerances = DEFAULTS) -> OperatorModel
     U, s, Vh = np.linalg.svd(TEw, full_matrices=False)
     if s.size == 0 or s[0] <= tols.rank_floor:
         raise AssumptionError("operator has (numerically) trivial range on its core")
-    k = _numerical_rank(s, tols)
-    cond = float(s[0] / s[k - 1])
-    if cond > tols.condition_max:
-        raise ConvergenceError(f"left inverse is ill conditioned (cond = {cond:.3e})")
-    pinv = (Vh[:k].conj().T / s[:k]) @ U[:, :k].conj().T
+    if s[0] > tols.condition_max * s[-1]:  # also when sigma_min = 0, with no division
+        raise ConvergenceError(f"left inverse is ill conditioned (sigma {s[0]:.2e} / {s[-1]:.2e})")
+    cond = float(s[0] / s[-1])
+    pinv = (Vh.conj().T / s) @ U.conj().T
     mat = E @ pinv @ T.codom.chol.conj().T
     return OperatorModel(T.codom, T.dom, mat, core_fn=T.core_fn, info={"condition": cond})
 

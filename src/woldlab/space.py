@@ -113,12 +113,6 @@ class HilbertSpace:
     def unwhiten(self, X: np.ndarray) -> np.ndarray:
         return sla.solve_triangular(self.chol.conj().T, X, lower=False)
 
-    def identity_space(self) -> bool:
-        return bool(
-            self.gram.shape[0] == 0
-            or np.array_equal(self.gram, np.eye(self.gram.shape[0], dtype=complex))
-        )
-
 
 class EuclideanSpace(HilbertSpace):
     """C^D with the standard inner product (identity gram)."""

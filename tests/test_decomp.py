@@ -834,8 +834,8 @@ def test_the_product_route_rejects_a_factor_with_a_unitary_block(monkeypatch):
     # a truncated M_z is nilpotent, so a factor H0 can only come from a fault
     real = decomp.wold_single
 
-    def with_h0(T, tols, extract):
-        single = real(T, tols, extract)
+    def with_h0(T, tols):
+        single = real(T, tols)
         single.H0 = single.H1
         return single
 
@@ -881,11 +881,11 @@ def test_wold_pair_idempotent_on_blocks():
     T1, T2 = inst.operators
     # restriction to H10: T1 shift-like, T2 unitary -> only H10 survives
     R1, R2 = restrict_operator(T1, quad.H10), restrict_operator(T2, quad.H10)
-    sub = wl.wold_pair(R1, R2, extract=False)
+    sub = wl.wold_pair(R1, R2)
     assert sub.block_dims() == (0, quad.H10.dim, 0, 0)
     # restriction to H11 is jointly analytic
     R1, R2 = restrict_operator(T1, quad.H11), restrict_operator(T2, quad.H11)
-    sub = wl.wold_pair(R1, R2, extract=False)
+    sub = wl.wold_pair(R1, R2)
     assert sub.block_dims() == (0, 0, 0, quad.H11.dim)
 
 

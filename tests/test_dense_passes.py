@@ -12,9 +12,8 @@ and ``build_V`` read the kernel projections in the coordinates of the
 kernels, where they applied D x D projectors and powers.  The
 decompositions read their block residuals and the doubly-commuting check
 from whitened bases and T_w, where they built restricted operators and
-Gram adjoints.  An orbit pass of one column is normalized by its norm,
-where it took an SVD, and the powers of a kernel stop at the rank floor,
-where they ran D + 1.  Each Wold split, the shift block and its
+Gram adjoints.  The powers of a kernel stop at the rank floor, where they
+ran D + 1.  Each Wold split, the shift block and its
 complement, comes from one pivoted QR of the stacked powers of its
 kernel, where the orbit took a pass loop and the complement a QR, and
 ker T* from one pivoted QR, where it took a full SVD.
@@ -86,7 +85,7 @@ def check_routes(ops):
 
 def check_wandering(T):
     """The wandering residual of ``wold_single`` against the Gram-geometry loop."""
-    wander = wl.wold_single(T, extract=False).residuals["wandering"]
+    wander = wl.wold_single(T).residuals["wandering"]
     assert abs(wander - gram_wandering(T, wl.certify(T).E)) < WANDER_TOL
 
 
@@ -225,10 +224,11 @@ def test_each_operator_is_whitened_once(whitenings):
 
 
 # -- one-column orbit passes and the power stop ------------------------------
-# ``_euclidean_span`` keeps w / ||w|| of one column w, where an orbit pass
-# took an SVD of it, and the powers of a kernel stop at the first block of
-# Frobenius norm at most rank_floor, where they stopped at eps^2 dim K.
-# Both routes keep the same directions and give the same measures.
+# ``_euclidean_span`` keeps the directions of an orbit pass that the SVD pass
+# keeps, one column included, and the powers of a kernel stop at the first
+# block of Frobenius norm at most rank_floor, where they stopped at
+# eps^2 dim K.  Both routes keep the same directions and give the same
+# measures.
 
 ORBIT_TOL = 1e-12
 
@@ -258,7 +258,7 @@ def svd_passes(Tw, Sw):
 
 
 @pytest.mark.parametrize("d, caps", [(1, 16), (1, 32), (1, 64), (1, 96), (2, 12)])
-def test_one_column_orbit_passes_match_the_svd_pass(d, caps, dense_factorizations):
+def test_one_column_orbit_passes_match_the_svd_pass(d, caps):
     mu = wl.random_atomic_measure(d, 3, seed=caps, density_scale=0.4)
     T = wl.make_single_wold_instance(2, mu, caps, seed=caps, scramble_seed=caps + 1).operators[0]
     Tw, Ew = whitened_operator_and_kernel(T)
@@ -266,11 +266,7 @@ def test_one_column_orbit_passes_match_the_svd_pass(d, caps, dense_factorization
     # caps passes of d directions each, and a last one that keeps none
     assert len(passes) == caps + 1 and passes[-1][1].shape[1] == 0
     for images, kept in passes:
-        dense_factorizations.clear()
-        got = operators._euclidean_span(images, wl.DEFAULTS)
-        # every pass from a one-dimensional kernel is one column, and none takes an SVD
-        assert (len(dense_factorizations) == 0) == (d == 1)
-        assert_same_span(got, kept)
+        assert_same_span(operators._euclidean_span(images, wl.DEFAULTS), kept)
 
 
 @pytest.mark.parametrize("factor", [0.5, 2.0])
@@ -514,7 +510,7 @@ def adjoint_route_residuals(T1, T2):
     adjoint of T1 in ambient coordinates."""
     amb, core = T1.dom, joint_core(T1, T2)
     T1s = adjoint(T1).matrix
-    return tuple(wl.operator_norm(wl.OperatorModel(amb, amb, A @ T2.matrix - T2.matrix @ A), core)
+    return tuple(np.linalg.norm(amb.whiten((A @ T2.matrix - T2.matrix @ A) @ core.basis), 2)
                  for A in (T1.matrix, T1s))
 
 

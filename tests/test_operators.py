@@ -15,7 +15,7 @@ from woldlab.operators import (
     orthonormal_columns,
     range_complement_projection,
 )
-from woldlab.space import EuclideanSpace
+from woldlab.space import EuclideanSpace, coordinate_shift_matrix, factor_spaces
 
 from conftest import scalar_atoms
 from reference import (
@@ -255,13 +255,31 @@ def test_left_inverse_times_shift_is_identity_on_core(rng):
 
 
 def test_left_inverse_rejects_ill_conditioned():
-    # with the default rank cut the condition gate cannot fire (chopped
-    # directions never enter); tighten the cut to expose it
+    # the condition gate reads every singular value; a rank cut tighter
+    # than the gate changes nothing
     sp = EuclideanSpace(3)
     T = wl.OperatorModel(sp, sp, np.diag([1.0, 1.0, 1e-5]))
     tols = wl.Tolerances(rank_rtol=1e-15, rank_floor=1e-15, condition_max=1e3)
     with pytest.raises(wl.ConvergenceError):
         wl.left_inverse(T, tols=tols)
+
+
+@pytest.mark.parametrize("smallest", [0.0, 2e-11])
+def test_left_inverse_gates_the_singular_values_below_the_rank_cut(smallest):
+    # sigma_max / sigma_min is infinite or 5e10 > condition_max, though the
+    # rank cut (1e-8) would drop the smallest value before the gate read it
+    sp = EuclideanSpace(3)
+    T = wl.OperatorModel(sp, sp, np.diag([1.0, 0.5, smallest]))
+    with pytest.raises(wl.ConvergenceError, match="ill conditioned"):
+        wl.left_inverse(T)
+
+
+def test_left_inverse_inverts_a_value_below_the_rank_cut():
+    sp = EuclideanSpace(3)
+    T = wl.OperatorModel(sp, sp, np.diag([1.0, 0.5, 1e-9]))
+    L = wl.left_inverse(T)
+    assert L.info["condition"] == pytest.approx(1e9)
+    assert np.max(np.abs(L.matrix @ T.matrix - np.eye(3))) < 1e-12
 
 
 def test_wandering_projection_model_shift():
@@ -281,6 +299,17 @@ def test_wandering_projection_unitary_is_zero():
     P, E = range_complement_projection(U)
     assert E.dim == 0
     np.testing.assert_allclose(P, 0, atol=1e-12)
+
+
+@pytest.mark.parametrize("multiple, tols, dim", [
+    (0.5, wl.DEFAULTS, 1), (2.0, wl.DEFAULTS, 0), (2.0, wl.DEFAULTS.scaled(10), 1)])
+def test_the_kernel_rank_cut_moves_with_the_scale(multiple, tols, dim):
+    # |diag R| of diag(1, 1, eps) is (1, 1, eps), cut at rank_rtol: the
+    # third direction is range above the cut and kernel below it, and
+    # scaled(10) cuts ten times more
+    sp = EuclideanSpace(3)
+    T = wl.OperatorModel(sp, sp, np.diag([1.0, 1.0, multiple * wl.DEFAULTS.rank_rtol]))
+    assert operators.wandering_subspace(T, tols).dim == dim
 
 
 def test_wandering_dimension_bidisc():
@@ -369,6 +398,29 @@ def test_operator_matrix_is_a_read_only_copy():
         T.matrix[0, 0] = 2.0
     M[0, 0] = 2.0
     assert T.matrix[0, 0] == 1.0
+
+
+# On an identity Gram the Cholesky factor is I, and a product with I or a
+# triangular solve against it is exact: whitening and the core basis of a
+# full index change no bit, with no branch for such spaces.
+
+
+def test_whitening_on_a_euclidean_space_is_exact():
+    U = wl.unitary_operator(wl.random_unitary(5, 21))
+    assert np.array_equal(U.whitened, U.matrix)
+
+
+def test_whitening_on_a_zero_measure_factor_is_exact():
+    zero = wl.CircleMeasure.zero(1)
+    factor = factor_spaces(wl.build_space(zero, zero, 4, 3))[0]
+    assert np.array_equal(factor.gram, np.eye(factor.dim_total))
+    Mz = wl.OperatorModel(factor, factor, coordinate_shift_matrix(factor, 1))
+    assert np.array_equal(Mz.whitened, Mz.matrix)
+
+
+def test_a_full_index_core_on_a_euclidean_frame_has_basis_the_identity():
+    sp = EuclideanSpace(4)
+    assert np.array_equal(IndexCore(sp, np.arange(4)).basis(), np.eye(4))
 
 
 # -- intersections by principal angles ------------------------------------------

@@ -5,7 +5,9 @@ A float literal of at most 1e-6 in ``src/woldlab`` is a threshold that
 ``--tol-scale`` cannot reach.  The scan below fails on any such literal
 outside ``config.py`` that is not on the allowlist, which is empty.  A
 second scan fails on any public function or method that neither the
-package, the demos nor the acceptance tests read.
+package, the demos nor the acceptance tests read, and a third on any
+parameter defaulting to True, False or None that none of them, nor the
+benchmark, sets.
 """
 
 import ast
@@ -118,6 +120,108 @@ def test_the_scan_sees_an_unread_definition(tmp_path):
     assert unread_definitions(tmp_path, [tmp_path / "client.py"]) == ["A.idle", "unused"]
 
 
+# -- switches that no caller sets ---------------------------------------------
+
+#: parameters defaulting to True, False or None that nothing sets in the
+#: package, the demos, the acceptance tests or the benchmark: the
+#: extrapolation switch of the quadrature oracle
+UNSET_ALLOWED = {"quadrature_inner_product.richardson"}
+
+def _is_switch(default):
+    """Whether a default (an AST node, or None for no default) is the
+    constant True, False or None, compared by identity since 0 == False."""
+    return isinstance(default, ast.Constant) and any(
+        default.value is value for value in (True, False, None))
+
+
+def switches(path):
+    """(definition.parameter, position) of every parameter of a public
+    function or method of ``path`` that defaults to True, False or None.
+    The position counts the arguments a call passes, so it skips the
+    ``self`` or ``cls`` of a method; a keyword-only parameter has none."""
+    found = []
+
+    def scan(fn, name, skip):
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
+        found.extend((f"{name}.{arg.arg}", i - skip)
+                     for i, (arg, default) in enumerate(zip(positional, defaults))
+                     if _is_switch(default))
+        found.extend((f"{name}.{arg.arg}", None)
+                     for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                     if _is_switch(default))
+
+    for node in ast.parse(path.read_text()).body:
+        if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                or node.name.startswith("_")):
+            continue
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not item.name.startswith("_")):
+                    scan(item, f"{node.name}.{item.name}", 1)
+        else:
+            scan(node, node.name, 0)
+    return found
+
+
+def calls(path):
+    """callee name -> [(positions, keywords)] of every call in ``path``:
+    how many arguments it passes by position and the names it passes by
+    keyword.  What a starred argument or ``**kwargs`` passes is not
+    known, so it sets nothing, nor does any argument after a starred one."""
+    out = {}
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        starred = [i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)]
+        out.setdefault(name, []).append((starred[0] if starred else len(node.args),
+                                         {k.arg for k in node.keywords}))
+    return out
+
+
+def unset_switches(package, readers):
+    """The switches of the modules of ``package`` that no call in
+    ``readers`` sets, by keyword or by position, sorted."""
+    seen = {}
+    for path in readers:
+        for name, sites in calls(path).items():
+            seen.setdefault(name, []).extend(sites)
+
+    def is_set(switch, position):
+        fn, param = switch.rsplit(".", 2)[-2:]
+        return any(param in kws or (position is not None and npos > position)
+                   for npos, kws in seen.get(fn, []))
+
+    return sorted(switch for path in sorted(package.glob("*.py"))
+                  for switch, position in switches(path) if not is_set(switch, position))
+
+
+def test_every_switch_is_set_by_a_caller():
+    readers = ([path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+               + sorted((ROOT / "demos").glob("*.py"))
+               + [Path(__file__).resolve().parent / "test_acceptance.py"]
+               + sorted((ROOT / "perfbench").rglob("*.py")))
+    assert set(unset_switches(PACKAGE, readers)) == UNSET_ALLOWED
+
+
+def test_the_scan_sees_a_switch_no_caller_sets(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def f(x, on=True, off=False, *, key=None, n=3):\n    return x\n\n\n"
+        "class A:\n    def m(self, y, flag=None):\n        return y\n\n"
+        "    def _hidden(self, z=False):\n        return z\n")
+    (tmp_path / "client.py").write_text(
+        "from mod import A, f\n\nf(1, True, key=2)\nA().m(1, None)\n")
+    assert unset_switches(tmp_path, [tmp_path / "client.py"]) == ["f.off"]
+    # what a starred argument or **kwargs passes is not known
+    (tmp_path / "client.py").write_text(
+        "from mod import A, f\n\nf(*[1, 2, 3])\nf(1, **{'key': 2})\nA().m(*[1, 2])\n")
+    assert unset_switches(tmp_path, [tmp_path / "client.py"]) == [
+        "A.m.flag", "f.key", "f.off", "f.on"]
+
+
 # -- tolerance defaults -------------------------------------------------------
 
 
@@ -215,6 +319,15 @@ def atom_separation_edge(multiple):
     return lambda tols: wl.CircleMeasure(dim=1, atoms=atoms, tols=tols)
 
 
+def condition_max_edge(multiple):
+    """left_inverse of diag(1, 1, eps) on a Euclidean space, whose
+    sigma_max / sigma_min is 1 / eps = ``multiple`` times the bound."""
+    sp = EuclideanSpace(3)
+    eps = 1 / (multiple * wl.DEFAULTS.condition_max)
+    T = wl.OperatorModel(sp, sp, np.diag([1.0, 1.0, eps]))
+    return lambda tols: wl.left_inverse(T, tols)
+
+
 #: field -> (input at a multiple of its default, error, message, whether
 #: the 0.5x input passes); a measure comparison raises nothing (no error
 #: class), its verdict flips
@@ -222,6 +335,7 @@ EDGES = {
     "doubly_commuting": (doubly_commuting_edge, wl.AssumptionError, "not doubly commuting", True),
     "isometry": (isometry_edge, wl.AssumptionError, "not an isometry", True),
     "atom_separation": (atom_separation_edge, ValueError, "not separated", False),
+    "condition_max": (condition_max_edge, wl.ConvergenceError, "ill conditioned", True),
     "measure_match": (measure_match_edge, (), "", True),
     "vmap": (vmap_edge, wl.ConvergenceError, "model map residuals", True),
 }
