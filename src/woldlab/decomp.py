@@ -177,6 +177,85 @@ def certify(T: OperatorModel, tols: Tolerances = DEFAULTS) -> Certificate:
 
 
 # ---------------------------------------------------------------------------
+# d = 1 coordinate pairs: the product of two factor shifts
+# ---------------------------------------------------------------------------
+
+def _coordinate_pair_space(T1: OperatorModel, T2: OperatorModel) -> Optional[GradedPolySpace]:
+    """The space of a d = 1 coordinate pair (M_z ⊗ I, I ⊗ M_z), or None.
+
+    The pair is recognized from what it is, not from how it was built:
+    both operators act on one :class:`GradedPolySpace` with d = 1 and both
+    caps at least 1, their matrices equal the coordinate shifts of that
+    space entry for entry, and their safe cores at the default margin and
+    at margin 1 are its graded index cores of variables 1 and 2.  The
+    default-margin cores carry the defect and unitarity gates, and the
+    margin-1 cores the left inverse: on these product sets the dense
+    values equal the factors' ones, L_T1 = L_S1 ⊗ I among them
+    (:func:`_factor_shifts`).
+    """
+    space = T1.dom
+    if not (isinstance(space, GradedPolySpace) and space.dim == 1 and min(space.caps) >= 1
+            and T1.codom is space and T2.dom is space and T2.codom is space):
+        return None
+    for var, T in ((1, T1), (2, T2)):
+        if not np.array_equal(T.matrix, coordinate_shift_matrix(space, var)):
+            return None
+        for margin in (DEFAULT_CORE_MARGIN, 1):
+            core = T.core(margin)
+            if not (isinstance(core, IndexCore) and core.transform is None
+                    and core.frame is space
+                    and np.array_equal(core.index, space.core_indices(margin, var))):
+                return None
+    return space
+
+
+_FACTOR_SHIFTS = weakref.WeakKeyDictionary()
+
+
+def _factor_shifts(space: GradedPolySpace) -> tuple:
+    """(S1, S2): M_z on the two factor spaces of ``space``
+    (:func:`woldlab.space.factor_spaces`), built on the first request and
+    then read from a memo that holds ``space`` weakly.  So :func:`certify`
+    memoizes each factor's certificate once per space and tolerance, and
+    :func:`wold_pair`, both pair functions and :func:`slocinski` share it.
+
+    On the d = 1 coordinate pair of ``space`` (:func:`_coordinate_pair_space`)
+    the Gram is G1 ⊗ G2 to rounding, T1 = S1 ⊗ I and T2 = I ⊗ S2, so
+    ker T1* = ker S1* ⊗ C^{N2+1}, the defect form of T1 is F_S1 ⊗ G2, its
+    left inverse on the margin-1 core is L_S1 ⊗ I, and likewise in the
+    second variable: every certificate of the pair is read from the
+    factors' at N_i + 1 rows.  The ``condition_max`` gate of the left
+    inverse reads the factor's sigma ratio; the dense ratio of T1 is that
+    times cond(L2), the Cholesky factor of G2 that whitens the coordinate
+    core, which L_S1 ⊗ I does not depend on.
+    """
+    shifts = _FACTOR_SHIFTS.get(space)
+    if shifts is None:
+        shifts = _FACTOR_SHIFTS[space] = tuple(
+            OperatorModel(f, f, coordinate_shift_matrix(f, 1)) for f in factor_spaces(space))
+    return shifts
+
+
+class _Kron:
+    """A ⊗ B acting on stacked columns of length a b, each read as an
+    a x b array Y: (A ⊗ B) vec(Y) = vec(A Y B^T), two small products in
+    place of one with D rows.  ``None`` stands for an identity factor."""
+
+    def __init__(self, A: Optional[np.ndarray], B: Optional[np.ndarray], shape: tuple):
+        self.A, self.B, self.shape = A, B, shape
+
+    def __matmul__(self, Y: np.ndarray) -> np.ndarray:
+        a, b = self.shape
+        Z = Y.reshape(a, b * Y.shape[1])
+        if self.A is not None:
+            Z = self.A @ Z
+        Z = Z.reshape(a, b, Y.shape[1])
+        if self.B is not None:
+            Z = np.matmul(self.B, Z)
+        return Z.reshape(Y.shape)
+
+
+# ---------------------------------------------------------------------------
 # measure extraction from orbit moments
 # ---------------------------------------------------------------------------
 
@@ -332,13 +411,17 @@ def extract_measure(T: OperatorModel, tols: Tolerances = DEFAULTS) -> CircleMeas
 _EPS = np.finfo(float).eps
 
 
-def _negligible(total: float, *ops: OperatorModel) -> float:
+def _negligible(total: float, D: int, *frob2: float) -> float:
     """The squared Gram norm at which a series of iterates of x, with
-    ||x||_G^2 = ``total``, stops under the operators ``ops`` (one, or a
-    pair; see ``_EPS``)."""
-    D = ops[0].dom.dim_total
-    scale = np.prod([(D + 1) * float(np.vdot(T.whitened, T.whitened).real) for T in ops])
+    ||x||_G^2 = ``total``, stops on a space of dimension D under one
+    operator or a pair, given each operator's ||T_w||_F^2 (see ``_EPS``)."""
+    scale = np.prod([(D + 1) * f for f in frob2])
     return _EPS * total / float(scale)
+
+
+def _frob2(T: OperatorModel) -> float:
+    """||T_w||_F^2 of the whitened operator."""
+    return float(np.vdot(T.whitened, T.whitened).real)
 
 
 def _pairings(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -346,10 +429,11 @@ def _pairings(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", A.conj(), B).real
 
 
-def _series(L: np.ndarray, G: np.ndarray, Y: np.ndarray, negligible: float) -> tuple:
+def _series(L, G, Y: np.ndarray, negligible: float) -> tuple:
     """(Ys, GYs, k, col): the iterates L^k y of every column y of Y, stacked
     as the columns of Ys, their images under G, and for each its power k
-    and the column of Y it came from.
+    and the column of Y it came from.  L and G are matrices, or
+    :class:`_Kron` products that act like them.
 
     The series of a column stops at its first iterate whose squared Gram
     norm is at most ``negligible``, and after dim + 1 iterates at most; the
@@ -396,7 +480,7 @@ def check_norm_identity(T: OperatorModel, x, tols: Tolerances = DEFAULTS) -> flo
     x = _as_flat(x)
     G = T.dom.gram
     total = float((np.conj(x) @ (G @ x)).real)
-    Y, GY, k, _ = _series(cert.L, G, x[:, None], _negligible(total, T))
+    Y, GY, k, _ = _series(cert.L, G, x[:, None], _negligible(total, T.dom.dim_total, _frob2(T)))
     kernel = cert.E.basis.conj().T @ GY
     defect = Y[:, k >= 1]
     acc = np.sum(_pairings(kernel, kernel)) + np.sum(_pairings(defect, cert.F @ defect))
@@ -429,13 +513,20 @@ def check_two_variable_identity(T1: OperatorModel, T2: OperatorModel, x,
     in a few matrix products.  No D x D projector is
     built, and no product of two D x D matrices is taken.  E, F and L of
     each operator are read from its :class:`Certificate`.
+
+    A d = 1 coordinate pair (:func:`_coordinate_pair_space`) is read from
+    the certificates of its two factor shifts instead
+    (:func:`_product_identity`), and T1, T2 are never certified at D rows.
     """
+    space = _coordinate_pair_space(T1, T2)
+    if space is not None:
+        return _product_identity(space, _as_flat(x), tols)
     c1 = certify(T1, tols).require_analytic()
     c2 = certify(T2, tols).require_analytic()
     x = _as_flat(x)
     G = T1.dom.gram
     total = float((np.conj(x) @ (G @ x)).real)
-    negligible = _negligible(total, T1, T2)
+    negligible = _negligible(total, T1.dom.dim_total, _frob2(T1), _frob2(T2))
     outer, _, _, _ = _series(c1.L, G, x[:, None], negligible)
     Y, GY, n, m = _series(c2.L, G, outer, negligible)
     E1, E2 = c1.E.basis, c2.E.basis
@@ -449,6 +540,51 @@ def check_two_variable_identity(T1: OperatorModel, T2: OperatorModel, x,
            + np.sum(_pairings(b2, (E1.conj().T @ (c2.F @ E1)) @ b2))
            + np.sum(_pairings(T2mixed, c1.F @ T2mixed))
            - np.sum(_pairings(mixed, c1.F @ mixed)))
+    return abs(total - float(acc))
+
+
+def _form(F: np.ndarray, X: np.ndarray) -> float:
+    """Re sum <F x, x> over the columns x of X, contracting F with its
+    first axis."""
+    return float(np.vdot(X, np.tensordot(F, X, axes=1)).real)
+
+
+def _product_identity(space: GradedPolySpace, x: np.ndarray, tols: Tolerances) -> float:
+    """:func:`check_two_variable_identity` of the d = 1 coordinate pair of
+    ``space``, from the certificates of its factor shifts S1, S2
+    (:func:`_factor_shifts`), at N_i + 1 rows.
+
+    Every iterate y is an (N1+1) x (N2+1) array Y: G y = G1 Y G2^T,
+    L1 y = L_S1 Y and L2 y = Y L_S2^T (:class:`_Kron`), stacked as
+    :func:`_series` stacks them, and the stop rule reads
+    ||T1_w||_F^2 = ||S1_w||_F^2 (N2 + 1), likewise for T2.  With e_i the
+    Gram-orthonormal kernel of S_i*, P1 P2 y = e1 s e2^T for
+    s = e1^H (G1 Y G2^T) conj(e2), read from the G y the stop rule forms;
+    P2 y = u e2^T with u = Y conj(G2 e2), and P1 y = e1 v^T with
+    v = Y^T conj(G1 e1).  The defect forms are F_S1 ⊗ G2 and G1 ⊗ F_S2,
+    so the single defects are u^H F_S1 u and v^H F_S2 v, and the mixed form
+    F12 is F_S1 ⊗ F_S2.  Each term is a contraction of the factors, the
+    same sum as the dense route's in exact arithmetic.
+    """
+    S1, S2 = _factor_shifts(space)
+    c1 = certify(S1, tols).require_analytic()
+    c2 = certify(S2, tols).require_analytic()
+    G1, G2 = S1.dom.gram, S2.dom.gram
+    e1, e2 = c1.E.basis, c2.E.basis
+    n1, n2 = G1.shape[0], G2.shape[0]
+    G = _Kron(G1, G2, (n1, n2))
+    X = x[:, None]
+    total = float(_pairings(X, G @ X)[0])
+    negligible = _negligible(total, n1 * n2, _frob2(S1) * n2, _frob2(S2) * n1)
+    outer, _, _, _ = _series(_Kron(c1.L, None, (n1, n2)), G, X, negligible)
+    Y, GY, n, m = _series(_Kron(None, c2.L, (n1, n2)), G, outer, negligible)
+    Y3 = Y.reshape(n1, n2, -1)
+    s = np.einsum("mi,mnk,nj->ijk", e1.conj(), GY.reshape(n1, n2, -1), e2.conj())
+    u = np.tensordot(Y3[:, :, m >= 1], (G2 @ e2).conj(), axes=(1, 0))
+    v = np.tensordot(Y3[:, :, n >= 1], (G1 @ e1).conj(), axes=(0, 0))
+    mixed = Y[:, (m >= 1) & (n >= 1)]
+    acc = (np.vdot(s, s).real + _form(c1.F, u) + _form(c2.F, v)
+           + np.sum(_pairings(mixed, _Kron(c1.F, c2.F, (n1, n2)) @ mixed)))
     return abs(total - float(acc))
 
 
@@ -608,30 +744,19 @@ def build_V(T1: OperatorModel, T2: OperatorModel, target: GradedPolySpace,
     product) and intertwining residuals over the safe core are recorded in
     ``info``; the coordinate shifts act as exact row shifts
     (:func:`_shift_rows`).
+
+    On a d = 1 coordinate pair (:func:`_coordinate_pair_space`) the rows
+    are read from the certificates of its two factor shifts instead
+    (:func:`_product_rows`): the joint kernel is e1 ⊗ e2, so the rows are
+    kron(R1, R2) with R_i[m] = e_i^H G_i L_{S_i}^m, and T1, T2 are never
+    certified at D rows.  Both routes gate the target dimension, and the
+    isometry and intertwining gates read the assembled Grams and the
+    matrices of T1, T2 on either route.
     """
-    c1 = certify(T1, tols).require_analytic()
-    c2 = certify(T2, tols).require_analytic()
     amb = T1.dom
-    E = subspace_intersect(c1.E, c2.E, tols)
-    if target.dim != E.dim:
-        raise ValueError(
-            f"target coefficient dimension {target.dim} does not match joint kernel {E.dim}"
-        )
-    M1, M2 = target.caps
-    D = amb.dim_total
-    rows = np.empty((target.dim_total, D), dtype=complex)
-    grid = rows.reshape(M1 + 1, M2 + 1, target.dim, D)
-    # block holds the rows r_{m,n} of every m, in the order of m
-    block = np.empty(((M1 + 1) * target.dim, D), dtype=complex)
-    cur = E.basis.conj().T @ amb.gram
-    for m in range(M1 + 1):
-        block[m * target.dim:(m + 1) * target.dim] = cur
-        if m < M1:
-            cur = cur @ c1.L
-    for n in range(M2 + 1):
-        grid[:, n] = block.reshape(M1 + 1, target.dim, D)
-        if n < M2:
-            block = block @ c2.L
+    space = _coordinate_pair_space(T1, T2)
+    rows = (_dense_rows(T1, T2, target, tols) if space is None
+            else _product_rows(space, target, tols))
     V = OperatorModel(amb, target, rows)
 
     core = joint_core(T1, T2, None, tols)
@@ -652,6 +777,59 @@ def build_V(T1: OperatorModel, T2: OperatorModel, target: GradedPolySpace,
             f"intertwining ({res1:.3e}, {res2:.3e})"
         )
     return V
+
+
+def _check_target_dim(target: GradedPolySpace, kernel_dim: int):
+    if target.dim != kernel_dim:
+        raise ValueError(
+            f"target coefficient dimension {target.dim} does not match joint kernel {kernel_dim}"
+        )
+
+
+def _dense_rows(T1: OperatorModel, T2: OperatorModel, target: GradedPolySpace,
+                tols: Tolerances) -> np.ndarray:
+    """The rows of :func:`build_V` from the certificates of T1 and T2."""
+    c1 = certify(T1, tols).require_analytic()
+    c2 = certify(T2, tols).require_analytic()
+    amb = T1.dom
+    E = subspace_intersect(c1.E, c2.E, tols)
+    _check_target_dim(target, E.dim)
+    M1, M2 = target.caps
+    D = amb.dim_total
+    rows = np.empty((target.dim_total, D), dtype=complex)
+    grid = rows.reshape(M1 + 1, M2 + 1, target.dim, D)
+    # block holds the rows r_{m,n} of every m, in the order of m
+    block = np.empty(((M1 + 1) * target.dim, D), dtype=complex)
+    cur = E.basis.conj().T @ amb.gram
+    for m in range(M1 + 1):
+        block[m * target.dim:(m + 1) * target.dim] = cur
+        if m < M1:
+            cur = cur @ c1.L
+    for n in range(M2 + 1):
+        grid[:, n] = block.reshape(M1 + 1, target.dim, D)
+        if n < M2:
+            block = block @ c2.L
+    return rows
+
+
+def _product_rows(space: GradedPolySpace, target: GradedPolySpace,
+                  tols: Tolerances) -> np.ndarray:
+    """The rows of :func:`build_V` on the d = 1 coordinate pair of
+    ``space``, from the certificates of the factor shifts
+    (:func:`_factor_shifts`): R_i stacks e_i^H G_i L_{S_i}^m for
+    m = 0..M_i, with e_i the kernel of S_i* and M_i the target caps.  The
+    joint kernel is e1 ⊗ e2, so the row of bidegree (m, n) and kernel
+    vector (j, k) is R1[m, j] ⊗ R2[n, k]; a truncated M_z* has a
+    one-dimensional kernel, and then the rows are kron(R1, R2)."""
+    certs = [certify(S, tols).require_analytic() for S in _factor_shifts(space)]
+    _check_target_dim(target, certs[0].E.dim * certs[1].E.dim)
+    factors = []
+    for cert, M in zip(certs, target.caps):
+        R = [cert.E.basis.conj().T @ cert.E.ambient.gram]
+        for _ in range(M):
+            R.append(R[-1] @ cert.L)
+        factors.append(np.stack(R))
+    return np.einsum("mjp,nkq->mnjkpq", *factors).reshape(target.dim_total, space.dim_total)
 
 
 # ---------------------------------------------------------------------------
@@ -717,40 +895,16 @@ def _kernel_part(Aw: np.ndarray, Ew: np.ndarray, tols: Tolerances) -> tuple:
     return Kw, _norm2(Kw - Ew @ (Ew.conj().T @ Kw))
 
 
-def _coordinate_pair_space(T1: OperatorModel, T2: OperatorModel) -> Optional[GradedPolySpace]:
-    """The space of a d = 1 coordinate pair (M_z ⊗ I, I ⊗ M_z), or None.
-
-    The pair is recognized from what it is, not from how it was built:
-    both operators act on one :class:`GradedPolySpace` with d = 1 and both
-    caps at least 1, their matrices equal the coordinate shifts of that
-    space entry for entry, and their safe cores at the default margin are
-    its graded index cores of variables 1 and 2.
-    """
-    space = T1.dom
-    if not (isinstance(space, GradedPolySpace) and space.dim == 1 and min(space.caps) >= 1
-            and T1.codom is space and T2.dom is space and T2.codom is space):
-        return None
-    for var, T in ((1, T1), (2, T2)):
-        core = T.core()
-        if not (np.array_equal(T.matrix, coordinate_shift_matrix(space, var))
-                and isinstance(core, IndexCore) and core.transform is None
-                and core.frame is space
-                and np.array_equal(core.index, space.core_indices(DEFAULT_CORE_MARGIN, var))):
-            return None
-    return space
-
-
 def _product_pair(space: GradedPolySpace, tols: Tolerances) -> QuadrupleDecomposition:
     """:func:`wold_pair` of the d = 1 coordinate pair of ``space``, one
     factor at a time: :func:`wold_single` on M_z over each factor space
-    (:func:`woldlab.space.factor_spaces`).  A truncated M_z is nilpotent,
+    (:func:`_factor_shifts`).  A truncated M_z is nilpotent,
     so a factor with a unitary block is a fault.  :func:`wold_pair` says
     what the blocks, measures and residuals are.
     """
     singles = []
-    for factor in factor_spaces(space):
-        single = wold_single(OperatorModel(factor, factor, coordinate_shift_matrix(factor, 1)),
-                             tols)
+    for shift in _factor_shifts(space):
+        single = wold_single(shift, tols)
         if single.H0.dim:
             raise ConvergenceError(
                 f"a truncated M_z has a unitary block of dimension {single.H0.dim}"
@@ -929,9 +1083,16 @@ def slocinski(V1: OperatorModel, V2: OperatorModel, tols: Tolerances = DEFAULTS)
 
     Delegates to the 2-isometric pair decomposition and certifies that
     the extracted measures vanish: isometries have trivial defects, so
-    every shift part is an unweighted unilateral shift.
+    every shift part is an unweighted unilateral shift.  Each operator is
+    first gated as an isometry, ||V*V - I|| on its safe core at most
+    ``tols.isometry``.  On a d = 1 coordinate pair
+    (:func:`_coordinate_pair_space`) the gate reads the factor shifts
+    (:func:`_factor_shifts`): the defect form of V1 is F_S1 ⊗ G2, and its
+    compression to the var-1 core, a product set, has the norm of F_S1 on
+    the core of S1, so no D x D defect form is built.
     """
-    for idx, V in enumerate((V1, V2), start=1):
+    space = _coordinate_pair_space(V1, V2)
+    for idx, V in enumerate((V1, V2) if space is None else _factor_shifts(space), start=1):
         res = unitarity_residual(V, margin=None, tols=tols)
         if res > tols.isometry:
             raise AssumptionError(

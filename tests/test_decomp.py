@@ -487,14 +487,23 @@ def test_a_kernel_missing_a_direction_breaks_the_norm_identity(rng):
 
 
 def test_a_kernel_missing_a_direction_breaks_the_two_variable_identity(rng):
-    T1, T2 = wl.build_pair_2v(*wl.random_measure_pair(1, 2, seed=6), 6, 6)
+    # the dense route reads ker T2* from the certificate of T2, on the
+    # scrambled twin of a coordinate pair; the product route reads the
+    # one-dimensional ker S2* of the second factor shift, on the pair itself
+    pair = wl.build_pair_2v(*wl.random_measure_pair(1, 2, seed=6), 6, 6)
+    (T1, T2), W = wl.scramble(pair, 6)
     core = joint_core(T1, T2, 2)
     x = core.basis @ (rng.standard_normal(core.dim) + 1j * rng.standard_normal(core.dim))
     x /= T1.dom.norm(x)
     assert wl.check_two_variable_identity(T1, T2, x) < 1e-12
     install_short_kernel(T2, core.basis)
-    assert wl.certify(T2).E.dim == T2.dom.caps[0]
+    assert wl.certify(T2).E.dim == 6
     assert wl.check_two_variable_identity(T1, T2, x) > 1e-4
+    assert wl.check_two_variable_identity(*pair, W @ x) < 1e-12
+    S2 = decomp._factor_shifts(pair[0].dom)[1]
+    install_short_kernel(S2, np.eye(S2.dom.dim_total))
+    assert wl.certify(S2).E.dim == 0
+    assert wl.check_two_variable_identity(*pair, W @ x) > 1e-4
 
 
 # -- model map V ------------------------------------------------------------------
@@ -812,15 +821,50 @@ def test_the_product_route_matches_the_dense_route_on_the_scrambled_twin(seed, c
         assert max(quad.residuals.values()) <= wl.DEFAULTS.decomposition
 
 
-def _with_core(T, margin_shift):
-    return wl.OperatorModel(T.dom, T.dom, T.matrix, core_fn=lambda m: T.core(m + margin_shift))
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2**20), caps=st.lists(st.integers(2, 8), min_size=2, max_size=2,
+                                                 unique=True),
+       n_atoms=st.integers(1, 2))
+def test_the_product_identities_and_model_map_match_the_dense_ones_on_the_scrambled_twin(
+        seed, caps, n_atoms):
+    # the twin x' of x is W^H x, and the dense V of the twin is the product
+    # V times W, up to the unimodular constant that fixes a joint kernel
+    mu1, mu2 = wl.random_measure_pair(1, n_atoms, seed=seed)
+    pair = wl.build_pair_2v(mu1, mu2, *caps)
+    twin, W = wl.scramble(pair, seed)
+    rng = np.random.default_rng(seed)
+    core = joint_core(*twin, 1)
+    for _ in range(2):
+        x = core.basis @ (rng.standard_normal(core.dim) + 1j * rng.standard_normal(core.dim))
+        x /= twin[0].dom.norm(x)
+        assert wl.check_two_variable_identity(*twin, x) <= 1e-12
+        assert wl.check_two_variable_identity(*pair, W @ x) <= 1e-12
+    target = wl.build_space(mu1, mu2, *caps)
+    product, dense = (wl.build_V(*ops, target) for ops in (pair, twin))
+    for V in (product, dense):
+        assert max(V.info.values()) <= wl.DEFAULTS.vmap
+    A = product.matrix @ W
+    c = np.vdot(A, dense.matrix) / np.vdot(A, A)
+    assert abs(abs(c) - 1) <= 1e-12
+    assert np.max(np.abs(c * A - dense.matrix)) <= 1e-12 * np.max(np.abs(dense.matrix))
+
+
+def _with_core(core_margin):
+    """A caps-6 coordinate pair whose first operator reads its core at
+    margin m from the graded core at margin ``core_margin(m)``."""
+    T1, T2 = _analytic_pair(caps=6)
+    return wl.OperatorModel(T1.dom, T1.dom, T1.matrix,
+                            core_fn=lambda m: T1.core(core_margin(m))), T2
 
 
 NOT_PRODUCTS = {
     "d = 2": lambda: wl.build_pair_2v(*wl.random_measure_pair(2, 2, seed=3), 4, 4),
     "a cap of 0": lambda: wl.build_pair_2v(*wl.random_measure_pair(1, 2, seed=3), 6, 0),
     "swapped": lambda: _analytic_pair(caps=6)[::-1],
-    "another core": lambda: (_with_core(_analytic_pair(caps=6)[0], 1), _analytic_pair(caps=6)[1]),
+    "another core": lambda: _with_core(lambda m: m + 1),
+    # the graded core at the default margin 2, but not at margin 1, where
+    # the left inverse reads it
+    "another margin-1 core": lambda: _with_core(lambda m: max(m, 2)),
     "direct sum": lambda: wl.direct_sum([wl.commuting_unitary_pair(2, 4), _analytic_pair(caps=4)]),
 }
 
@@ -828,6 +872,11 @@ NOT_PRODUCTS = {
 @pytest.mark.parametrize("name", list(NOT_PRODUCTS))
 def test_only_a_d1_coordinate_pair_takes_the_product_route(name):
     assert decomp._coordinate_pair_space(*NOT_PRODUCTS[name]()) is None
+
+
+def test_the_same_core_is_still_a_coordinate_pair():
+    T1, T2 = _with_core(lambda m: m)
+    assert decomp._coordinate_pair_space(T1, T2) is T1.dom
 
 
 def test_the_product_route_rejects_a_factor_with_a_unitary_block(monkeypatch):
@@ -1023,6 +1072,26 @@ def test_wold_pair_dense_factorization_count_on_a_scrambled_coordinate_pair(
     assert len(dense_factorizations) == 27
 
 
+def test_pair_identities_and_model_map_factorization_counts(dense_factorizations, rng):
+    # three identities and build_V: on a coordinate pair, 4 per factor shift
+    # at N_i + 1 rows (defect, ker S*, split and left inverse) and none with
+    # D / 2 rows; on its scrambled twin the same 4 per operator at D rows,
+    # and the intersection of the two kernels
+    pair = _analytic_pair(caps=10)
+    twin, _ = wl.scramble(pair, 11)
+    target = wl.build_space(scalar_atoms((0.9, 0.8)), scalar_atoms((4.0, 1.1)), 10, 10)
+    counts = []
+    for T1, T2 in (pair, twin):
+        core = joint_core(T1, T2, 4)
+        xs = [core.basis @ rng.standard_normal(core.dim) for _ in range(3)]
+        dense_factorizations.clear()
+        for x in xs:
+            wl.check_two_variable_identity(T1, T2, x)
+        wl.build_V(T1, T2, target)
+        counts.append((dense_factorizations.large(T1.dom.dim_total), len(dense_factorizations)))
+    assert counts == [(0, 8), (8, 9)]
+
+
 def test_wold_pair_builds_its_joint_core_once(monkeypatch):
     calls = []
     for module in (decomp, operators):
@@ -1039,13 +1108,29 @@ def test_wold_pair_builds_its_joint_core_once(monkeypatch):
 
 
 def test_pair_identities_and_model_map_share_certificates(wandering_calls, rng):
-    T1, T2 = _analytic_pair(caps=8)
+    # the scrambled twin takes the dense route and certifies T1 and T2
+    (T1, T2), _ = wl.scramble(_analytic_pair(caps=8), 8)
     core = joint_core(T1, T2, 4)
     for _ in range(3):
         x = core.basis @ (rng.standard_normal(core.dim) + 1j * rng.standard_normal(core.dim))
         assert wl.check_two_variable_identity(T1, T2, x) < 1e-8 * (1 + T1.dom.norm(x) ** 2)
     wl.build_V(T1, T2, wl.build_space(scalar_atoms((0.9, 0.8)), scalar_atoms((4.0, 1.1)), 8, 8))
     assert wandering_calls == [T1, T2]
+
+
+def test_a_coordinate_pair_certifies_each_factor_shift_once(wandering_calls, rng):
+    # wold_pair, the identities and build_V read one factor shift per
+    # variable, built once per space, and never certify T1 or T2
+    T1, T2 = _analytic_pair(caps=8)
+    wl.wold_pair(T1, T2)
+    core = joint_core(T1, T2, 4)
+    for _ in range(3):
+        x = core.basis @ (rng.standard_normal(core.dim) + 1j * rng.standard_normal(core.dim))
+        assert wl.check_two_variable_identity(T1, T2, x) < 1e-8 * (1 + T1.dom.norm(x) ** 2)
+    wl.build_V(T1, T2, wl.build_space(scalar_atoms((0.9, 0.8)), scalar_atoms((4.0, 1.1)), 8, 8))
+    S1, S2 = decomp._factor_shifts(T1.dom)
+    assert wandering_calls == [S1, S2]
+    assert not T1.certificates and not T2.certificates
 
 
 def test_scaled_tolerances_get_their_own_certificate(wandering_calls):
@@ -1077,7 +1162,7 @@ def test_decompositions_do_not_build_P(wandering_calls):
 def test_norm_identities_and_model_map_do_not_build_P(rng):
     T = wl.build_shift_1v(scalar_atoms(*THREE_ATOMS), 16)
     wl.check_norm_identity(T, random_core_vector(T, rng))
-    T1, T2 = _analytic_pair(caps=8)
+    (T1, T2), _ = wl.scramble(_analytic_pair(caps=8), 8)
     core = joint_core(T1, T2, 4)
     wl.check_two_variable_identity(T1, T2, core.basis @ rng.standard_normal(core.dim))
     wl.build_V(T1, T2, wl.build_space(scalar_atoms((0.9, 0.8)), scalar_atoms((4.0, 1.1)), 8, 8))
@@ -1197,6 +1282,32 @@ def test_slocinski_unitary_times_shift():
     (V1, V2), _ = wl.scramble((lam, s), 17)
     quad = wl.slocinski(V1, V2)
     assert quad.block_dims() == (0, 0, 9, 0)
+
+
+def test_slocinski_gates_a_coordinate_pair_on_its_factor_shifts(monkeypatch):
+    # a weighted factor fails the isometry gate on both routes, with the
+    # residual of the dense defect form; an isometric pair passes, and the
+    # product route builds no defect form with D rows
+    z, mu = wl.CircleMeasure.zero(1), scalar_atoms((0.5, 1.0))
+    for measures, idx in (((mu, z), 1), ((z, mu), 2)):
+        pair = wl.build_pair_2v(*measures, 6, 6)
+        S = decomp._factor_shifts(pair[0].dom)[idx - 1]
+        assert wl.unitarity_residual(S, margin=None) == pytest.approx(
+            wl.unitarity_residual(pair[idx - 1], margin=None), rel=1e-10)
+        for ops in (pair, wl.scramble(pair, 5)[0]):
+            with pytest.raises(wl.AssumptionError, match=f"operator {idx} is not an isometry"):
+                wl.slocinski(*ops)
+    rows = []
+    for module in (decomp, operators):
+        real = module._defect_form
+
+        def recorded(T, _real=real):
+            rows.append(T.dom.dim_total)
+            return _real(T)
+
+        monkeypatch.setattr(module, "_defect_form", recorded)
+    assert wl.slocinski(*wl.build_pair_2v(z, z, 6, 6)).block_dims() == (0, 0, 0, 49)
+    assert rows and max(rows) == 7
 
 
 def test_slocinski_rejects_non_isometry():

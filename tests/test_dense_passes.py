@@ -573,6 +573,12 @@ def check_pair_routes(T1, T2, rng, count=3):
     target = wl.build_space(quad.measures["eta1"], quad.measures["eta2"], *T1.dom.caps)
     rows = wl.build_V(T1, T2, target).matrix
     ref = power_model_rows(T1, T2, target)
+    if decomp._coordinate_pair_space(T1, T2) is not None:
+        # the product route's joint kernel e1 ⊗ e2 is the reference's
+        # joint kernel times one unimodular constant
+        c = np.vdot(rows, ref) / np.vdot(rows, rows)
+        assert abs(abs(c) - 1) <= ROWS_TOL
+        rows = c * rows
     assert np.max(np.abs(rows - ref)) <= ROWS_TOL * np.max(np.abs(ref))
 
 

@@ -287,13 +287,17 @@ def measure_match_edge(multiple):
     return lambda tols: wl.measures_equal_up_to_unitary(a, b, tols=tols)
 
 
-def vmap_edge(multiple):
+def vmap_edge(multiple, scramble_seed=None):
     """build_V of a coordinate pair onto the model space of its measures,
     with each atom weight of the first times 1 + eps, eps set so that the
     isometry residual is ``multiple`` times the bound; the residual is
-    linear in eps to first order, and intertwining stays at rounding."""
+    linear in eps to first order, and intertwining stays at rounding.  The
+    pair takes the product route; its twin scrambled by ``scramble_seed``
+    takes the dense one."""
     mu1, mu2 = wl.random_measure_pair(1, 2, seed=3)
     T1, T2 = wl.build_pair_2v(mu1, mu2, 6, 6)
+    if scramble_seed is not None:
+        (T1, T2), _ = wl.scramble((T1, T2), scramble_seed)
 
     def target(eps):
         grown = wl.CircleMeasure(dim=mu1.dim, density=mu1.density,
@@ -330,7 +334,8 @@ def condition_max_edge(multiple):
 
 #: field -> (input at a multiple of its default, error, message, whether
 #: the 0.5x input passes); a measure comparison raises nothing (no error
-#: class), its verdict flips
+#: class), its verdict flips.  ``vmap`` has a row for each route of
+#: build_V: a coordinate pair and its scrambled twin
 EDGES = {
     "doubly_commuting": (doubly_commuting_edge, wl.AssumptionError, "not doubly commuting", True),
     "isometry": (isometry_edge, wl.AssumptionError, "not an isometry", True),
@@ -338,6 +343,8 @@ EDGES = {
     "condition_max": (condition_max_edge, wl.ConvergenceError, "ill conditioned", True),
     "measure_match": (measure_match_edge, (), "", True),
     "vmap": (vmap_edge, wl.ConvergenceError, "model map residuals", True),
+    "vmap_scrambled": (lambda multiple: vmap_edge(multiple, scramble_seed=5),
+                       wl.ConvergenceError, "model map residuals", True),
 }
 
 
