@@ -189,9 +189,9 @@ def _coordinate_pair_space(T1: OperatorModel, T2: OperatorModel) -> Optional[Gra
     space entry for entry, and their safe cores at the default margin and
     at margin 1 are its graded index cores of variables 1 and 2.  The
     default-margin cores carry the defect and unitarity gates, and the
-    margin-1 cores the left inverse: on these product sets the dense
-    values equal the factors' ones, L_T1 = L_S1 ⊗ I among them
-    (:func:`_factor_shifts`).
+    margin-1 cores the left inverse: on these product sets the pair's
+    certificates are products of the factors' (:func:`_factor_shifts`),
+    L_T1 = L_S1 ⊗ I among them.
     """
     space = T1.dom
     if not (isinstance(space, GradedPolySpace) and space.dim == 1 and min(space.caps) >= 1
@@ -543,12 +543,6 @@ def check_two_variable_identity(T1: OperatorModel, T2: OperatorModel, x,
     return abs(total - float(acc))
 
 
-def _form(F: np.ndarray, X: np.ndarray) -> float:
-    """Re sum <F x, x> over the columns x of X, contracting F with its
-    first axis."""
-    return float(np.vdot(X, np.tensordot(F, X, axes=1)).real)
-
-
 def _product_identity(space: GradedPolySpace, x: np.ndarray, tols: Tolerances) -> float:
     """:func:`check_two_variable_identity` of the d = 1 coordinate pair of
     ``space``, from the certificates of its factor shifts S1, S2
@@ -580,10 +574,10 @@ def _product_identity(space: GradedPolySpace, x: np.ndarray, tols: Tolerances) -
     Y, GY, n, m = _series(_Kron(None, c2.L, (n1, n2)), G, outer, negligible)
     Y3 = Y.reshape(n1, n2, -1)
     s = np.einsum("mi,mnk,nj->ijk", e1.conj(), GY.reshape(n1, n2, -1), e2.conj())
-    u = np.tensordot(Y3[:, :, m >= 1], (G2 @ e2).conj(), axes=(1, 0))
-    v = np.tensordot(Y3[:, :, n >= 1], (G1 @ e1).conj(), axes=(0, 0))
+    u = np.tensordot(Y3[:, :, m >= 1], (G2 @ e2).conj(), axes=(1, 0)).reshape(n1, -1)
+    v = np.tensordot(Y3[:, :, n >= 1], (G1 @ e1).conj(), axes=(0, 0)).reshape(n2, -1)
     mixed = Y[:, (m >= 1) & (n >= 1)]
-    acc = (np.vdot(s, s).real + _form(c1.F, u) + _form(c2.F, v)
+    acc = (np.vdot(s, s).real + np.sum(_pairings(u, c1.F @ u)) + np.sum(_pairings(v, c2.F @ v))
            + np.sum(_pairings(mixed, _Kron(c1.F, c2.F, (n1, n2)) @ mixed)))
     return abs(total - float(acc))
 
