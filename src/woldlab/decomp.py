@@ -43,7 +43,8 @@ from .operators import (
     unitarity_residual,
     wandering_subspace,
 )
-from .space import GradedPolySpace, PolyVector, coordinate_shift_matrix, factor_spaces
+from .space import (GradedPolySpace, PolyVector, _shift_entries, coordinate_shift_matrix,
+                    factor_spaces)
 
 
 def _as_flat(x) -> np.ndarray:
@@ -108,8 +109,12 @@ class Certificate:
     """What the pipeline needs of one 2-isometry T, computed once.
 
     The defect and E = ker T* are built with the certificate; the Wold
-    split, the defect form F = T^H G T - G and the left inverse L on first
-    use.  ``split`` is the split of the whole space by T (:func:`_split`
+    split, the defect form F = T^H G T - G, the left inverse L and the
+    gap of the norm identity on first use.  ``gap`` is the D x D
+    Hermitian form G - Q whose value at x is the residual of
+    :func:`check_norm_identity` (:func:`_norm_gap`), read-only, so every
+    vector of T is checked with one product.  ``split`` is the split of
+    the whole space by T (:func:`_split`
     with K = E): (H1_w, H0_w, powers), the orbit [E]_T and its complement
     as whitened bases, views of one Q, and the powers T_w^n E_w, all
     read-only, for the decompositions and the analyticity check.
@@ -151,6 +156,12 @@ class Certificate:
     def L(self) -> np.ndarray:
         return left_inverse(self.op(), tols=self.tols).matrix
 
+    @cached_property
+    def gap(self) -> np.ndarray:
+        gap = _norm_gap(self)
+        gap.flags.writeable = False
+        return gap
+
     def require_analytic(self) -> "Certificate":
         if self.split[0].shape[1] != self.E.ambient.dim_total:
             raise AssumptionError(
@@ -180,6 +191,9 @@ def certify(T: OperatorModel, tols: Tolerances = DEFAULTS) -> Certificate:
 # d = 1 coordinate pairs: the product of two factor shifts
 # ---------------------------------------------------------------------------
 
+_PAIR_SPACES = weakref.WeakKeyDictionary()
+
+
 def _coordinate_pair_space(T1: OperatorModel, T2: OperatorModel) -> Optional[GradedPolySpace]:
     """The space of a d = 1 coordinate pair (M_z ⊗ I, I ⊗ M_z), or None.
 
@@ -191,14 +205,27 @@ def _coordinate_pair_space(T1: OperatorModel, T2: OperatorModel) -> Optional[Gra
     default-margin cores carry the defect and unitarity gates, and the
     margin-1 cores the left inverse: on these product sets the pair's
     certificates are products of the factors' (:func:`_factor_shifts`),
-    L_T1 = L_S1 ⊗ I among them.
+    L_T1 = L_S1 ⊗ I among them.  A matrix is compared with its shift in
+    place: it has as many nonzero entries as the shift, and a 1 at each
+    of the shift's unit entries (:func:`woldlab.space._shift_entries`).
+    The answer depends only on the two operators, whose matrices are
+    read-only, so it is found once per pair and then read from a memo
+    that holds both operators weakly.
     """
+    seen = _PAIR_SPACES.setdefault(T1, weakref.WeakKeyDictionary())
+    if T2 not in seen:
+        seen[T2] = _find_coordinate_pair_space(T1, T2)
+    return seen[T2]
+
+
+def _find_coordinate_pair_space(T1: OperatorModel, T2: OperatorModel) -> Optional[GradedPolySpace]:
     space = T1.dom
     if not (isinstance(space, GradedPolySpace) and space.dim == 1 and min(space.caps) >= 1
             and T1.codom is space and T2.dom is space and T2.codom is space):
         return None
     for var, T in ((1, T1), (2, T2)):
-        if not np.array_equal(T.matrix, coordinate_shift_matrix(space, var)):
+        rows, cols = _shift_entries(space, var)
+        if not (np.count_nonzero(T.matrix) == rows.size and np.all(T.matrix[rows, cols] == 1)):
             return None
         for margin in (DEFAULT_CORE_MARGIN, 1):
             core = T.core(margin)
@@ -234,25 +261,6 @@ def _factor_shifts(space: GradedPolySpace) -> tuple:
         shifts = _FACTOR_SHIFTS[space] = tuple(
             OperatorModel(f, f, coordinate_shift_matrix(f, 1)) for f in factor_spaces(space))
     return shifts
-
-
-class _Kron:
-    """A ⊗ B acting on stacked columns of length a b, each read as an
-    a x b array Y: (A ⊗ B) vec(Y) = vec(A Y B^T), two small products in
-    place of one with D rows.  ``None`` stands for an identity factor."""
-
-    def __init__(self, A: Optional[np.ndarray], B: Optional[np.ndarray], shape: tuple):
-        self.A, self.B, self.shape = A, B, shape
-
-    def __matmul__(self, Y: np.ndarray) -> np.ndarray:
-        a, b = self.shape
-        Z = Y.reshape(a, b * Y.shape[1])
-        if self.A is not None:
-            Z = self.A @ Z
-        Z = Z.reshape(a, b, Y.shape[1])
-        if self.B is not None:
-            Z = np.matmul(self.B, Z)
-        return Z.reshape(Y.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -397,26 +405,76 @@ def extract_measure(T: OperatorModel, tols: Tolerances = DEFAULTS) -> CircleMeas
 # norm identities
 # ---------------------------------------------------------------------------
 
-# The series below run over iterates y = L^k x of a left inverse L of an
-# expansive T, so ||L||_G <= 1 and the terms only shrink.  The terms of one
-# iterate y sum to at most ||T y||_G^2 <= ||T_w||^2 ||y||_G^2, and a series
-# has at most D + 1 of them, so a sum stops at its first iterate with
-# (D + 1) ||T_w||_F^2 ||y||_G^2 <= _EPS ||x||_G^2 (:func:`_negligible`): the
-# terms left out are then below the rounding of ||x||_G^2 itself.  For a
-# doubly commuting pair the terms of one iterate y = L2^n L1^m x sum to at
-# most ||T1 T2 y||_G^2, and the outer and inner series leave out at most
-# (D + 1)^2 iterates, each no larger than the one its series stopped at;
-# so both stop with (D + 1)^2 ||T1_w||_F^2 ||T2_w||_F^2 in place of
-# (D + 1) ||T_w||_F^2.
+# The norm identity of an analytic 2-isometry T,
+#   ||x||_G^2 = sum_{k>=0} ||P L^k x||_G^2 + sum_{k>=1} <F L^k x, L^k x>,
+# is one Hermitian form, the same for every x: with P_G = (G E)(G E)^H the
+# right side is x^H Q x for Q = P_G + L^H S L = S - F, where
+# S = sum_{k>=0} L^kH (P_G + F) L^k is a Stein sum.  :func:`_norm_gap` sums
+# it by doubling: from R = P_G + F and M = L each step sets
+# R <- R + M^H R M, then M <- M^2, so after j steps R holds the terms
+# k < 2^j, M = L^(2^j), and what is left out is
+# S - R = sum_{i>=1} (M^i)^H R M^i.  In whitened norms its form at x is at
+# most ||M_w||^2 ||R_w|| / (1 - ||M_w||^2) ||x||_G^2 once ||M_w|| < 1
+# (:func:`_tail_bound`), and the loop stops at the first step where that
+# factor is at most _EPS: the terms left out are then below the rounding of
+# ||x||_G^2 itself, for every x.  L of a certified analytic T is
+# nilpotent, of index at most the orbit length n, so the loop ends after
+# ceil(log2 n) + 1 steps.
+#
+# The series of the dense pair route run over iterates y = L2^n L1^m x of
+# left inverses of expansive operators, so ||L_i||_G <= 1 and the terms only
+# shrink.  The terms of one iterate sum to at most
+# ||T1 T2 y||_G^2 <= ||T1_w||^2 ||T2_w||^2 ||y||_G^2, and the outer and inner
+# series leave out at most (D + 1)^2 iterates, each no larger than the one
+# its series stopped at; so a series stops at its first iterate with
+# (D + 1)^2 ||T1_w||_F^2 ||T2_w||_F^2 ||y||_G^2 <= _EPS ||x||_G^2
+# (:func:`_negligible`), and again the terms left out are below the rounding
+# of ||x||_G^2.
 _EPS = np.finfo(float).eps
 
 
-def _negligible(total: float, D: int, *frob2: float) -> float:
+def _tail_bound(M: np.ndarray, R: np.ndarray, c2: float, ci2: float) -> float:
+    """||M_w||^2 ||R_w|| / (1 - ||M_w||^2) read from upper bounds of the
+    whitened norms, or inf while ||M_w|| may be 1 or more (see ``_EPS``).
+    With G = C C^H, M_w = C^H M C^{-H} and R_w = C^{-1} R C^{-H}, so
+    ||M_w|| <= ||C|| ||C^{-1}|| ||M||_F and ||R_w|| <= ||C^{-1}||^2 ||R||_F,
+    given ``c2`` >= ||C||^2 and ``ci2`` >= ||C^{-1}||^2."""
+    m2 = c2 * ci2 * float(np.vdot(M, M).real)
+    if m2 >= 1:
+        return np.inf
+    return m2 * ci2 * float(np.sqrt(np.vdot(R, R).real)) / (1 - m2)
+
+
+def _norm_gap(cert: Certificate) -> np.ndarray:
+    """G - Q, the gap of the norm identity of the certified T: S summed by
+    doubling until :func:`_tail_bound` is at most _EPS, and Q = S - F (see
+    ``_EPS``).  The bounds read ||C||^2 <= tr G and
+    ||C^{-1}||^2 <= ||C^{-H}||_F^2, one triangular solve.  L must be
+    nilpotent: ``ConvergenceError`` if M has not vanished after
+    ceil(log2(D + 1)) + 1 doublings."""
+    amb = cert.E.ambient
+    G, D = amb.gram, amb.dim_total
+    Ci = amb.unwhiten(np.eye(D))
+    c2, ci2 = float(np.trace(G).real), float(np.vdot(Ci, Ci).real)
+    GE = G @ cert.E.basis
+    R, M = GE @ GE.conj().T + cert.F, cert.L
+    doublings = 0
+    while _tail_bound(M, R, c2, ci2) > _EPS:
+        if doublings > D.bit_length():  # D.bit_length() = ceil(log2(D + 1))
+            raise ConvergenceError(
+                f"left inverse is not nilpotent: its power 2^{doublings} has not vanished"
+            )
+        R = R + M.conj().T @ R @ M
+        M = M @ M
+        doublings += 1
+    return G + cert.F - R
+
+
+def _negligible(total: float, D: int, frob1: float, frob2: float) -> float:
     """The squared Gram norm at which a series of iterates of x, with
-    ||x||_G^2 = ``total``, stops on a space of dimension D under one
-    operator or a pair, given each operator's ||T_w||_F^2 (see ``_EPS``)."""
-    scale = np.prod([(D + 1) * f for f in frob2])
-    return _EPS * total / float(scale)
+    ||x||_G^2 = ``total``, stops on a space of dimension D under a pair,
+    given each operator's ||T_w||_F^2 (see ``_EPS``)."""
+    return _EPS * total / float(((D + 1) * frob1) * ((D + 1) * frob2))
 
 
 def _frob2(T: OperatorModel) -> float:
@@ -432,8 +490,7 @@ def _pairings(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def _series(L, G, Y: np.ndarray, negligible: float) -> tuple:
     """(Ys, GYs, k, col): the iterates L^k y of every column y of Y, stacked
     as the columns of Ys, their images under G, and for each its power k
-    and the column of Y it came from.  L and G are matrices, or
-    :class:`_Kron` products that act like them.
+    and the column of Y it came from.
 
     The series of a column stops at its first iterate whose squared Gram
     norm is at most ``negligible``, and after dim + 1 iterates at most; the
@@ -463,28 +520,19 @@ def _series(L, G, Y: np.ndarray, negligible: float) -> tuple:
 def check_norm_identity(T: OperatorModel, x, tols: Tolerances = DEFAULTS) -> float:
     """Residual of ||x||^2 = sum_k ||P L^k x||^2 + sum_{k>=1} ||D L^k x||^2.
 
-    P is the Gram projection onto E = ker T*.  It is read in the
-    coordinates of E: E is Gram-orthonormal, so ||P y||^2 = ||E^H G y||^2,
-    with G y the product the stop rule already forms, and no D x D
-    projector is built.  Defect terms are evaluated through the exact
-    pairing <(T*T - I) y, y> = <F y, y>, F = T^H G T - G, so no square
-    root enters.  The sums terminate because L lowers the total degree;
-    they stop at the first iterate L^k x whose squared Gram norm, times
-    (D + 1) ||T_w||_F^2, is at most _EPS ||x||^2, which bounds every term
-    left out (see ``_EPS``), so a series ends about the degree of x.
-    The iterates are stacked (:func:`_series`) and their terms summed in
-    two matrix products.  T must be a 2-isometry whose orbit of ker T*
-    fills the space; E, F and L are read from its :class:`Certificate`.
+    P is the Gram projection onto E = ker T*, and the defect terms are the
+    exact pairing <(T*T - I) y, y> = <F y, y>, F = T^H G T - G, so no
+    square root enters.  The right side is x^H Q x for one Hermitian form
+    Q, the same for every x, so the residual is |x^H (G - Q) x|: one
+    product with the gap G - Q that the :class:`Certificate` of T holds
+    (``gap``), built once per certificate by doubling (:func:`_norm_gap`).
+    The terms its sum leaves out are below _EPS ||x||^2 for every x (see
+    ``_EPS``).  T must be a 2-isometry whose orbit of ker T* fills the
+    space.
     """
     cert = certify(T, tols).require_analytic()
     x = _as_flat(x)
-    G = T.dom.gram
-    total = float((np.conj(x) @ (G @ x)).real)
-    Y, GY, k, _ = _series(cert.L, G, x[:, None], _negligible(total, T.dom.dim_total, _frob2(T)))
-    kernel = cert.E.basis.conj().T @ GY
-    defect = Y[:, k >= 1]
-    acc = np.sum(_pairings(kernel, kernel)) + np.sum(_pairings(defect, cert.F @ defect))
-    return abs(total - float(acc))
+    return abs(float(np.vdot(x, cert.gap @ x).real))
 
 
 @one_blas_thread
@@ -515,8 +563,9 @@ def check_two_variable_identity(T1: OperatorModel, T2: OperatorModel, x,
     each operator are read from its :class:`Certificate`.
 
     A d = 1 coordinate pair (:func:`_coordinate_pair_space`) is read from
-    the certificates of its two factor shifts instead
-    (:func:`_product_identity`), and T1, T2 are never certified at D rows.
+    the gaps of its two factor shifts instead (:func:`_product_identity`):
+    there the four families sum to Q1 ⊗ Q2, and T1, T2 are never
+    certified at D rows.
     """
     space = _coordinate_pair_space(T1, T2)
     if space is not None:
@@ -545,41 +594,26 @@ def check_two_variable_identity(T1: OperatorModel, T2: OperatorModel, x,
 
 def _product_identity(space: GradedPolySpace, x: np.ndarray, tols: Tolerances) -> float:
     """:func:`check_two_variable_identity` of the d = 1 coordinate pair of
-    ``space``, from the certificates of its factor shifts S1, S2
-    (:func:`_factor_shifts`), at N_i + 1 rows.
+    ``space``, from the gaps Delta_i = G_i - Q_i of its factor shifts S1, S2
+    (:func:`_factor_shifts`, ``Certificate.gap``), at N_i + 1 rows.
 
-    Every iterate y is an (N1+1) x (N2+1) array Y: G y = G1 Y G2^T,
-    L1 y = L_S1 Y and L2 y = Y L_S2^T (:class:`_Kron`), stacked as
-    :func:`_series` stacks them, and the stop rule reads
-    ||T1_w||_F^2 = ||S1_w||_F^2 (N2 + 1), likewise for T2.  With e_i the
-    Gram-orthonormal kernel of S_i*, P1 P2 y = e1 s e2^T for
-    s = e1^H (G1 Y G2^T) conj(e2), read from the G y the stop rule forms;
-    P2 y = u e2^T with u = Y conj(G2 e2), and P1 y = e1 v^T with
-    v = Y^T conj(G1 e1).  The defect forms are F_S1 ⊗ G2 and G1 ⊗ F_S2,
-    so the single defects are u^H F_S1 u and v^H F_S2 v, and the mixed form
-    F12 is F_S1 ⊗ F_S2.  Each term is a contraction of the factors, the
-    same sum as the dense route's in exact arithmetic.
+    The Gram is G1 ⊗ G2, T1 = S1 ⊗ I and T2 = I ⊗ S2, so with e_i the
+    Gram-orthonormal kernel of S_i*, P1 P2 = p1 ⊗ p2 for the projections
+    p_i onto e_i, the defect forms are F_S1 ⊗ G2 and G1 ⊗ F_S2, the mixed
+    form is F_S1 ⊗ F_S2, and L1 = L_S1 ⊗ I, L2 = I ⊗ L_S2.  The terms of
+    y = L2^n L1^m x then factor into a form of S1 at L_S1^m and one of S2
+    at L_S2^n, and the four families sum to Q1 ⊗ Q2.  The gap
+    G1 ⊗ G2 - Q1 ⊗ Q2 = Delta1 ⊗ G2 + Q1 ⊗ Delta2 is read on x as an
+    (N1+1) x (N2+1) array X, vec(X)^H vec(Delta1 X G2^T + Q1 X Delta2^T)
+    with Q1 X = G1 X - Delta1 X, so no two large terms cancel.
     """
     S1, S2 = _factor_shifts(space)
     c1 = certify(S1, tols).require_analytic()
     c2 = certify(S2, tols).require_analytic()
     G1, G2 = S1.dom.gram, S2.dom.gram
-    e1, e2 = c1.E.basis, c2.E.basis
-    n1, n2 = G1.shape[0], G2.shape[0]
-    G = _Kron(G1, G2, (n1, n2))
-    X = x[:, None]
-    total = float(_pairings(X, G @ X)[0])
-    negligible = _negligible(total, n1 * n2, _frob2(S1) * n2, _frob2(S2) * n1)
-    outer, _, _, _ = _series(_Kron(c1.L, None, (n1, n2)), G, X, negligible)
-    Y, GY, n, m = _series(_Kron(None, c2.L, (n1, n2)), G, outer, negligible)
-    Y3 = Y.reshape(n1, n2, -1)
-    s = np.einsum("mi,mnk,nj->ijk", e1.conj(), GY.reshape(n1, n2, -1), e2.conj())
-    u = np.tensordot(Y3[:, :, m >= 1], (G2 @ e2).conj(), axes=(1, 0)).reshape(n1, -1)
-    v = np.tensordot(Y3[:, :, n >= 1], (G1 @ e1).conj(), axes=(0, 0)).reshape(n2, -1)
-    mixed = Y[:, (m >= 1) & (n >= 1)]
-    acc = (np.vdot(s, s).real + np.sum(_pairings(u, c1.F @ u)) + np.sum(_pairings(v, c2.F @ v))
-           + np.sum(_pairings(mixed, _Kron(c1.F, c2.F, (n1, n2)) @ mixed)))
-    return abs(total - float(acc))
+    X = x.reshape(G1.shape[0], G2.shape[0])
+    dX = c1.gap @ X
+    return abs(float(np.vdot(X, dX @ G2.T + (G1 @ X - dX) @ c2.gap.T).real))
 
 
 # ---------------------------------------------------------------------------

@@ -244,12 +244,18 @@ def coordinate_shift_matrix(space: GradedPolySpace, var: int) -> np.ndarray:
     """
     D = space.dim_total
     T = np.zeros((D, D))
+    T[_shift_entries(space, var)] = 1.0
+    return T
+
+
+def _shift_entries(space: GradedPolySpace, var: int) -> tuple:
+    """(rows, cols): the unit entries of :func:`coordinate_shift_matrix`,
+    the coefficient of z^(m, n) e_k moved to the next degree in ``var``;
+    every other entry of the shift is zero."""
     grid = space._grid()
     if var == 1:
-        T[grid[1:], grid[:-1]] = 1.0
-    elif var == 2:
-        T[grid[:, 1:], grid[:, :-1]] = 1.0
-    return T
+        return grid[1:], grid[:-1]
+    return grid[:, 1:], grid[:, :-1]
 
 
 def inner_product(space: GradedPolySpace, f: PolyVector, g: PolyVector) -> complex:

@@ -441,26 +441,53 @@ def series_lengths(monkeypatch):
     return log
 
 
-def test_norm_identity_series_stop_at_the_degree_of_x(rng, series_lengths):
-    # x of degree 20 at caps 24: L^21 x is zero to rounding, and the old stop
-    # at eps^2 ||x||^2 ran all 26 iterates
+def test_norm_identity_form_stops_after_ceil_log2_D_doublings(rng, monkeypatch):
+    # L of a caps-24 shift lowers the degree, so it is nilpotent of index 25
+    # and M = L^32 vanishes after 5 doublings; the series the form replaced
+    # ran 21 iterates for this x of degree 20, and every other x of T reads
+    # the same form
+    bounds = []
+    real = decomp._tail_bound
+
+    def recorded(M, R, c2, ci2):
+        bounds.append(real(M, R, c2, ci2))
+        return bounds[-1]
+
+    monkeypatch.setattr(decomp, "_tail_bound", recorded)
     T = wl.build_shift_1v(scalar_atoms(*THREE_ATOMS), 24)
     x = np.zeros(25, dtype=complex)
     x[:21] = rng.standard_normal(21) + 1j * rng.standard_normal(21)
     x /= T.dom.norm(x)
     assert wl.check_norm_identity(T, x) < 1e-13
-    assert series_lengths == [(1, 21)]
+    assert len(bounds) == 6 and bounds[-1] <= decomp._EPS < min(bounds[:-1])
+    assert wl.check_norm_identity(T, random_core_vector(T, rng)) < 1e-12
+    assert len(bounds) == 6
 
 
 def test_two_variable_series_stop_at_the_degree_of_x(rng, series_lengths):
     # x of bidegree at most (4, 4) at caps 8: 5 outer iterates and 5 inner
-    # ones for each, where the old stop ran 11 and 89
-    T1, T2 = wl.build_pair_2v(*wl.random_measure_pair(1, 2, seed=16), 8, 8)
+    # ones for each, where the old stop ran 11 and 89.  The series run on
+    # the dense route, so on the scrambled twin of the coordinate pair, at
+    # the twin W^H x of x
+    pair = wl.build_pair_2v(*wl.random_measure_pair(1, 2, seed=16), 8, 8)
+    (T1, T2), W = wl.scramble(pair, 16)
     x = np.zeros((9, 9), dtype=complex)
     x[:5, :5] = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    x = x.reshape(-1) / T1.dom.norm(x.reshape(-1))
+    x = W.conj().T @ x.reshape(-1)
+    x /= T1.dom.norm(x)
     assert wl.check_two_variable_identity(T1, T2, x) < 1e-13
     assert series_lengths == [(1, 5), (5, 25)]
+    assert wl.check_two_variable_identity(*pair, W @ x) < 1e-13
+    assert len(series_lengths) == 2
+
+
+def test_a_form_whose_left_inverse_is_not_nilpotent_raises():
+    # L = I: M stays I at every doubling, and its tail bound never falls
+    T = wl.build_shift_1v(scalar_atoms(*THREE_ATOMS), 10)
+    cert = wl.certify(T).require_analytic()
+    vars(cert)["L"] = np.eye(T.dom.dim_total, dtype=complex)
+    with pytest.raises(wl.ConvergenceError, match="not nilpotent"):
+        wl.check_norm_identity(T, np.eye(11)[0])
 
 
 def install_short_kernel(T, X):
@@ -857,8 +884,18 @@ def _with_core(core_margin):
                             core_fn=lambda m: T1.core(core_margin(m))), T2
 
 
+def _with_extra_entry():
+    """A caps-6 coordinate pair whose first matrix has one more nonzero
+    entry than the shift, away from the shift's unit entries."""
+    T1, T2 = _analytic_pair(caps=6)
+    M = T1.matrix.copy()
+    M[0, 0] = 1e-3
+    return wl.OperatorModel(T1.dom, T1.dom, M, core_fn=T1.core_fn), T2
+
+
 NOT_PRODUCTS = {
     "d = 2": lambda: wl.build_pair_2v(*wl.random_measure_pair(2, 2, seed=3), 4, 4),
+    "an extra entry": _with_extra_entry,
     "a cap of 0": lambda: wl.build_pair_2v(*wl.random_measure_pair(1, 2, seed=3), 6, 0),
     "swapped": lambda: _analytic_pair(caps=6)[::-1],
     "another core": lambda: _with_core(lambda m: m + 1),
@@ -872,6 +909,30 @@ NOT_PRODUCTS = {
 @pytest.mark.parametrize("name", list(NOT_PRODUCTS))
 def test_only_a_d1_coordinate_pair_takes_the_product_route(name):
     assert decomp._coordinate_pair_space(*NOT_PRODUCTS[name]()) is None
+
+
+def test_a_pair_is_recognized_once_and_freed_with_its_operators(monkeypatch):
+    found = []
+    real = decomp._find_coordinate_pair_space
+
+    def counted(T1, T2):
+        found.append(None)
+        return real(T1, T2)
+
+    monkeypatch.setattr(decomp, "_find_coordinate_pair_space", counted)
+    pair = _analytic_pair(caps=6)
+    twin, _ = wl.scramble(pair, 6)
+    for _ in range(3):
+        assert decomp._coordinate_pair_space(*pair) is pair[0].dom
+        assert decomp._coordinate_pair_space(*twin) is None
+    assert len(found) == 2
+    gc.disable()
+    try:
+        ops = [weakref.ref(T) for T in (*pair, *twin)]
+        del pair, twin
+        assert all(op() is None for op in ops)
+    finally:
+        gc.enable()
 
 
 def test_the_same_core_is_still_a_coordinate_pair():

@@ -590,6 +590,15 @@ def test_norm_identity_matches_the_projector_route_on_shifts(caps, d):
 
 
 @pytest.mark.parametrize("d", [1, 2])
+def test_norm_identity_matches_the_projector_route_on_scrambled_shifts(d):
+    # a dense G and a dense L: the form sums no structure the model holds
+    mu = wl.random_atomic_measure(d, 3, seed=40 + d, density_scale=0.3)
+    T, _ = wl.scramble(wl.build_shift_1v(mu, 16), 7 + d)
+    assert np.count_nonzero(T.matrix) > T.dom.dim_total ** 2 // 2
+    check_norm_identity_route(T, np.random.default_rng(d))
+
+
+@pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("caps", [(5, 4), (8, 8)])
 def test_pair_identity_and_model_rows_match_the_projector_routes(caps, d):
     pair = wl.build_pair_2v(*wl.random_measure_pair(d, 2, seed=sum(caps) + d), *caps)
