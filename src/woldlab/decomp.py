@@ -449,12 +449,14 @@ def _norm_gap(cert: Certificate) -> np.ndarray:
     """G - Q, the gap of the norm identity of the certified T: S summed by
     doubling until :func:`_tail_bound` is at most _EPS, and Q = S - F (see
     ``_EPS``).  The bounds read ||C||^2 <= tr G and
-    ||C^{-1}||^2 <= ||C^{-H}||_F^2, one triangular solve.  L must be
+    ||C^{-1}||^2 <= ||C^{-1}||_F^2, one triangular inverse (LAPACK trtri)
+    of the Cholesky factor, whose diagonal is positive.  L must be
     nilpotent: ``ConvergenceError`` if M has not vanished after
     ceil(log2(D + 1)) + 1 doublings."""
     amb = cert.E.ambient
     G, D = amb.gram, amb.dim_total
-    Ci = amb.unwhiten(np.eye(D))
+    trtri = sla.lapack.get_lapack_funcs("trtri", (amb.chol,))
+    Ci, _ = trtri(amb.chol, lower=1)
     c2, ci2 = float(np.trace(G).real), float(np.vdot(Ci, Ci).real)
     GE = G @ cert.E.basis
     R, M = GE @ GE.conj().T + cert.F, cert.L
@@ -770,34 +772,26 @@ def build_V(T1: OperatorModel, T2: OperatorModel, target: GradedPolySpace,
     r_{m,n+1} = r_{m,n} L2 for every m in one product, so no D x D power
     of L1 or L2 is formed.  Isometry (on 50 seeded core vectors, in one
     product) and intertwining residuals over the safe core are recorded in
-    ``info``; the coordinate shifts act as exact row shifts
-    (:func:`_shift_rows`).
+    ``info`` (:func:`_dense_gates`); the coordinate shifts act as exact
+    row shifts (:func:`_shift_rows`).
 
     On a d = 1 coordinate pair (:func:`_coordinate_pair_space`) the rows
-    are read from the certificates of its two factor shifts instead
-    (:func:`_product_rows`): the joint kernel is e1 ⊗ e2, so the rows are
-    kron(R1, R2) with R_i[m] = e_i^H G_i L_{S_i}^m, and T1, T2 are never
-    certified at D rows.  Both routes gate the target dimension, and the
-    isometry and intertwining gates read the assembled Grams and the
-    matrices of T1, T2 on either route.
+    and all three gates are read from the certificates of its two factor
+    shifts and the factor spaces of the target instead
+    (:func:`_product_map`): the rows are kron(R1, R2), the isometry gap
+    V^H G_t V - G is Delta1 ⊗ Y2 + G1 ⊗ Delta2 on the same 50 probes, and
+    each intertwining residual is the product of two factor norms, so
+    T1, T2 are never certified and nothing is factored at D rows.  Both
+    routes gate the target dimension, and both gate the three residuals
+    at ``tols.vmap``.
     """
-    amb = T1.dom
     space = _coordinate_pair_space(T1, T2)
-    rows = (_dense_rows(T1, T2, target, tols) if space is None
-            else _product_rows(space, target, tols))
-    V = OperatorModel(amb, target, rows)
-
-    core = joint_core(T1, T2, None, tols)
-    # 50 seeded probes, each drawing its real and then its imaginary part
-    z = np.random.default_rng(0).standard_normal((50, 2, core.dim))
-    X = core.basis @ (z[:, 0] + 1j * z[:, 1]).T
-    VX = rows @ X
-    nx = _pairings(X, amb.gram @ X)
-    nvx = _pairings(VX, target.gram @ VX)
-    iso = float(np.max(np.abs(nvx - nx) / (1.0 + nx)))
-    res1, res2 = (_norm2(target.whiten((rows @ T.matrix - _shift_rows(rows, target, var))
-                                       @ core.basis))
-                  for var, T in ((1, T1), (2, T2)))
+    if space is None:
+        rows = _dense_rows(T1, T2, target, tols)
+        iso, res1, res2 = _dense_gates(T1, T2, target, rows, tols)
+    else:
+        rows, (iso, res1, res2) = _product_map(space, target, tols)
+    V = OperatorModel(T1.dom, target, rows)
     V.info.update({"isometry": iso, "intertwine_1": res1, "intertwine_2": res2})
     if max(iso, res1, res2) > tols.vmap:
         raise ConvergenceError(
@@ -812,6 +806,13 @@ def _check_target_dim(target: GradedPolySpace, kernel_dim: int):
         raise ValueError(
             f"target coefficient dimension {target.dim} does not match joint kernel {kernel_dim}"
         )
+
+
+def _probes(dim: int) -> np.ndarray:
+    """The 50 seeded probe coefficients of the isometry gate, shape
+    (50, dim): each draws its real and then its imaginary part."""
+    z = np.random.default_rng(0).standard_normal((50, 2, dim))
+    return z[:, 0] + 1j * z[:, 1]
 
 
 def _dense_rows(T1: OperatorModel, T2: OperatorModel, target: GradedPolySpace,
@@ -840,24 +841,75 @@ def _dense_rows(T1: OperatorModel, T2: OperatorModel, target: GradedPolySpace,
     return rows
 
 
-def _product_rows(space: GradedPolySpace, target: GradedPolySpace,
-                  tols: Tolerances) -> np.ndarray:
-    """The rows of :func:`build_V` on the d = 1 coordinate pair of
-    ``space``, from the certificates of the factor shifts
-    (:func:`_factor_shifts`): R_i stacks e_i^H G_i L_{S_i}^m for
-    m = 0..M_i, with e_i the kernel of S_i* and M_i the target caps.  The
-    joint kernel is e1 ⊗ e2, so the row of bidegree (m, n) and kernel
-    vector (j, k) is R1[m, j] ⊗ R2[n, k]; a truncated M_z* has a
-    one-dimensional kernel, and then the rows are kron(R1, R2)."""
-    certs = [certify(S, tols).require_analytic() for S in _factor_shifts(space)]
+def _dense_gates(T1: OperatorModel, T2: OperatorModel, target: GradedPolySpace,
+                 rows: np.ndarray, tols: Tolerances) -> tuple:
+    """(isometry, intertwine_1, intertwine_2) of the map with these rows,
+    over the joint safe core B: max |<V x, V x> - <x, x>| / (1 + ||x||^2)
+    on the probes x = B c, and ||L_t^H (V T_i - Z_i V) B|| with the
+    target's Cholesky factor L_t."""
+    amb = T1.dom
+    core = joint_core(T1, T2, None, tols)
+    X = core.basis @ _probes(core.dim).T
+    VX = rows @ X
+    nx = _pairings(X, amb.gram @ X)
+    nvx = _pairings(VX, target.gram @ VX)
+    iso = float(np.max(np.abs(nvx - nx) / (1.0 + nx)))
+    res1, res2 = (_norm2(target.whiten((rows @ T.matrix - _shift_rows(rows, target, var))
+                                       @ core.basis))
+                  for var, T in ((1, T1), (2, T2)))
+    return iso, res1, res2
+
+
+def _product_map(space: GradedPolySpace, target: GradedPolySpace, tols: Tolerances) -> tuple:
+    """(rows, (isometry, intertwine_1, intertwine_2)) of :func:`build_V` on
+    the d = 1 coordinate pair of ``space``, from the certificates of the
+    factor shifts S_i (:func:`_factor_shifts`), at N_i + 1 rows, and the
+    factor spaces of the target (:func:`woldlab.space.factor_spaces`),
+    Grams Gt_i, at M_i + 1 rows.
+
+    R_i stacks e_i^H G_i L_{S_i}^m for m = 0..M_i, with e_i the kernel of
+    S_i*.  The joint kernel is e1 ⊗ e2, and a truncated M_z* has a
+    one-dimensional kernel, so the rows are kron(R1, R2): the only
+    D-sized work.  The joint core is the product set I1 × I2 of the
+    factor cores (the recognizer checks it), so its basis is B1 ⊗ B2 with
+    B_i = E_I chol(G_i[I, I])^{-1} (``S_i.core().basis``), the Cholesky
+    factor of a Kronecker product being the product of the factors'.
+
+    * Isometry: with Y_i = R_i^H Gt_i R_i and Delta_i = Y_i - G_i the gap
+      V^H G_t V - G regroups as Delta1 ⊗ Y2 + G1 ⊗ Delta2, so no two
+      large terms cancel.  A probe (B1 ⊗ B2) c, read as the
+      (N1+1) x (N2+1) array X = B1 C B2^T, gives
+      vec(X)^H vec(Delta1 X Y2^T + G1 X Delta2^T) over 1 + ||x||_G^2.
+    * Intertwining: rows T1 - Z1 rows = (R1 S1 - Z R1) ⊗ R2 and the
+      target's Cholesky factor is C1 ⊗ C2, so with the whitened norm of a
+      Kronecker product the product of the norms,
+      intertwine_1 = ||C1^H (R1 S1 - Z R1) B1|| ||C2^H R2 B2||, and
+      likewise with the variables exchanged.
+    """
+    shifts = _factor_shifts(space)
+    certs = [certify(S, tols).require_analytic() for S in shifts]
     _check_target_dim(target, certs[0].E.dim * certs[1].E.dim)
-    factors = []
-    for cert, M in zip(certs, target.caps):
-        R = [cert.E.basis.conj().T @ cert.E.ambient.gram]
+    R, B, G, Y, moved, kept = [], [], [], [], [], []
+    for S, cert, tf, M in zip(shifts, certs, factor_spaces(target), target.caps):
+        r = [cert.E.basis.conj().T @ S.dom.gram]
         for _ in range(M):
-            R.append(R[-1] @ cert.L)
-        factors.append(np.stack(R))
-    return np.einsum("mjp,nkq->mnjkpq", *factors).reshape(target.dim_total, space.dim_total)
+            r.append(r[-1] @ cert.L)
+        Ri = np.vstack(r)
+        Bi = S.core().basis(tols)
+        R.append(Ri)
+        B.append(Bi)
+        G.append(S.dom.gram)
+        Y.append(Ri.conj().T @ tf.gram @ Ri)
+        moved.append(_norm2(tf.whiten((Ri @ S.matrix - _shift_rows(Ri, tf, 1)) @ Bi)))
+        kept.append(_norm2(tf.whiten(Ri @ Bi)))
+    rows = np.einsum("mp,nq->mnpq", *R).reshape(target.dim_total, space.dim_total)
+    (B1, B2), (G1, G2), (Y1, Y2) = B, G, Y
+    X = B1 @ _probes(B1.shape[1] * B2.shape[1]).reshape(-1, B1.shape[1], B2.shape[1]) @ B2.T
+    GX = G1 @ X
+    nx = np.sum(X.conj() * (GX @ G2.T), axis=(1, 2)).real
+    gap = np.sum(X.conj() * ((Y1 - G1) @ X @ Y2.T + GX @ (Y2 - G2).T), axis=(1, 2)).real
+    iso = float(np.max(np.abs(gap) / (1.0 + nx)))
+    return rows, (iso, moved[0] * kept[1], kept[0] * moved[1])
 
 
 # ---------------------------------------------------------------------------

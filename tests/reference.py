@@ -16,6 +16,7 @@ from woldlab.operators import (
     _numerical_rank,
     _principal_pairs,
     _robust_svd,
+    joint_core,
     orthonormal_columns,
 )
 from woldlab.space import EuclideanSpace
@@ -321,6 +322,30 @@ def power_model_rows(T1, T2, target, tols=wl.DEFAULTS):
             cur = c2.L @ cur
         cur_m = c1.L @ cur_m
     return rows
+
+
+def dense_model_map_gates(T1, T2, target, rows, tols=wl.DEFAULTS):
+    """(isometry, intertwine_1, intertwine_2) of the map with these rows,
+    as ``build_V`` gates them on the dense route: from the joint core of
+    T1, T2 at the default margin, with its Gram-orthonormal basis B, the
+    assembled Grams and ``target.whiten``.  The isometry residual is
+    max |<Vx, Vx> - <x, x>| / (1 + ||x||^2) over the 50 probes x = B c of
+    ``build_V``, whose coefficients draw real and then imaginary parts from
+    ``default_rng(0)``; intertwine_i is ||L_t^H (V T_i - Z_i V) B|| with Z_i
+    the coordinate shift matrix of the target."""
+    core = joint_core(T1, T2, None, tols)
+    z = np.random.default_rng(0).standard_normal((50, 2, core.dim))
+    G, Gt = T1.dom.gram, target.gram
+    iso = 0.0
+    for c in z[:, 0] + 1j * z[:, 1]:
+        x = core.basis @ c
+        vx = rows @ x
+        nx = np.vdot(x, G @ x).real
+        iso = max(iso, abs(np.vdot(vx, Gt @ vx).real - nx) / (1.0 + nx))
+    res = [_norm2(target.whiten((rows @ T.matrix - loop_shift_matrix(target, var) @ rows)
+                                @ core.basis))
+           for var, T in ((1, T1), (2, T2))]
+    return float(iso), *res
 
 
 # The routes below are the ones the pipeline took before its kernels, orbits

@@ -2,6 +2,7 @@
 
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from reference import (
     _tilde_pieces,
     coords,
     defect_route_measure,
+    dense_model_map_gates,
     fresh_restriction_measures,
     kernel_intersection_identity,
     loop_cluster_angles,
@@ -874,6 +876,66 @@ def test_the_product_identities_and_model_map_match_the_dense_ones_on_the_scramb
     c = np.vdot(A, dense.matrix) / np.vdot(A, A)
     assert abs(abs(c) - 1) <= 1e-12
     assert np.max(np.abs(c * A - dense.matrix)) <= 1e-12 * np.max(np.abs(dense.matrix))
+
+
+@settings(max_examples=16)
+@given(seed=st.integers(0, 2**20), caps=st.lists(st.integers(2, 9), min_size=2, max_size=2,
+                                                 unique=True),
+       cuts=st.lists(st.integers(0, 3), min_size=2, max_size=2),
+       grow=st.sampled_from([0.0, 1e-6, 0.5]), bend=st.sampled_from([0.0, 1e-3]))
+def test_the_product_gates_of_build_V_equal_the_dense_gates(seed, caps, cuts, grow, bend):
+    # unequal source caps N_i, target caps M_i = N_i - cut_i <= N_i, the
+    # atom weights of the target's first measure times 1 + grow, and the
+    # left inverse of each factor shift moved by bend times a random
+    # matrix.  A target that cannot hold the core degrees or a grown
+    # measure moves the isometry residual off rounding, and rows from a
+    # moved left inverse move every residual.  The gates the product route
+    # reads from the factors equal the ones read from the assembled Grams
+    # and the joint core
+    mu1, mu2 = wl.random_measure_pair(1, 2, seed=seed)
+    pair = wl.build_pair_2v(mu1, mu2, *caps)
+    assert decomp._coordinate_pair_space(*pair) is pair[0].dom
+    ungated = replace(wl.DEFAULTS, vmap=np.inf)
+    rng = np.random.default_rng(seed)
+    for S in decomp._factor_shifts(pair[0].dom):
+        cert = wl.certify(S, ungated)
+        vars(cert)["L"] = cert.L + bend * rng.standard_normal(cert.L.shape)
+    grown = wl.CircleMeasure(dim=1, density=mu1.density,
+                             atoms=tuple((t, (1 + grow) * W) for t, W in mu1.atoms))
+    target = wl.build_space(grown, mu2, *(max(N - cut, 0) for N, cut in zip(caps, cuts)))
+    V = wl.build_V(*pair, target, ungated)
+    got = [V.info[k] for k in ("isometry", "intertwine_1", "intertwine_2")]
+    want = dense_model_map_gates(*pair, target, V.matrix)
+    assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+
+
+def test_the_product_model_map_factors_nothing_with_D_rows(monkeypatch, dense_factorizations,
+                                                           triangular_solves):
+    # at caps 20 (D = 441) every Cholesky, counted factorization, spectral
+    # norm and triangular solve of build_V has fewer than D / 2 rows: only
+    # its D x D output is D-sized.  The scrambled twin, at caps 6, hands
+    # them D rows through the same hooks
+    handed = []
+    for module, name in ((sla, "cholesky"), (np.linalg, "cholesky"), (np.linalg, "norm")):
+        real = getattr(module, name)
+
+        def logged(a, *args, _real=real, **kwargs):
+            handed.append(np.shape(a))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, logged)
+    mu1, mu2 = wl.random_measure_pair(1, 2, seed=3)
+    for caps, scramble, large in ((20, False, False), (6, True, True)):
+        pair = wl.build_pair_2v(mu1, mu2, caps, caps)
+        if scramble:
+            pair, _ = wl.scramble(pair, 5)
+        target = wl.build_space(mu1, mu2, caps, caps)
+        D = pair[0].dom.dim_total
+        for log in (handed, dense_factorizations, triangular_solves):
+            log.clear()
+        assert wl.build_V(*pair, target).matrix.shape == (D, D)
+        shapes = handed + list(dense_factorizations) + triangular_solves
+        assert shapes and (max(shape[0] for shape in shapes) >= D / 2) is large
 
 
 def _with_core(core_margin):

@@ -316,6 +316,34 @@ def vmap_edge(multiple, scramble_seed=None):
     return lambda tols: wl.build_V(T1, T2, space, tols)
 
 
+def two_isometry_edge(multiple):
+    """certify on M_z with the unit entry that sends degree 3 to degree 4
+    times 1 + eps, eps set so that the two-isometry defect is ``multiple``
+    times the bound; both degrees lie on the safe core, and the defect is
+    linear in eps to first order."""
+    S = wl.build_shift_1v(wl.CircleMeasure.from_scalar_atoms([(0.7, 1.0), (2.0, 0.5)]), 8)
+
+    def bent(eps):
+        M = S.matrix.copy()
+        M[4, 3] *= 1 + eps
+        return wl.OperatorModel(S.dom, S.dom, M, core_fn=S.core_fn)
+
+    probe = 1e-8
+    slope = wl.two_isometry_defect(bent(probe)) / probe
+    goal = multiple * wl.DEFAULTS.two_isometry
+    T = bent(goal / slope)
+    assert wl.two_isometry_defect(T) == pytest.approx(goal, rel=0.01)
+    return lambda tols: wl.certify(T, tols)
+
+
+def hermitian_edge(multiple):
+    """A 2 x 2 atom weight I + eps [[0, 1], [-1, 0]], whose deviation
+    max |W - W^H| = 2 eps is ``multiple`` times the tolerance."""
+    eps = multiple * wl.DEFAULTS.hermitian / 2
+    W = np.eye(2) + eps * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    return lambda tols: wl.CircleMeasure(dim=2, atoms=((0.7, W),), tols=tols)
+
+
 def atom_separation_edge(multiple):
     """Two unit atoms ``multiple`` times the separation apart."""
     gap = multiple * wl.DEFAULTS.atom_separation
@@ -339,6 +367,8 @@ def condition_max_edge(multiple):
 EDGES = {
     "doubly_commuting": (doubly_commuting_edge, wl.AssumptionError, "not doubly commuting", True),
     "isometry": (isometry_edge, wl.AssumptionError, "not an isometry", True),
+    "two_isometry": (two_isometry_edge, wl.AssumptionError, "two-isometry defect", True),
+    "hermitian": (hermitian_edge, ValueError, "not Hermitian", True),
     "atom_separation": (atom_separation_edge, ValueError, "not separated", False),
     "condition_max": (condition_max_edge, wl.ConvergenceError, "ill conditioned", True),
     "measure_match": (measure_match_edge, (), "", True),
