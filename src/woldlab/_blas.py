@@ -7,6 +7,12 @@ decorated entry point sets every OpenBLAS copy loaded in the process
 counts it found, also when the call raises.  Nested calls and calls from
 several threads share one scope.  Without a loaded OpenBLAS, or without
 ``/proc``, the decorator does nothing.
+
+The builders of packaged instances are decorated too.  An OpenBLAS worker
+that a multi-threaded call wakes keeps spinning for a while after the call
+returns, and lowering the count does not stop it: a set-up at two threads
+right before a decomposition made that decomposition burn two cores for
+one core of work.
 """
 
 from __future__ import annotations

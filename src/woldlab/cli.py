@@ -186,6 +186,7 @@ def run(config_path: str, output_path: str, caps_scale: int = 1, seed=None,
                 specs.append(_scaled_spec(InstanceSpec.from_json_dict(item), caps_scale, seed))
             except (KeyError, ValueError, TypeError) as exc:
                 raise ConfigError(f"instances[{i}]: {exc}") from exc
+        digests = [spec.digest() for spec in specs]
         instances = []
         for i, spec in enumerate(specs):
             try:
@@ -211,7 +212,7 @@ def run(config_path: str, output_path: str, caps_scale: int = 1, seed=None,
             "scenario": i,
             "op": task["op"],
             "instance": idx,
-            "instance_digest": specs[idx].digest(),
+            "instance_digest": digests[idx],
             "tol": tol,
         }
         try:

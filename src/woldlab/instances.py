@@ -3,6 +3,14 @@
 Model shifts on the graded spaces, block direct sums with unitary parts,
 and seeded unitary scrambling.  Everything is a pure function of its
 arguments plus a 64-bit seed, so instances are reproducible.
+
+At any OpenBLAS thread count this holds for the packaged instances only
+(``make_single_wold_instance``, ``make_four_block_instance`` and
+``InstanceSpec.build``), which are built on one BLAS thread.  The seeded
+primitives (``random_unitary``, ``scramble``, ``commuting_unitary_pair``,
+``direct_sum``, ``unitary_operator`` and the ``build_*`` shifts) keep the
+caller's thread setting, so a scrambled operator built from them directly
+is rounded differently at one thread and at two.
 """
 
 from __future__ import annotations
@@ -14,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .config import DEFAULTS
+from ._blas import one_blas_thread
+from .config import DEFAULTS, Tolerances
 from .errors import AssumptionError
 from .measures import CircleMeasure
 from .operators import IndexCore, OperatorModel, Subspace, direct_sum_core_fn, scrambled_core_fns
@@ -121,12 +130,13 @@ def build_pair_2v(mu1: CircleMeasure, mu2: CircleMeasure, N1: int, N2: int) -> t
     return T1, T2
 
 
-def unitary_operator(U: np.ndarray) -> OperatorModel:
-    """A unitary matrix as an operator on Euclidean space."""
+def unitary_operator(U: np.ndarray, tols: Tolerances = DEFAULTS) -> OperatorModel:
+    """A unitary matrix as an operator on Euclidean space; max |U^H U - I|
+    must not exceed ``tols.unitary``."""
     U = np.asarray(U, dtype=complex)
     sp = EuclideanSpace(U.shape[0])
     err = np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0]))) if U.size else 0.0
-    if err > DEFAULTS.unitary * 100:
+    if err > tols.unitary:
         raise AssumptionError(f"matrix is not unitary (deviation {err:.2e})")
     return OperatorModel(sp, sp, U)
 
@@ -258,6 +268,7 @@ def _unitaries_plus_shifts(unitary_dims, seed: int, measures, caps: int,
     return T, Subspace.from_columns(T.dom, H0_cols), Subspace.from_columns(T.dom, H1_cols)
 
 
+@one_blas_thread
 def make_single_wold_instance(unitary_dim: int, mu: CircleMeasure, caps: int,
                               seed: int, scramble_seed: int = None) -> Instance:
     """Scrambled U_k (+) M_z(mu): ground truth for the single decomposition."""
@@ -267,6 +278,7 @@ def make_single_wold_instance(unitary_dim: int, mu: CircleMeasure, caps: int,
     return Instance(operators=(T,), space=T.dom, truth=truth)
 
 
+@one_blas_thread
 def make_four_block_instance(k00: int, nu1: CircleMeasure, caps10: int,
                              nu2: CircleMeasure, caps01: int,
                              eta1: CircleMeasure, eta2: CircleMeasure,
@@ -370,6 +382,7 @@ class InstanceSpec:
         blob = json.dumps(self.to_json_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
+    @one_blas_thread
     def build(self) -> Instance:
         caps0 = int(self.caps[0])
         if self.kind in ("shift1v", "direct_sum", "scrambled") and self.measures and caps0 < 4:

@@ -247,17 +247,18 @@ def require_positive(mu: CircleMeasure, what: str = "measure") -> None:
         )
 
 
-def conjugate(mu: CircleMeasure, U: np.ndarray) -> CircleMeasure:
+def conjugate(mu: CircleMeasure, U: np.ndarray, tols: Tolerances = DEFAULTS) -> CircleMeasure:
     """Conjugate every weight and the density by a unitary: W -> U^H W U.
 
     Fourier coefficients transform the same way, so conjugation realizes
-    the unitary freedom in the classifying measures.
+    the unitary freedom in the classifying measures.  max |U^H U - I| must
+    not exceed ``tols.unitary``.
     """
     U = np.asarray(U, dtype=complex)
     if U.shape != (mu.dim, mu.dim):
         raise ValueError(f"unitary shape {U.shape} does not match dim {mu.dim}")
     err = np.max(np.abs(U.conj().T @ U - np.eye(mu.dim))) if mu.dim else 0.0
-    if err > DEFAULTS.unitary:
+    if err > tols.unitary:
         raise ValueError(f"matrix is not unitary (||U^H U - I|| = {err:.2e})")
     atoms = tuple((a, U.conj().T @ W @ U) for a, W in mu.atoms)
     return CircleMeasure(dim=mu.dim, atoms=atoms, density=U.conj().T @ mu.density @ U)

@@ -6,12 +6,35 @@ import scipy.linalg as sla
 from hypothesis import settings
 
 import woldlab as wl
+from woldlab import _blas
 from woldlab.measures import fourier_coefficients
 
 # one fixed sequence of examples and no example database, so that property
 # tests draw the same inputs on every run
 settings.register_profile("woldlab", derandomize=True, deadline=None, database=None)
 settings.load_profile("woldlab")
+
+
+@pytest.fixture(autouse=True, scope="module")
+def one_blas_thread_per_module(request):
+    """Run every test module on one BLAS thread, as the package's entry
+    points do.  Tests that call internals or reference routes outside an
+    entry point would otherwise run their small matrices on two OpenBLAS
+    threads that only wait on each other.  Inside the scope every entry
+    point is a nested call, so the counts are set once per module.
+    Two modules are left out.  test_blas.py sets the counts itself and
+    must see the scope restore them.  test_acceptance.py keeps the
+    process's setting: acceptance 8 checks its derivative-term identities
+    by a reference sum of about 93k loop passes, each a few matrix-vector
+    products at D = 289, which two threads run in 20 s and one in 31 s."""
+    if request.path.name in ("test_blas.py", "test_acceptance.py"):
+        yield
+        return
+    _blas._enter()
+    try:
+        yield
+    finally:
+        _blas._leave()
 
 
 @pytest.fixture

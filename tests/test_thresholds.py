@@ -360,10 +360,33 @@ def condition_max_edge(multiple):
     return lambda tols: wl.left_inverse(T, tols)
 
 
+def near_unitary(multiple):
+    """diag(1, 1 + eps), whose deviation max |U^H U - I| = 2 eps + eps^2 is
+    ``multiple`` times the tolerance."""
+    eps = multiple * wl.DEFAULTS.unitary / 2
+    U = np.diag([1.0, 1.0 + eps])
+    assert np.max(np.abs(U.T @ U - np.eye(2))) == pytest.approx(2 * eps, rel=0.01)
+    return U
+
+
+def unitary_edge(multiple):
+    """near_unitary as an operator on Euclidean space."""
+    U = near_unitary(multiple)
+    return lambda tols: wl.unitary_operator(U, tols)
+
+
+def conjugate_edge(multiple):
+    """A 2 x 2 measure conjugated by near_unitary."""
+    U = near_unitary(multiple)
+    mu = wl.CircleMeasure(dim=2, atoms=((0.7, np.eye(2)),))
+    return lambda tols: wl.conjugate(mu, U, tols)
+
+
 #: field -> (input at a multiple of its default, error, message, whether
 #: the 0.5x input passes); a measure comparison raises nothing (no error
 #: class), its verdict flips.  ``vmap`` has a row for each route of
-#: build_V: a coordinate pair and its scrambled twin
+#: build_V: a coordinate pair and its scrambled twin; ``unitary`` one for
+#: each gate: a unitary operator and the conjugation of a measure
 EDGES = {
     "doubly_commuting": (doubly_commuting_edge, wl.AssumptionError, "not doubly commuting", True),
     "isometry": (isometry_edge, wl.AssumptionError, "not an isometry", True),
@@ -375,6 +398,8 @@ EDGES = {
     "vmap": (vmap_edge, wl.ConvergenceError, "model map residuals", True),
     "vmap_scrambled": (lambda multiple: vmap_edge(multiple, scramble_seed=5),
                        wl.ConvergenceError, "model map residuals", True),
+    "unitary": (unitary_edge, wl.AssumptionError, "not unitary", True),
+    "unitary_conjugate": (conjugate_edge, ValueError, "not unitary", True),
 }
 
 
