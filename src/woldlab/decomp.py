@@ -113,8 +113,11 @@ class Certificate:
     gap of the norm identity on first use.  ``gap`` is the D x D
     Hermitian form G - Q whose value at x is the residual of
     :func:`check_norm_identity` (:func:`_norm_gap`), read-only, so every
-    vector of T is checked with one product.  ``split`` is the split of
-    the whole space by T (:func:`_split`
+    vector of T is checked with one product.  ``pair_gaps`` maps the
+    certificate of a second operator T2 to the gap of the two-variable
+    identity of (T, T2) (:func:`_pair_gap`); it holds that certificate
+    weakly, so a replaced or freed one drops its form.  ``split`` is the
+    split of the whole space by T (:func:`_split`
     with K = E): (H1_w, H0_w, powers), the orbit [E]_T and its complement
     as whitened bases, views of one Q, and the powers T_w^n E_w, all
     read-only, for the decompositions and the analyticity check.
@@ -161,6 +164,10 @@ class Certificate:
         gap = _norm_gap(self)
         gap.flags.writeable = False
         return gap
+
+    @cached_property
+    def pair_gaps(self) -> weakref.WeakKeyDictionary:
+        return weakref.WeakKeyDictionary()
 
     def require_analytic(self) -> "Certificate":
         if self.split[0].shape[1] != self.E.ambient.dim_total:
@@ -409,8 +416,8 @@ def extract_measure(T: OperatorModel, tols: Tolerances = DEFAULTS) -> CircleMeas
 #   ||x||_G^2 = sum_{k>=0} ||P L^k x||_G^2 + sum_{k>=1} <F L^k x, L^k x>,
 # is one Hermitian form, the same for every x: with P_G = (G E)(G E)^H the
 # right side is x^H Q x for Q = P_G + L^H S L = S - F, where
-# S = sum_{k>=0} L^kH (P_G + F) L^k is a Stein sum.  :func:`_norm_gap` sums
-# it by doubling: from R = P_G + F and M = L each step sets
+# S = sum_{k>=0} L^kH (P_G + F) L^k is a Stein sum.  :func:`_stein_sum`
+# sums it by doubling: from R = P_G + F and M = L each step sets
 # R <- R + M^H R M, then M <- M^2, so after j steps R holds the terms
 # k < 2^j, M = L^(2^j), and what is left out is
 # S - R = sum_{i>=1} (M^i)^H R M^i.  In whitened norms its form at x is at
@@ -421,15 +428,14 @@ def extract_measure(T: OperatorModel, tols: Tolerances = DEFAULTS) -> CircleMeas
 # nilpotent, of index at most the orbit length n, so the loop ends after
 # ceil(log2 n) + 1 steps.
 #
-# The series of the dense pair route run over iterates y = L2^n L1^m x of
-# left inverses of expansive operators, so ||L_i||_G <= 1 and the terms only
-# shrink.  The terms of one iterate sum to at most
-# ||T1 T2 y||_G^2 <= ||T1_w||^2 ||T2_w||^2 ||y||_G^2, and the outer and inner
-# series leave out at most (D + 1)^2 iterates, each no larger than the one
-# its series stopped at; so a series stops at its first iterate with
-# (D + 1)^2 ||T1_w||_F^2 ||T2_w||_F^2 ||y||_G^2 <= _EPS ||x||_G^2
-# (:func:`_negligible`), and again the terms left out are below the rounding
-# of ||x||_G^2.
+# The two-variable identity nests two such sums (:func:`_pair_gap`): the
+# inner sums S2 over L2 run inside the outer sum S1 over L1.  Each inner
+# sum leaves out at most _EPS ||y||_G^2 at every y, and S1 reads it at
+# y = L1^m x for the at most n1 powers m below the nilpotency index of L1,
+# each with ||y||_G <= ||x||_G because ||L1||_G <= 1.  So an inner tail,
+# carried through S1, stays within about (n1 + 1) _EPS ||x||_G^2, and the
+# terms left out are again at the rounding of ||x||_G^2 times the orbit
+# length.
 _EPS = np.finfo(float).eps
 
 
@@ -438,84 +444,71 @@ def _tail_bound(M: np.ndarray, R: np.ndarray, c2: float, ci2: float) -> float:
     whitened norms, or inf while ||M_w|| may be 1 or more (see ``_EPS``).
     With G = C C^H, M_w = C^H M C^{-H} and R_w = C^{-1} R C^{-H}, so
     ||M_w|| <= ||C|| ||C^{-1}|| ||M||_F and ||R_w|| <= ||C^{-1}||^2 ||R||_F,
-    given ``c2`` >= ||C||^2 and ``ci2`` >= ||C^{-1}||^2."""
+    given ``c2`` >= ||C||^2 and ``ci2`` >= ||C^{-1}||^2.  A stack of forms
+    R has the Frobenius norm of all of them, which bounds each one's."""
     m2 = c2 * ci2 * float(np.vdot(M, M).real)
     if m2 >= 1:
         return np.inf
     return m2 * ci2 * float(np.sqrt(np.vdot(R, R).real)) / (1 - m2)
 
 
-def _norm_gap(cert: Certificate) -> np.ndarray:
-    """G - Q, the gap of the norm identity of the certified T: S summed by
-    doubling until :func:`_tail_bound` is at most _EPS, and Q = S - F (see
-    ``_EPS``).  The bounds read ||C||^2 <= tr G and
-    ||C^{-1}||^2 <= ||C^{-1}||_F^2, one triangular inverse (LAPACK trtri)
-    of the Cholesky factor, whose diagonal is positive.  L must be
-    nilpotent: ``ConvergenceError`` if M has not vanished after
-    ceil(log2(D + 1)) + 1 doublings."""
-    amb = cert.E.ambient
-    G, D = amb.gram, amb.dim_total
+def _stein_sum(R: np.ndarray, L: np.ndarray, amb) -> np.ndarray:
+    """S(R, L) = sum_{k>=0} L^kH R L^k for a form R on ``amb``, or for each
+    form of a stack R of shape (r, D, D) at once: summed by doubling until
+    :func:`_tail_bound` is at most _EPS (see ``_EPS``).  The bounds read
+    ||C||^2 <= tr G and ||C^{-1}||^2 <= ||C^{-1}||_F^2, one triangular
+    inverse (LAPACK trtri) of the Cholesky factor, whose diagonal is
+    positive.  L must be nilpotent: ``ConvergenceError`` if M has not
+    vanished after ceil(log2(D + 1)) + 1 doublings."""
     trtri = sla.lapack.get_lapack_funcs("trtri", (amb.chol,))
     Ci, _ = trtri(amb.chol, lower=1)
-    c2, ci2 = float(np.trace(G).real), float(np.vdot(Ci, Ci).real)
-    GE = G @ cert.E.basis
-    R, M = GE @ GE.conj().T + cert.F, cert.L
+    c2, ci2 = float(np.trace(amb.gram).real), float(np.vdot(Ci, Ci).real)
+    M = L
     doublings = 0
     while _tail_bound(M, R, c2, ci2) > _EPS:
-        if doublings > D.bit_length():  # D.bit_length() = ceil(log2(D + 1))
+        if doublings > amb.dim_total.bit_length():  # = ceil(log2(D + 1))
             raise ConvergenceError(
                 f"left inverse is not nilpotent: its power 2^{doublings} has not vanished"
             )
         R = R + M.conj().T @ R @ M
         M = M @ M
         doublings += 1
-    return G + cert.F - R
+    return R
 
 
-def _negligible(total: float, D: int, frob1: float, frob2: float) -> float:
-    """The squared Gram norm at which a series of iterates of x, with
-    ||x||_G^2 = ``total``, stops on a space of dimension D under a pair,
-    given each operator's ||T_w||_F^2 (see ``_EPS``)."""
-    return _EPS * total / float(((D + 1) * frob1) * ((D + 1) * frob2))
+def _norm_gap(cert: Certificate) -> np.ndarray:
+    """G - Q, the gap of the norm identity of the certified T, with
+    Q = S - F and S the Stein sum of P_G + F under L (see ``_EPS``)."""
+    amb = cert.E.ambient
+    GE = amb.gram @ cert.E.basis
+    return amb.gram + cert.F - _stein_sum(GE @ GE.conj().T + cert.F, cert.L, amb)
 
 
-def _frob2(T: OperatorModel) -> float:
-    """||T_w||_F^2 of the whitened operator."""
-    return float(np.vdot(T.whitened, T.whitened).real)
+def _pair_gap(c1: Certificate, c2: Certificate) -> np.ndarray:
+    """G - Q12, the gap of the two-variable identity of the certified pair
+    (T1, T2), read-only (see :func:`check_two_variable_identity`).
 
-
-def _pairings(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Re <a_j, b_j> for each column pair, as a vector."""
-    return np.einsum("ij,ij->j", A.conj(), B).real
-
-
-def _series(L, G, Y: np.ndarray, negligible: float) -> tuple:
-    """(Ys, GYs, k, col): the iterates L^k y of every column y of Y, stacked
-    as the columns of Ys, their images under G, and for each its power k
-    and the column of Y it came from.
-
-    The series of a column stops at its first iterate whose squared Gram
-    norm is at most ``negligible``, and after dim + 1 iterates at most; the
-    columns still running are advanced together, one product with L per
-    power.
+    Over y = L2^n L1^m x the four families are pairings with fixed forms:
+    K = G E2 C^H C E2^H G with C = E1^H G E2 for the joint-kernel
+    projections, A = G E2 (E2^H F1 E2) E2^H G for m >= 1,
+    B = G E1 (E1^H F2 E1) E1^H G for n >= 1, and M = T2^H F1 T2 - F1 for
+    m, n >= 1.  With S_i the Stein sum under L_i (:func:`_stein_sum`),
+    Q12 = S1(S2(K + B) + S2(A + M) - B - M) - S2(A + M) + M, and the two
+    S2 sums share one doubling loop over their stack.
     """
-    cols, gcols, ks, srcs = [], [], [], []
-    col = np.arange(Y.shape[1])
-    for k in range(Y.shape[0] + 1):
-        GY = G @ Y
-        keep = _pairings(Y, GY) > negligible
-        if not keep.any():
-            break
-        if not keep.all():
-            Y, GY, col = Y[:, keep], GY[:, keep], col[keep]
-        cols.append(Y)
-        gcols.append(GY)
-        ks.append(np.full(len(col), k))
-        srcs.append(col)
-        Y = L @ Y
-    if not cols:
-        return Y[:, :0], Y[:, :0], col[:0], col[:0]
-    return np.hstack(cols), np.hstack(gcols), np.concatenate(ks), np.concatenate(srcs)
+    amb = c1.E.ambient
+    G, T2 = amb.gram, c2.op()
+    E1, E2 = c1.E.basis, c2.E.basis
+    GE1, GE2 = G @ E1, G @ E2
+    C = E1.conj().T @ GE2
+    K = GE2 @ (C.conj().T @ C) @ GE2.conj().T
+    A = GE2 @ (E2.conj().T @ (c1.F @ E2)) @ GE2.conj().T
+    B = GE1 @ (E1.conj().T @ (c2.F @ E1)) @ GE1.conj().T
+    M = T2.matrix.conj().T @ c1.F @ T2.matrix - c1.F
+    kb, am = _stein_sum(np.stack([K + B, A + M]), c2.L, amb)
+    gap = G + (am - M) - _stein_sum(kb + am - B - M, c1.L, amb)
+    gap.flags.writeable = False
+    return gap
 
 
 @one_blas_thread
@@ -546,23 +539,24 @@ def check_two_variable_identity(T1: OperatorModel, T2: OperatorModel, x,
     projections ||P1 P2 y||^2, the single defects <F1 P2 y, P2 y> (m >= 1)
     and <F2 P1 y, P1 y> (n >= 1), and the mixed defect (m, n >= 1).  The
     kernel terms are read in the coordinates of the Gram-orthonormal
-    kernels E1 and E2 through three small matrices: with a = E2^H G y and
-    b = E1^H G y, ||P1 P2 y||^2 = ||C a||^2 for C = E1^H G E2, and the
-    single defects are a^H (E2^H F1 E2) a and b^H (E1^H F2 E1) b.  The
-    mixed term <D1^2 D2^2 y, y> is <F1 T2 y, T2 y> - <F1 y, y>, the pairing
-    with F12 = T2^H F1 T2 - F1, which equals
+    kernels E1 and E2: with a = E2^H G y and b = E1^H G y,
+    ||P1 P2 y||^2 = ||C a||^2 for C = E1^H G E2, and the single defects
+    are a^H (E2^H F1 E2) a and b^H (E1^H F2 E1) b.  The mixed term
+    <D1^2 D2^2 y, y> is <F1 T2 y, T2 y> - <F1 y, y>, the pairing with
+    T2^H F1 T2 - F1, which equals
     (T2 T1)^H G (T1 T2) - T1^H G T1 - T2^H G T2 + G whenever T1 T2 = T2 T1,
-    so every summand is an exact Gram pairing; it is read on the stacked
-    iterates, and F12 is never formed.
+    so every summand is an exact Gram pairing.
 
-    The outer series L1^m x and, for every m at once, the inner series
-    L2^n L1^m x are stacked (:func:`_series`); each stops at its first
-    iterate whose squared Gram norm, times
-    (D + 1)^2 ||T1_w||_F^2 ||T2_w||_F^2, is at most _EPS ||x||^2, which
-    bounds every term left out (see ``_EPS``), and the terms are summed
-    in a few matrix products.  No D x D projector is
-    built, and no product of two D x D matrices is taken.  E, F and L of
-    each operator are read from its :class:`Certificate`.
+    Each family is a fixed Hermitian form at y, so the right side is
+    x^H Q12 x for one form Q12 of the pair, and the residual is
+    |x^H (G - Q12) x|: one product per vector.  The gap G - Q12 is nested
+    Stein sums over L2 and then L1 (:func:`_pair_gap`), with the stop of
+    the one-variable identity; the terms they leave out stay at the
+    rounding of ||x||^2 times the orbit length (see ``_EPS``).  It is
+    built once per pair of certificates and memoized on the certificate
+    of T1, keyed weakly by that of T2 (``Certificate.pair_gaps``), so a
+    replaced certificate gets a fresh form.  E, F and L of each operator
+    are read from its :class:`Certificate`.
 
     A d = 1 coordinate pair (:func:`_coordinate_pair_space`) is read from
     the gaps of its two factor shifts instead (:func:`_product_identity`):
@@ -574,24 +568,11 @@ def check_two_variable_identity(T1: OperatorModel, T2: OperatorModel, x,
         return _product_identity(space, _as_flat(x), tols)
     c1 = certify(T1, tols).require_analytic()
     c2 = certify(T2, tols).require_analytic()
+    gap = c1.pair_gaps.get(c2)
+    if gap is None:
+        gap = c1.pair_gaps[c2] = _pair_gap(c1, c2)
     x = _as_flat(x)
-    G = T1.dom.gram
-    total = float((np.conj(x) @ (G @ x)).real)
-    negligible = _negligible(total, T1.dom.dim_total, _frob2(T1), _frob2(T2))
-    outer, _, _, _ = _series(c1.L, G, x[:, None], negligible)
-    Y, GY, n, m = _series(c2.L, G, outer, negligible)
-    E1, E2 = c1.E.basis, c2.E.basis
-    a, b = E2.conj().T @ GY, E1.conj().T @ GY
-    Ca = (E1.conj().T @ (G @ E2)) @ a
-    a1, b2 = a[:, m >= 1], b[:, n >= 1]
-    mixed = Y[:, (m >= 1) & (n >= 1)]
-    T2mixed = T2.matrix @ mixed
-    acc = (np.sum(_pairings(Ca, Ca))
-           + np.sum(_pairings(a1, (E2.conj().T @ (c1.F @ E2)) @ a1))
-           + np.sum(_pairings(b2, (E1.conj().T @ (c2.F @ E1)) @ b2))
-           + np.sum(_pairings(T2mixed, c1.F @ T2mixed))
-           - np.sum(_pairings(mixed, c1.F @ mixed)))
-    return abs(total - float(acc))
+    return abs(float(np.vdot(x, gap @ x).real))
 
 
 def _product_identity(space: GradedPolySpace, x: np.ndarray, tols: Tolerances) -> float:
@@ -839,6 +820,11 @@ def _dense_rows(T1: OperatorModel, T2: OperatorModel, target: GradedPolySpace,
         if n < M2:
             block = block @ c2.L
     return rows
+
+
+def _pairings(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Re <a_j, b_j> for each column pair, as a vector."""
+    return np.einsum("ij,ij->j", A.conj(), B).real
 
 
 def _dense_gates(T1: OperatorModel, T2: OperatorModel, target: GradedPolySpace,

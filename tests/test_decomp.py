@@ -417,8 +417,8 @@ def whitened_left_inverse(T):
 
 
 def test_left_inverses_of_the_identity_inputs_are_contractions():
-    # the series of the norm identities bound the terms they leave out
-    # through ||L||_G <= 1
+    # the pair form bounds the inner tails it carries through its outer
+    # sum by ||L1||_G <= 1 (see decomp._EPS)
     ops = [wl.build_shift_1v(scalar_atoms(*THREE_ATOMS), caps) for caps in (10, 16)]
     ops += [wl.build_shift_1v(wl.random_atomic_measure(1, 2, seed=3000 + s), 16) for s in (1, 2)]
     ops.append(wl.build_shift_1v(wl.random_atomic_measure(2, 3, seed=5), 12))
@@ -429,25 +429,8 @@ def test_left_inverses_of_the_identity_inputs_are_contractions():
 
 
 @pytest.fixture
-def series_lengths(monkeypatch):
-    """(columns in, iterates out) of every ``_series`` call, in call order."""
-    log = []
-    real = decomp._series
-
-    def recorded(L, G, Y, negligible):
-        out = real(L, G, Y, negligible)
-        log.append((Y.shape[1], out[0].shape[1]))
-        return out
-
-    monkeypatch.setattr(decomp, "_series", recorded)
-    return log
-
-
-def test_norm_identity_form_stops_after_ceil_log2_D_doublings(rng, monkeypatch):
-    # L of a caps-24 shift lowers the degree, so it is nilpotent of index 25
-    # and M = L^32 vanishes after 5 doublings; the series the form replaced
-    # ran 21 iterates for this x of degree 20, and every other x of T reads
-    # the same form
+def tail_bounds(monkeypatch):
+    """The value of every ``_tail_bound`` call, in call order."""
     bounds = []
     real = decomp._tail_bound
 
@@ -456,31 +439,48 @@ def test_norm_identity_form_stops_after_ceil_log2_D_doublings(rng, monkeypatch):
         return bounds[-1]
 
     monkeypatch.setattr(decomp, "_tail_bound", recorded)
+    return bounds
+
+
+def test_norm_identity_form_stops_after_ceil_log2_D_doublings(rng, tail_bounds):
+    # L of a caps-24 shift lowers the degree, so it is nilpotent of index 25
+    # and M = L^32 vanishes after 5 doublings; the series the form replaced
+    # ran 21 iterates for this x of degree 20, and every other x of T reads
+    # the same form
     T = wl.build_shift_1v(scalar_atoms(*THREE_ATOMS), 24)
     x = np.zeros(25, dtype=complex)
     x[:21] = rng.standard_normal(21) + 1j * rng.standard_normal(21)
     x /= T.dom.norm(x)
     assert wl.check_norm_identity(T, x) < 1e-13
-    assert len(bounds) == 6 and bounds[-1] <= decomp._EPS < min(bounds[:-1])
+    assert len(tail_bounds) == 6 and tail_bounds[-1] <= decomp._EPS < min(tail_bounds[:-1])
     assert wl.check_norm_identity(T, random_core_vector(T, rng)) < 1e-12
-    assert len(bounds) == 6
+    assert len(tail_bounds) == 6
 
 
-def test_two_variable_series_stop_at_the_degree_of_x(rng, series_lengths):
-    # x of bidegree at most (4, 4) at caps 8: 5 outer iterates and 5 inner
-    # ones for each, where the old stop ran 11 and 89.  The series run on
-    # the dense route, so on the scrambled twin of the coordinate pair, at
-    # the twin W^H x of x
+def test_pair_form_stops_after_ceil_log2_n_doublings_and_is_built_once(rng, tail_bounds):
+    # the dense route, so on the scrambled twin of the coordinate pair at
+    # caps 8: L1 and L2 are nilpotent of index 9, so each of the form's two
+    # doubling loops, the stacked S2 sums and then S1, reads
+    # ceil(log2 9) + 1 = 5 bounds
     pair = wl.build_pair_2v(*wl.random_measure_pair(1, 2, seed=16), 8, 8)
-    (T1, T2), W = wl.scramble(pair, 16)
-    x = np.zeros((9, 9), dtype=complex)
-    x[:5, :5] = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    x = W.conj().T @ x.reshape(-1)
-    x /= T1.dom.norm(x)
-    assert wl.check_two_variable_identity(T1, T2, x) < 1e-13
-    assert series_lengths == [(1, 5), (5, 25)]
-    assert wl.check_two_variable_identity(*pair, W @ x) < 1e-13
-    assert len(series_lengths) == 2
+    (T1, T2), _ = wl.scramble(pair, 16)
+    core = joint_core(T1, T2, 2)
+    xs = []
+    for _ in range(2):
+        x = core.basis @ (rng.standard_normal(core.dim) + 1j * rng.standard_normal(core.dim))
+        xs.append(x / T1.dom.norm(x))
+    steps = int(np.ceil(np.log2(9))) + 1
+    assert wl.check_two_variable_identity(T1, T2, xs[0]) < 1e-13
+    assert len(tail_bounds) == 2 * steps
+    for loop in (tail_bounds[:steps], tail_bounds[steps:]):
+        assert loop[-1] <= decomp._EPS < min(loop[:-1])
+    # a second vector of the pair reads the memoized form
+    assert wl.check_two_variable_identity(T1, T2, xs[1]) < 1e-13
+    assert len(tail_bounds) == 2 * steps
+    # a new certificate of T2 gets a new form
+    del T2.certificates[wl.DEFAULTS]
+    assert wl.check_two_variable_identity(T1, T2, xs[1]) < 1e-13
+    assert len(tail_bounds) == 4 * steps
 
 
 def test_a_form_whose_left_inverse_is_not_nilpotent_raises():
@@ -490,6 +490,18 @@ def test_a_form_whose_left_inverse_is_not_nilpotent_raises():
     vars(cert)["L"] = np.eye(T.dom.dim_total, dtype=complex)
     with pytest.raises(wl.ConvergenceError, match="not nilpotent"):
         wl.check_norm_identity(T, np.eye(11)[0])
+
+
+def test_a_pair_form_whose_left_inverse_is_not_nilpotent_raises():
+    # L1 = I on the dense route: M stays I at every doubling of the outer
+    # sum, and its tail bound never falls
+    pair = wl.build_pair_2v(*wl.random_measure_pair(1, 2, seed=6), 6, 6)
+    (T1, T2), W = wl.scramble(pair, 6)
+    cert = wl.certify(T1).require_analytic()
+    vars(cert)["L"] = np.eye(T1.dom.dim_total, dtype=complex)
+    x = W.conj().T @ np.eye(T1.dom.dim_total)[0]
+    with pytest.raises(wl.ConvergenceError, match="not nilpotent"):
+        wl.check_two_variable_identity(T1, T2, x / T1.dom.norm(x))
 
 
 def install_short_kernel(T, X):

@@ -605,6 +605,22 @@ def test_pair_identity_and_model_rows_match_the_projector_routes(caps, d):
     check_pair_routes(*pair, np.random.default_rng(d))
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_pair_identity_matches_the_projector_route_on_scrambled_pairs(d):
+    # a dense G and dense L1, L2 on the dense route: the pair form sums no
+    # structure the model holds
+    pair = wl.build_pair_2v(*wl.random_measure_pair(d, 2, seed=50 + d), 5, 4)
+    (T1, T2), _ = wl.scramble(pair, 9 + d)
+    assert decomp._coordinate_pair_space(T1, T2) is None
+    D = T1.dom.dim_total
+    assert min(np.count_nonzero(T.matrix) for T in (T1, T2)) > D ** 2 // 2
+    core, rng = joint_core(T1, T2, 2), np.random.default_rng(d)
+    for _ in range(3):
+        x = unit_vector(core, T1.dom, rng)
+        got = wl.check_two_variable_identity(T1, T2, x)
+        assert abs(got - projector_two_variable_identity(T1, T2, x)) < IDENTITY_TOL
+
+
 @settings(max_examples=8)
 @given(seed=seeds, d=st.integers(1, 2), n_atoms=st.integers(1, 3), caps=st.integers(3, 6))
 def test_kernel_coordinate_routes_match_on_small_caps(seed, d, n_atoms, caps):

@@ -5,8 +5,9 @@ A float literal of at most 1e-6 in ``src/woldlab`` is a threshold that
 ``--tol-scale`` cannot reach.  The scan below fails on any such literal
 outside ``config.py`` that is not on the allowlist, which is empty.  A
 second scan fails on any public function or method that neither the
-package, the demos nor the acceptance tests read, and a third on any
-parameter defaulting to True, False or None that none of them, nor the
+package, the demos nor the acceptance tests read, a third on any private
+function or method that the package itself does not read, and a fourth on
+any parameter defaulting to True, False or None that none of them, nor the
 benchmark, sets.
 """
 
@@ -84,6 +85,23 @@ def public_definitions(path):
     return found
 
 
+def private_definitions(path):
+    """The private module-level functions of ``path``, and the private
+    methods of its classes as ``Class.method``.  Dunder methods are read by
+    the interpreter, not by name, so they are left out."""
+    def private(node):
+        return (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name.startswith("_") and not node.name.endswith("__"))
+
+    found = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ClassDef):
+            found += [f"{node.name}.{item.name}" for item in node.body if private(item)]
+        elif private(node):
+            found.append(node.name)
+    return found
+
+
 def names_read(path):
     """Every name loaded and every attribute read in ``path``."""
     read = set()
@@ -95,12 +113,13 @@ def names_read(path):
     return read
 
 
-def unread_definitions(package, readers):
-    """The public definitions of the modules of ``package`` whose name no
-    file of ``readers`` reads, sorted."""
+def unread_definitions(package, readers, definitions=public_definitions):
+    """The definitions of the modules of ``package``, public ones unless
+    ``definitions`` lists others, whose name no file of ``readers`` reads,
+    sorted."""
     read = set().union(*(names_read(path) for path in readers))
     return sorted(name for path in sorted(package.glob("*.py"))
-                  for name in public_definitions(path)
+                  for name in definitions(path)
                   if name.rsplit(".", 1)[-1] not in read)
 
 
@@ -118,6 +137,27 @@ def test_the_scan_sees_an_unread_definition(tmp_path):
         "    def idle(self):\n        return 4\n")
     (tmp_path / "client.py").write_text("from mod import A, used\n\nused() + A().read()\n")
     assert unread_definitions(tmp_path, [tmp_path / "client.py"]) == ["A.idle", "unused"]
+
+
+#: private definitions that nothing in the package reads: none
+PRIVATE_UNREAD_ALLOWED = set()
+
+
+def test_every_private_definition_has_a_package_reader():
+    readers = sorted(PACKAGE.glob("*.py"))
+    assert set(unread_definitions(PACKAGE, readers, private_definitions)) \
+        == PRIVATE_UNREAD_ALLOWED
+
+
+def test_the_scan_sees_an_unread_private_definition(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def _used():\n    return 1\n\n\ndef _unused():\n    return 2\n\n\n"
+        "class _A:\n    def __init__(self):\n        self.x = _used()\n\n"
+        "    def _read(self):\n        return 3\n\n"
+        "    def _idle(self):\n        return 4\n\n"
+        "    def run(self):\n        return self._read()\n")
+    assert unread_definitions(tmp_path, [tmp_path / "mod.py"], private_definitions) == [
+        "_A._idle", "_unused"]
 
 
 # -- switches that no caller sets ---------------------------------------------
